@@ -354,8 +354,8 @@ bool gate_overload() {
 //      equivalence contract, re-checked on real runs, not just in the
 //      oracle suite.
 //   2. Modeled serving makespan (every host): the chosen plan must beat the
-//      modeled cost of the exact legacy schedule — Plan::round_robin(8, 4,
-//      256) is the s % 4 deal, burst 256, default placements, i.e. what the
+//      modeled cost of the exact unplanned schedule — Plan::round_robin(8,
+//      4, 256) is the s % 4 deal, burst 256, no placements, i.e. what the
 //      blind pump actually executes — by >= 10% under the same evd::hw cost
 //      models the paper's Table I comparisons rest on.
 //   3. Wall clock: the plan only redistributes *visits* across workers
@@ -503,8 +503,6 @@ bool gate_planner() {
   // region_count above matches. Restore the full pool afterwards.
   const Index previous_threads = par::thread_count();
   par::set_thread_count(4);
-  const bool sched_was_enabled = sched::enabled();
-  sched::set_enabled(true);
 
   MixedPopulation population;
   std::vector<sched::SessionProfile> profiles;
@@ -517,8 +515,8 @@ bool gate_planner() {
   config.region_count = 4;
   config.burst_cap = 256;
   const sched::Plan plan = sched::Planner::instance().plan_for(profiles, config);
-  // Modeled baseline = the schedule the legacy pump actually runs: the
-  // s % 4 deal at the manager's burst (256), default placements, unfused.
+  // Modeled baseline = the schedule the unplanned pump actually runs: the
+  // s % 4 deal at the manager's burst (256), no placements.
   const sched::CostModels models;
   sched::Plan legacy_schedule = sched::Plan::round_robin(8, 4, 256);
   const double legacy_modeled_us =
@@ -540,7 +538,6 @@ bool gate_planner() {
     PlannerRow planned2 = serve_mixed(population, &plan);
     if (planned2.wall_ms < planned.wall_ms) planned = std::move(planned2);
   }
-  sched::set_enabled(sched_was_enabled);
   par::set_thread_count(previous_threads);
 
   const bool identical = decision_streams_identical(round_robin, planned);
@@ -732,8 +729,6 @@ struct SparsePopulation {
 bool gate_routing() {
   const Index previous_threads = par::thread_count();
   par::set_thread_count(4);
-  const bool sched_was_enabled = sched::enabled();
-  sched::set_enabled(true);
   // Proved-gating: the planner may only route onto oracle-backed paths,
   // and registering the route.* oracles is what marks them proved — the
   // same entitlement step a serving binary performs at startup.
@@ -790,7 +785,6 @@ bool gate_routing() {
     PlannerRow routed2 = serve_mixed(population, &plan);
     if (routed2.wall_ms < routed.wall_ms) routed = std::move(routed2);
   }
-  sched::set_enabled(sched_was_enabled);
   par::set_thread_count(previous_threads);
 
   const bool identical = decision_streams_identical(default_paths, routed);

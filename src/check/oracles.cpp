@@ -1115,19 +1115,14 @@ std::optional<std::string> diff_planned(Pipeline& pipeline,
   }
   return with_thread_count(
       kThreadedCount, [&]() -> std::optional<std::string> {
-        struct RestoreSched {
-          bool previous;
-          ~RestoreSched() { sched::set_enabled(previous); }
-        } restore{sched::enabled()};
-        sched::set_enabled(true);
         runtime::SessionManager manager(/*burst=*/3);
         std::vector<runtime::SessionId> ids;
         ids.reserve(c.sessions.size());
         for (size_t s = 0; s < c.sessions.size(); ++s) {
           ids.push_back(manager.add(pipeline.open_session(c.width, c.height)));
         }
-        // Anneal a plan for this population: fused stages, re-drawn bursts,
-        // re-partitioned regions — whatever the search likes for this seed.
+        // Anneal a plan for this population: re-drawn bursts, re-partitioned
+        // regions, re-routed paths — whatever the search likes for this seed.
         std::vector<sched::SessionProfile> profiles(
             c.sessions.size(), sched::profile_for(pipeline, paradigm, 16));
         sched::AnnealerConfig search;
@@ -1231,11 +1226,6 @@ std::optional<std::string> diff_route(Pipeline& pipeline, route::PathId forced,
   }
   return with_thread_count(
       kThreadedCount, [&]() -> std::optional<std::string> {
-        struct RestoreRoute {
-          bool previous;
-          ~RestoreRoute() { route::set_enabled(previous); }
-        } restore{route::enabled()};
-        route::set_enabled(true);
         runtime::SessionManager manager(/*burst=*/3);
         std::vector<runtime::SessionId> ids;
         ids.reserve(c.sessions.size());

@@ -29,7 +29,7 @@
 //                                decision stream of a never-faulted run
 //   sched.plan_vs_sequential.{cnn,snn,gnn}
 //                                sessions pumped under an annealer-chosen
-//                                execution plan (fused stages, per-entry
+//                                execution plan (routed paths, per-entry
 //                                bursts, re-partitioned worker regions) vs
 //                                direct sequential feeding — decision
 //                                streams must match bitwise (the planner's

@@ -73,7 +73,6 @@ std::vector<core::StageInfo> CnnPipeline::stream_stages() const {
   repr.per_op.act_bytes_read =
       kOpsPerFrame * static_cast<std::int64_t>(sizeof(events::Event));
   repr.per_op.act_bytes_written = channels * hw * 4;
-  repr.fusable_with_next = true;  // the frame could stream into the conv stem
 
   core::StageInfo conv;
   conv.name = "cnn.conv_forward";
@@ -245,7 +244,6 @@ class CnnStreamSession : public runtime::SessionBase {
   }
 
   nn::ConvAlgo conv_algo_for_path() const {
-    if (!route::enabled()) return nn::ConvAlgo::Auto;
     switch (execution_path()) {
       case route::PathId::CnnDirect:
         return nn::ConvAlgo::Direct;

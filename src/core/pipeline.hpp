@@ -65,8 +65,9 @@ struct SessionStats {
 /// decisions() returns everything decided so far.
 ///
 /// Long-running consumers should prefer drain() — decisions() retains only
-/// a bounded tail on runtime-backed sessions (see runtime::DecisionSink),
-/// while drain() hands over every decision exactly once.
+/// a bounded tail (see runtime::DecisionSink), while drain() hands over
+/// every decision exactly once. runtime::SessionBase implements everything
+/// below except the paradigm itself; every session derives from it.
 class StreamSession {
  public:
   virtual ~StreamSession() = default;
@@ -77,37 +78,20 @@ class StreamSession {
   virtual const std::vector<Decision>& decisions() const = 0;
 
   /// Move decisions emitted since the last drain() into `out` (appended);
-  /// returns how many. The default is a cursor over decisions() so legacy
-  /// sessions satisfy the contract without bounded storage.
-  virtual Index drain(std::vector<Decision>& out) {
-    const auto& all = decisions();
-    const Index n = static_cast<Index>(all.size()) - drain_cursor_;
-    out.insert(out.end(), all.begin() + drain_cursor_, all.end());
-    drain_cursor_ = static_cast<Index>(all.size());
-    return n;
-  }
+  /// returns how many.
+  virtual Index drain(std::vector<Decision>& out) = 0;
 
-  virtual SessionStats stats() const {
-    SessionStats s;
-    s.decisions_emitted = static_cast<std::int64_t>(decisions().size());
-    return s;
-  }
+  virtual SessionStats stats() const = 0;
 
   /// Checkpoint support (see fault/checkpoint.hpp for the format). A session
   /// that can serialize its full streaming state writes it into `out` and
-  /// returns true; the default declines (returns false) so legacy sessions
-  /// remain valid. Restoring into a session requires it to have been opened
-  /// with the same pipeline configuration (the serialized header is
-  /// validated); a successful load_state makes the session bitwise-continue
-  /// exactly where save_state left off.
-  virtual bool save_state(std::vector<std::uint8_t>& out) const {
-    (void)out;
-    return false;
-  }
-  virtual bool load_state(std::span<const std::uint8_t> bytes) {
-    (void)bytes;
-    return false;
-  }
+  /// returns true; one that cannot declines (returns false). Restoring into
+  /// a session requires it to have been opened with the same pipeline
+  /// configuration (the serialized header is validated); a successful
+  /// load_state makes the session bitwise-continue exactly where save_state
+  /// left off.
+  virtual bool save_state(std::vector<std::uint8_t>& out) const = 0;
+  virtual bool load_state(std::span<const std::uint8_t> bytes) = 0;
 
   /// Windowed online activity estimate in [0, 1]: the fraction of the
   /// sensor plane this session's recent events actually touch (the live
@@ -115,27 +99,19 @@ class StreamSession {
   /// through the SessionManager's re-plan hook so a stream that turns dense
   /// mid-run re-prices — and re-routes off — the sparse execution paths.
   /// Purely observational: the estimate never changes what a session
-  /// computes. The default (no estimator) reports fully dense.
-  virtual double activity_estimate() const { return 1.0; }
+  /// computes.
+  virtual double activity_estimate() const = 0;
 
   /// Execution routing (see route/route.hpp). A routable session reports its
   /// paradigm tag and accepts an ExecutionPath id selecting one of the
   /// proved-equivalent execution variants for that paradigm; every variant
   /// must produce a bitwise-identical decision stream (the route.* oracles
   /// enforce this), so routing is a performance decision, never a semantic
-  /// one. The defaults make legacy sessions unroutable: empty paradigm,
-  /// set_execution_path declines, execution_path reports Default.
-  virtual std::string_view paradigm() const { return {}; }
-  virtual bool set_execution_path(route::PathId path) {
-    (void)path;
-    return false;
-  }
-  virtual route::PathId execution_path() const {
-    return route::PathId::Default;
-  }
-
- private:
-  Index drain_cursor_ = 0;  ///< Default drain() position; unused by overrides.
+  /// one. set_execution_path declines (returns false) a path the session's
+  /// paradigm does not own.
+  virtual std::string_view paradigm() const = 0;
+  virtual bool set_execution_path(route::PathId path) = 0;
+  virtual route::PathId execution_path() const = 0;
 };
 
 class EventPipeline {

@@ -168,6 +168,9 @@ class CheckpointReader {
 
   void raw(void* data, std::size_t n) {
     check_available(n);
+    // An empty vector's data() may be null, which memcpy forbids even for
+    // zero bytes (UBSan aborts on a decoded empty pod_vector otherwise).
+    if (n == 0) return;
     std::memcpy(data, bytes_.data() + cursor_, n);
     cursor_ += n;
   }

@@ -62,7 +62,6 @@ std::vector<core::StageInfo> GnnPipeline::stream_stages() const {
   build.per_op.comparisons = 64;  // grid-hash probes for radius neighbours
   build.per_op.adds = nbrs;       // adjacency splices
   build.per_op.state_bytes_rw = nbrs * 16;  // node + edge-list touches
-  build.fusable_with_next = true;  // features can stream off the fresh edges
 
   core::StageInfo message;
   message.name = "gnn.message_pass";
@@ -78,7 +77,6 @@ std::vector<core::StageInfo> GnnPipeline::stream_stages() const {
   message.per_op.act_bytes_read =
       static_cast<std::int64_t>(layers) * (nbrs + 1) * hidden * 4;
   message.per_op.act_bytes_written = hidden * 4;
-  message.fusable_with_next = true;
 
   core::StageInfo readout;
   readout.name = "gnn.readout";
@@ -204,8 +202,7 @@ class GnnStreamSession : public runtime::SessionBase {
     // per event instead of the incremental frontier — bitwise-identical
     // decisions (route.gnn_batch_vs_incremental), O(N) modeled cost.
     // GnnIncremental and Default both name the built-in frontier path.
-    if (route::enabled() &&
-        execution_path() == route::PathId::GnnBatch) {
+    if (execution_path() == route::PathId::GnnBatch) {
       async_.insert_batch(node, neighbors_);
     } else {
       async_.insert(node, neighbors_);

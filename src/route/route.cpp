@@ -2,17 +2,9 @@
 
 #include <array>
 #include <atomic>
-#include <cstring>
-
-#include "common/env.hpp"
 
 namespace evd::route {
 namespace {
-
-std::atomic<bool>& enabled_state() {
-  static std::atomic<bool> state{env_flag("EVD_ROUTE", true)};
-  return state;
-}
 
 // Registry order groups each paradigm's variants contiguously so
 // paths_for() can hand out subspans of one static table.
@@ -37,14 +29,6 @@ std::array<std::atomic<bool>, kProvedSlots>& proved_flags() {
 }
 
 }  // namespace
-
-bool enabled() noexcept {
-  return enabled_state().load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  enabled_state().store(on, std::memory_order_relaxed);
-}
 
 const char* path_name(PathId id) noexcept {
   if (id == PathId::Default) return "default";

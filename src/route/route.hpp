@@ -19,8 +19,7 @@
 //     computes.
 //   * Sessions store a PathId (installed by SessionManager::set_plan from
 //     the plan's placements) and consult it at their hot-stage dispatch
-//     point. PathId::Default — and the EVD_ROUTE=off kill-switch — fall
-//     back byte-identically to the pre-refactor hard-coded behavior.
+//     point. PathId::Default runs the pre-refactor hard-coded behavior.
 //
 // The library sits at the leaf of the link graph (depends only on
 // evd_common) so both the runtime (which applies routes) and the planning
@@ -35,11 +34,9 @@
 
 namespace evd::route {
 
-/// EVD_ROUTE kill-switch (default on). When off, every dispatch site runs
-/// the paradigm's default path regardless of any installed route — the
-/// byte-identical fallback the equivalence contract demands.
-bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
+/// Always true: every dispatch site honours the installed path. Kept so
+/// callers written against the former on/off switch still compile.
+constexpr bool enabled() noexcept { return true; }
 
 /// Stable identifiers for the routable execution variants. The numeric
 /// values are serialized inside plan bytes (sched::ParadigmPlacement), so

@@ -103,12 +103,6 @@ class SessionBase : public core::StreamSession {
   /// Error(CheckpointMismatch), truncation Error(CheckpointCorrupt).
   bool load_state(std::span<const std::uint8_t> bytes) final;
 
-  /// Execution routing (core::StreamSession contract). The chassis stores
-  /// the installed path; set_execution_path accepts Default plus any path
-  /// registered for this session's paradigm and declines everything else
-  /// without changing state. Subclasses consult execution_path() at their
-  /// dispatch points — an installed path changes which proved-equivalent
-  /// kernel runs, never what it computes.
   /// Windowed pixel-occupancy activity (StreamSession contract): an EWMA
   /// over event-anchored stream-time windows of |distinct pixels touched| /
   /// |sensor plane|, folded half-weight per completed window. Deterministic
@@ -120,6 +114,12 @@ class SessionBase : public core::StreamSession {
     return act_ewma_ < 0.0 ? 0.0 : (act_ewma_ > 1.0 ? 1.0 : act_ewma_);
   }
 
+  /// Execution routing (core::StreamSession contract). The chassis stores
+  /// the installed path; set_execution_path accepts Default plus any path
+  /// registered for this session's paradigm and declines everything else
+  /// without changing state. Subclasses consult execution_path() at their
+  /// dispatch points — an installed path changes which proved-equivalent
+  /// kernel runs, never what it computes.
   std::string_view paradigm() const final { return paradigm_; }
   bool set_execution_path(route::PathId path) final {
     if (path != route::PathId::Default &&

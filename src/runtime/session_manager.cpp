@@ -440,45 +440,49 @@ Index SessionManager::pump() {
     coarsen = admission_.coarsen_factor < 1 ? 1 : admission_.coarsen_factor;
     ++coarsened_rounds_;
   }
-  // EVD_SCHED=off (or no installed / stale plan) runs the legacy blind
-  // round-robin byte-identically to a build without the planner.
-  const bool planned =
-      plan_ != nullptr && sched::enabled() && plan_->session_count == n;
-  if (planned) {
-    // Grain 1 over *regions*: region r is chunk r, one worker per region
-    // per round. Plan::validate() guarantees each session sits in exactly
-    // one region, so no session is ever touched by two workers — the same
-    // single-writer argument as the legacy path, with the plan choosing
-    // the partition, visit order and per-visit bursts.
-    const auto nregions = static_cast<Index>(plan_->regions.size());
-    par::parallel_for(0, nregions, 1, [&](Index begin, Index end) {
-      for (Index r = begin; r < end; ++r) {
-        const sched::PlanRegion& region =
-            plan_->regions[static_cast<size_t>(r)];
-        for (const sched::PlanEntry& e : region.entries) {
-          processed_[static_cast<size_t>(e.session)] =
-              pump_session(e.session, e.burst * coarsen,
-                           region.label.c_str());
-        }
+  // No installed plan, or one that add() made stale: pump the cached
+  // round-robin default instead.
+  const bool planned = plan_ != nullptr && plan_->session_count == n;
+  const sched::Plan& plan = planned ? *plan_ : default_plan(n);
+  // Grain 1 over *regions*: region r is chunk r, one worker per region per
+  // round. Plan::validate() guarantees each session sits in exactly one
+  // region, so no session is ever touched by two workers, and the plan
+  // chooses the partition, visit order and per-visit bursts.
+  const auto nregions = static_cast<Index>(plan.regions.size());
+  par::parallel_for(0, nregions, 1, [&](Index begin, Index end) {
+    for (Index r = begin; r < end; ++r) {
+      const sched::PlanRegion& region = plan.regions[static_cast<size_t>(r)];
+      for (const sched::PlanEntry& e : region.entries) {
+        processed_[static_cast<size_t>(e.session)] = pump_session(
+            e.session, e.burst * coarsen, region.label.c_str());
       }
-    });
-    planned_rounds_.add(1);
-  } else {
-    const Index burst = burst_ * coarsen;
-    // Grain 1: session i is chunk i, so static assignment gives worker w
-    // sessions w, w+W, ... — one worker per session per round, no sharing.
-    par::parallel_for(0, n, 1, [&](Index begin, Index end) {
-      for (Index i = begin; i < end; ++i) {
-        processed_[static_cast<size_t>(i)] =
-            pump_session(i, burst, "runtime.session_burst");
-      }
-    });
-  }
+    }
+  });
+  if (planned) planned_rounds_.add(1);
   Index total = 0;
   for (Index i = 0; i < n; ++i) total += processed_[static_cast<size_t>(i)];
   ops_processed_.add(total);
   pump_rounds_.add(1);
   return total;
+}
+
+const sched::Plan& SessionManager::default_plan(Index n) {
+  // Inside a parallel region (a shard worker pumping this manager) the
+  // region loop runs serially on this thread, and par::thread_count()
+  // would wait on the pool lock the enclosing region holds: deal one
+  // region, which visits sessions in id order.
+  const Index workers =
+      par::in_parallel_region() ? 1 : par::thread_count();
+  if (default_plan_.session_count != n || default_plan_workers_ != workers) {
+    // Session s in region s % W: the grain-1 region loop hands worker w
+    // sessions w, w+W, ... at the manager's burst.
+    default_plan_ = sched::Plan::round_robin(n, workers, burst_);
+    for (sched::PlanRegion& region : default_plan_.regions) {
+      region.label = "runtime.session_burst";
+    }
+    default_plan_workers_ = workers;
+  }
+  return default_plan_;
 }
 
 void SessionManager::pump_all() {
@@ -517,17 +521,15 @@ void SessionManager::apply_routes() noexcept {
     route::PathId path = route::PathId::Default;
     if (plan_ != nullptr) {
       const std::string_view paradigm = sl->session->paradigm();
-      if (!paradigm.empty()) {
-        for (const sched::ParadigmPlacement& p : plan_->placements) {
-          if (p.paradigm == paradigm) {
-            path = p.path;
-            break;
-          }
+      for (const sched::ParadigmPlacement& p : plan_->placements) {
+        if (p.paradigm == paradigm) {
+          path = p.path;
+          break;
         }
       }
     }
-    // Legacy sessions (no SessionBase chassis) decline; validate() already
-    // pinned each placed path to its paradigm, so routable sessions accept.
+    // validate() pinned each placed path to its paradigm, so the session
+    // accepts it.
     (void)sl->session->set_execution_path(path);
   }
 }

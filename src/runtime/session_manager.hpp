@@ -1,13 +1,14 @@
 // Multi-session serving over the evd::par pool.
 //
 // The SessionManager owns N (session, ingress-queue) pairs and pumps them
-// with deterministic round-robin scheduling:
+// through an execution plan (sched/plan.hpp):
 //
-//   pump() round:  parallel_for over sessions, grain 1 — session s is one
-//                  chunk, so the whole session runs on exactly one worker
-//                  per round (static chunk assignment: worker w gets
-//                  sessions w, w+W, ...). Each session processes up to
-//                  `burst` queued ops, in FIFO order, then yields.
+//   pump() round:  parallel_for over plan regions, grain 1 — region r is
+//                  one chunk, so every session in it runs on exactly one
+//                  worker per round. Each visit processes up to the entry's
+//                  burst of queued ops, in FIFO order, then yields. With no
+//                  installed plan the manager pumps Plan::round_robin over
+//                  the pool (worker w gets sessions w, w+W, ... at `burst`).
 //
 // Determinism argument (the multiplexed-vs-sequential oracle in evd::check
 // enforces this bitwise):
@@ -132,12 +133,15 @@ class SessionManager {
   bool submit(SessionId id, const events::Event& event);
   bool submit_advance(SessionId id, TimeUs t);
 
-  /// One scheduling round. Without an installed plan (or with EVD_SCHED
-  /// off): every Active session with queued ops processes up to `burst` of
-  /// them, sessions running in parallel across the pool. With a plan: each
-  /// plan region is pumped by one worker, visiting its sessions in plan
-  /// order with per-entry bursts. Either way every session applies its own
-  /// ops in FIFO order on a single worker per round, so the decision
+  /// One scheduling round: each region of the installed plan is pumped by
+  /// one worker, visiting its sessions in plan order with per-entry bursts.
+  /// Without an installed plan — or when add() made it stale — the round
+  /// runs Plan::round_robin(n, par::thread_count(), burst), cached until n
+  /// or the thread count changes; its regions run under the
+  /// "runtime.session_burst" span. Pumped from inside a parallel region
+  /// (a shard worker), where the round runs serially anyway, the default
+  /// plan is one region in id order. Either way every session applies its
+  /// own ops in FIFO order on a single worker per round, so the decision
   /// streams are bitwise identical (sched.plan_vs_sequential oracles).
   /// Returns the total number of ops processed (0 == all queues empty).
   Index pump();
@@ -358,9 +362,12 @@ class SessionManager {
   bool take_checkpoint(Slot& s);
 
   /// One session's slice of a pump round: up to `burst` queued ops under
-  /// the named obs span. Shared by the legacy round-robin path and the
-  /// planned path — both execute ops through exactly this code.
+  /// the named obs span.
   Index pump_session(Index i, Index burst, const char* span_name);
+  /// The round-robin plan pump() runs when no plan is installed, dealt
+  /// over the pool (one region when already inside a parallel region) and
+  /// rebuilt only when `n` or that worker count changed.
+  const sched::Plan& default_plan(Index n);
 
   /// Push the installed plan's placements (or Default, with no plan) into
   /// every session's execution path.
@@ -373,6 +380,8 @@ class SessionManager {
   std::int64_t rejected_retired_ = 0;  ///< Submits to retired (migrated) ids.
   std::unique_ptr<sched::Plan> plan_;   ///< Installed execution plan.
   std::vector<std::uint8_t> plan_bytes_;  ///< Serialized form of plan_.
+  sched::Plan default_plan_;  ///< Cached default_plan() result.
+  Index default_plan_workers_ = 0;  ///< Worker count default_plan_ deals.
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<Index> processed_;  ///< Per-session scratch for pump().
   fault::AdmissionConfig admission_;

@@ -21,58 +21,24 @@ double accept_probability(double delta, double temperature) {
   return 1.0 / (1.0 + r + 0.5 * r * r);
 }
 
-/// Deduplicated paradigms of `profiles`, in first-appearance order, with
-/// default placements (first allowed model, identity fusion groups).
+/// Deduplicated paradigms of `profiles`, in first-appearance order, each
+/// on its Default path.
 std::vector<ParadigmPlacement> default_placements(
     std::span<const SessionProfile> profiles) {
   std::vector<ParadigmPlacement> placements;
   for (const SessionProfile& profile : profiles) {
-    bool known = false;
-    for (const ParadigmPlacement& p : placements) {
-      if (p.paradigm == profile.paradigm) {
-        known = true;
-        break;
-      }
-    }
-    if (known) continue;
-    ParadigmPlacement p;
-    p.paradigm = profile.paradigm;
-    p.hw = allowed_models(profile.paradigm).first;
-    p.path = route::PathId::Default;  // the legacy pump's behavior
-    p.fuse_group.resize(profile.stages.size());
-    for (size_t i = 0; i < p.fuse_group.size(); ++i) {
-      p.fuse_group[i] = static_cast<Index>(i);  // nothing fused
-    }
-    placements.push_back(std::move(p));
+    const bool known =
+        std::any_of(placements.begin(), placements.end(),
+                    [&](const ParadigmPlacement& p) {
+                      return p.paradigm == profile.paradigm;
+                    });
+    if (!known) placements.push_back({profile.paradigm});
   }
   return placements;
 }
 
-/// Stage chain a placement's fuse decisions refer to (first profile with
-/// that paradigm — all sessions of a paradigm share the pipeline config in
-/// a planning quantum).
-const SessionProfile* profile_for_paradigm(
-    std::span<const SessionProfile> profiles, const std::string& paradigm) {
-  for (const SessionProfile& p : profiles) {
-    if (p.paradigm == paradigm) return &p;
-  }
-  return nullptr;
-}
-
-/// Renumber a fuse grouping so it is contiguous and 0-based again after a
-/// merge/split edit expressed as "boundary b fused yes/no".
-void rebuild_groups(std::vector<Index>& groups,
-                    const std::vector<bool>& fused_boundary) {
-  Index g = 0;
-  for (size_t i = 0; i < groups.size(); ++i) {
-    if (i > 0 && !fused_boundary[i - 1]) ++g;
-    groups[i] = g;
-  }
-}
-
 struct MoveContext {
   Plan& plan;
-  std::span<const SessionProfile> profiles;
   Rng& rng;
 };
 
@@ -142,18 +108,7 @@ bool move_burst(MoveContext& ctx) {
   return true;
 }
 
-/// Move kind 4: flip one paradigm's hardware placement to its alternative.
-bool move_placement(MoveContext& ctx) {
-  if (ctx.plan.placements.empty()) return false;
-  auto& p = ctx.plan.placements[static_cast<size_t>(
-      ctx.rng.uniform_int(ctx.plan.placements.size()))];
-  const auto [first, second] = allowed_models(p.paradigm);
-  if (first == second) return false;
-  p.hw = (p.hw == first) ? second : first;
-  return true;
-}
-
-/// Move kind 6: re-draw one paradigm's execution path among its routable
+/// Move kind 4: re-draw one paradigm's execution path among its routable
 /// set — Default plus the variants whose route.* equivalence oracle has
 /// marked them proved (PathRegistry). The annealer can therefore explore
 /// the paper's dense-vs-event-driven dichotomy, but only over paths whose
@@ -172,34 +127,6 @@ bool move_path(MoveContext& ctx) {
   return true;
 }
 
-/// Move kind 5: toggle fusion at one *legal* stage boundary (the stage
-/// before the boundary must declare fusable_with_next).
-bool move_fusion(MoveContext& ctx) {
-  if (ctx.plan.placements.empty()) return false;
-  auto& p = ctx.plan.placements[static_cast<size_t>(
-      ctx.rng.uniform_int(ctx.plan.placements.size()))];
-  const SessionProfile* profile =
-      profile_for_paradigm(ctx.profiles, p.paradigm);
-  if (profile == nullptr || p.fuse_group.size() != profile->stages.size() ||
-      p.fuse_group.size() < 2) {
-    return false;
-  }
-  std::vector<size_t> legal;
-  for (size_t b = 0; b + 1 < p.fuse_group.size(); ++b) {
-    if (profile->stages[b].fusable_with_next) legal.push_back(b);
-  }
-  if (legal.empty()) return false;
-  const size_t boundary =
-      legal[static_cast<size_t>(ctx.rng.uniform_int(legal.size()))];
-  std::vector<bool> fused(p.fuse_group.size() - 1);
-  for (size_t b = 0; b + 1 < p.fuse_group.size(); ++b) {
-    fused[b] = p.fuse_group[b] == p.fuse_group[b + 1];
-  }
-  fused[boundary] = !fused[boundary];
-  rebuild_groups(p.fuse_group, fused);
-  return true;
-}
-
 }  // namespace
 
 AnnealResult anneal_plan(std::span<const SessionProfile> profiles,
@@ -207,8 +134,7 @@ AnnealResult anneal_plan(std::span<const SessionProfile> profiles,
                          const AnnealerConfig& config) {
   const auto n = static_cast<Index>(profiles.size());
   AnnealResult result;
-  // Start from exactly the legacy schedule so the search can only improve
-  // on what the blind pump would do.
+  // Start from a round-robin deal so the search can only improve on it.
   Plan current = Plan::round_robin(
       n, config.region_count,
       std::clamp<Index>(3, 1, std::max<Index>(1, config.burst_cap)));
@@ -242,16 +168,14 @@ AnnealResult anneal_plan(std::span<const SessionProfile> profiles,
     for (Index it = 0; it < config.iterations;
          ++it, temperature *= config.cooling) {
       Plan candidate = current_walk;
-      MoveContext ctx{candidate, profiles, rng};
+      MoveContext ctx{candidate, rng};
       bool changed = false;
-      switch (rng.uniform_int(7)) {
+      switch (rng.uniform_int(5)) {
         case 0: changed = move_relocate(ctx); break;
         case 1: changed = move_swap_within(ctx); break;
         case 2: changed = move_swap_across(ctx); break;
         case 3: changed = move_burst(ctx); break;
-        case 4: changed = move_placement(ctx); break;
-        case 5: changed = move_fusion(ctx); break;
-        case 6: changed = move_path(ctx); break;
+        case 4: changed = move_path(ctx); break;
       }
       if (!changed) continue;
       ++result.proposed;

@@ -21,9 +21,8 @@
 //
 // Neighbour moves (uniformly chosen): move a session to another region,
 // swap two visit positions within a region, swap two entries across
-// regions, re-draw one entry's burst, flip a paradigm's hw placement,
-// toggle fusion at one legal (fusable_with_next) stage boundary. Every
-// proposed plan satisfies Plan::validate() by construction.
+// regions, re-draw one entry's burst, re-draw a paradigm's execution path.
+// Every proposed plan satisfies Plan::validate() by construction.
 #pragma once
 
 #include <span>

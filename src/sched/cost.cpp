@@ -28,7 +28,7 @@ nn::OpCounter scaled(const nn::OpCounter& c, double duty) {
   return out;
 }
 
-/// Re-price a group's aggregated work for the placement's execution path.
+/// Re-price a stage's work for the placement's execution path.
 /// The declared counters describe the paradigm's default path; the other
 /// routable paths are the paper's dichotomy made searchable:
 ///
@@ -90,44 +90,21 @@ route::CostShape placement_shape(const ParadigmPlacement* placement) {
 
 }  // namespace
 
-CostModels::CostModels() {
-  snn_digital.analog = false;
-  snn_analog.analog = true;
-  snn_analog.table = hw::EnergyTable::analog_neuromorphic();
-  gnn_small.mac_lanes = 16;
-  gnn_large.mac_lanes = 64;
-  // The large engine buys lanes with a bigger, slightly slower array and a
-  // better neighbour cache — so small-vs-large is geometry-dependent, not
-  // a dominated choice.
-  gnn_large.frequency_mhz = 150.0;
-  gnn_large.cache_hit_rate = 0.85;
-  zero_skip.lanes = 64;
-}
-
-double model_latency_us(const nn::OpCounter& work, HwModel hw,
+double model_latency_us(const nn::OpCounter& work, std::string_view paradigm,
                         const CostModels& models) {
-  switch (hw) {
-    case HwModel::Systolic:
-      return hw::run_systolic(work, models.systolic).latency_us;
-    case HwModel::ZeroSkip:
-      return hw::run_zero_skip(work, models.zero_skip).latency_us;
-    case HwModel::SnnCoreDigital:
-      return hw::run_snn_core(work, models.snn_digital).latency_us;
-    case HwModel::SnnCoreAnalog:
-      return hw::run_snn_core(work, models.snn_analog).latency_us;
-    case HwModel::GnnAccelSmall:
-    case HwModel::GnnAccelLarge: {
-      const auto& cfg =
-          hw == HwModel::GnnAccelSmall ? models.gnn_small : models.gnn_large;
-      // Map the aggregated counter onto the gather/apply/scatter engine:
-      // reads are neighbour gathers, writes the scatter, comparisons the
-      // grid-hash construction probes.
-      return hw::run_gnn_accel(work.macs(), work.act_bytes_read,
-                               work.act_bytes_written, work.comparisons, cfg)
-          .latency_us_per_event;
-    }
+  if (paradigm == "snn") {
+    return hw::run_snn_core(work, models.snn_core).latency_us;
   }
-  return 0.0;
+  if (paradigm == "gnn") {
+    // Map the counter onto the gather/apply/scatter engine: reads are
+    // neighbour gathers, writes the scatter, comparisons the grid-hash
+    // construction probes.
+    return hw::run_gnn_accel(work.macs(), work.act_bytes_read,
+                             work.act_bytes_written, work.comparisons,
+                             models.gnn_accel)
+        .latency_us_per_event;
+  }
+  return hw::run_systolic(work, models.systolic).latency_us;
 }
 
 double per_op_cost_us(const SessionProfile& profile,
@@ -139,51 +116,14 @@ double per_op_cost_us(const SessionProfile& profile,
     nn::OpCounter nominal;
     nominal.mults = nominal.adds = 1024;
     nominal.act_bytes_read = 256;
-    return model_latency_us(nominal, HwModel::Systolic, models);
+    return model_latency_us(nominal, "cnn", models);
   }
-  const HwModel hw = placement != nullptr
-                         ? placement->hw
-                         : allowed_models(profile.paradigm).first;
-  const std::vector<Index>* groups =
-      placement != nullptr && placement->fuse_group.size() ==
-                                  profile.stages.size()
-          ? &placement->fuse_group
-          : nullptr;
-
+  const route::CostShape shape = placement_shape(placement);
   double total = 0.0;
-  size_t i = 0;
-  while (i < profile.stages.size()) {
-    // Collect the fused group starting at stage i (a single stage when no
-    // placement or the identity grouping applies).
-    size_t j = i + 1;
-    if (groups != nullptr) {
-      while (j < profile.stages.size() && (*groups)[j] == (*groups)[i]) ++j;
-    }
-    nn::OpCounter work;
-    double group_bytes = 0.0;
-    for (size_t k = i; k < j; ++k) {
-      const core::StageInfo& stage = profile.stages[k];
-      work += scaled(stage.per_op, stage.duty);
-      group_bytes += static_cast<double>(stage.per_op.act_bytes_written) *
-                     stage.duty;
-    }
-    work = shape_for_path(work, placement_shape(placement), profile.activity,
-                          models);
-    double group_us = model_latency_us(work, hw, models);
-    // A fused group must hold every member's output resident; past the
-    // SRAM budget it spills and the fusion win turns into a penalty.
-    if (j - i > 1 && group_bytes > models.fused_sram_budget_bytes) {
-      group_us *= models.spill_penalty;
-    }
-    total += group_us;
-    // Boundary to the next group: the intermediate activations cross SRAM.
-    if (j < profile.stages.size()) {
-      const core::StageInfo& last = profile.stages[j - 1];
-      const double boundary_bytes =
-          static_cast<double>(last.per_op.act_bytes_written) * last.duty;
-      total += boundary_bytes / models.sram_bytes_per_us;
-    }
-    i = j;
+  for (const core::StageInfo& stage : profile.stages) {
+    const nn::OpCounter work = shape_for_path(
+        scaled(stage.per_op, stage.duty), shape, profile.activity, models);
+    total += model_latency_us(work, profile.paradigm, models);
   }
   return total;
 }

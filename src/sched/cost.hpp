@@ -13,23 +13,21 @@
 //                        until every backlog drains
 //
 // per_op_cost_us prices a session's declared stage chain (core/stages.hpp)
-// on the paradigm's placed HwModel, duty-weighted. Unfused stage
-// boundaries additionally pay their intermediate activation traffic
-// through SRAM at `sram_bytes_per_us`; fusing removes that charge but a
-// fused group whose working set exceeds `fused_sram_budget_bytes` spills
-// and pays `spill_penalty` on its compute instead — which is what makes
-// fusion a genuine search decision rather than a free win.
+// duty-weighted, stage by stage, on its paradigm's model: the systolic
+// array for the CNN (and any unknown paradigm), the digital neuromorphic
+// core for the SNN, the 16-lane gather-apply engine for the GNN. The
+// placed execution path reshapes the declared work before pricing.
 #pragma once
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/stages.hpp"
 #include "hw/gnn_accel.hpp"
 #include "hw/snn_core.hpp"
 #include "hw/systolic.hpp"
-#include "hw/zero_skip.hpp"
 #include "sched/plan.hpp"
 
 namespace evd::sched {
@@ -49,26 +47,20 @@ struct SessionProfile {
   double activity = 1.0;
 };
 
-/// Cost-model parameter set: one config per placeable HwModel plus the
-/// boundary-traffic / fusion constants. Defaults model a single edge SoC
-/// hosting all three accelerator families.
+/// Cost-model parameter set: one accelerator config per paradigm plus the
+/// scheduling constants. Defaults model a single edge SoC hosting all
+/// three accelerator families.
 struct CostModels {
-  hw::SystolicConfig systolic;
-  hw::ZeroSkipConfig zero_skip;
-  hw::SnnCoreConfig snn_digital;
-  hw::SnnCoreConfig snn_analog;
-  hw::GnnAccelConfig gnn_small;
-  hw::GnnAccelConfig gnn_large;
-  double sram_bytes_per_us = 8192.0;  ///< Boundary activation drain rate.
-  double visit_overhead_us = 0.5;     ///< Scheduling cost per region visit.
+  hw::SystolicConfig systolic;                  ///< CNN (and unknown).
+  hw::SnnCoreConfig snn_core;                   ///< SNN, digital core.
+  hw::GnnAccelConfig gnn_accel{.mac_lanes = 16};  ///< GNN.
+  double visit_overhead_us = 0.5;  ///< Scheduling cost per region visit.
   /// Fork-join cost of one pump() round (the pool dispatch + barrier every
   /// round pays regardless of how little it serves). This is what makes
   /// burst size a real decision: tiny bursts minimise per-round makespan
   /// imbalance but multiply the round count, and the round overhead is how
   /// the model sees that trade.
   double round_overhead_us = 10.0;
-  double fused_sram_budget_bytes = 65536.0;  ///< On-chip working-set cap.
-  double spill_penalty = 2.0;  ///< Compute factor once a fused group spills.
   /// Host workers available to pump regions. plan_cost_us models the
   /// executor's static region->worker assignment (region r on worker
   /// r % W, W = min(regions, host_workers)) instead of assuming every
@@ -81,17 +73,15 @@ struct CostModels {
   /// re-touches the whole graph per event where the declared counters
   /// describe the incremental frontier.
   double full_sweep_factor = 8.0;
-
-  CostModels();  ///< Fills the paradigm-specific defaults.
 };
 
-/// Price `work` (an aggregated, duty-weighted OpCounter) on one model.
-double model_latency_us(const nn::OpCounter& work, HwModel hw,
+/// Price `work` (a duty-weighted OpCounter) on `paradigm`'s model.
+double model_latency_us(const nn::OpCounter& work, std::string_view paradigm,
                         const CostModels& models);
 
 /// Modeled cost of one op flowing through `profile`'s stage chain under
-/// `placement` (hw choice + fusion groups). Sessions whose paradigm has no
-/// placement use the first allowed model, unfused.
+/// `placement`'s execution path. Sessions whose paradigm has no placement
+/// are priced on the Default path.
 double per_op_cost_us(const SessionProfile& profile,
                       const ParadigmPlacement* placement,
                       const CostModels& models);

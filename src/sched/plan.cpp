@@ -1,9 +1,7 @@
 #include "sched/plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "fault/checkpoint.hpp"
 
@@ -11,45 +9,13 @@ namespace evd::sched {
 namespace {
 
 constexpr std::uint32_t kPlanMagic = 0x53434845u;  // "SCHE"
-// v2: each placement carries an execution-path byte (route::PathId) after
-// its hw model. Reads are strict v2-only — a v1 plan predates routing and
-// re-planning is cheaper than a migration path nothing would exercise.
-constexpr std::uint32_t kPlanVersion = 2;
+// v3: a placement is (paradigm, path byte) — the hw model and fusion
+// groups of v2 are gone. Reads are strict v3-only: re-planning is cheaper
+// than a migration path nothing would exercise.
+constexpr std::uint32_t kPlanVersion = 3;
 constexpr std::size_t kPlanMaxBytes = 1u << 20;
 
-std::atomic<bool>& enabled_state() {
-  static std::atomic<bool> state{env_flag("EVD_SCHED", true)};
-  return state;
-}
-
 }  // namespace
-
-bool enabled() noexcept {
-  return enabled_state().load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  enabled_state().store(on, std::memory_order_relaxed);
-}
-
-const char* hw_model_name(HwModel hw) noexcept {
-  switch (hw) {
-    case HwModel::Systolic: return "systolic";
-    case HwModel::ZeroSkip: return "zero_skip";
-    case HwModel::SnnCoreDigital: return "snn_core_digital";
-    case HwModel::SnnCoreAnalog: return "snn_core_analog";
-    case HwModel::GnnAccelSmall: return "gnn_accel_small";
-    case HwModel::GnnAccelLarge: return "gnn_accel_large";
-  }
-  return "unknown";
-}
-
-std::pair<HwModel, HwModel> allowed_models(const std::string& paradigm) {
-  if (paradigm == "cnn") return {HwModel::Systolic, HwModel::ZeroSkip};
-  if (paradigm == "snn") return {HwModel::SnnCoreDigital, HwModel::SnnCoreAnalog};
-  if (paradigm == "gnn") return {HwModel::GnnAccelSmall, HwModel::GnnAccelLarge};
-  return {HwModel::Systolic, HwModel::Systolic};
-}
 
 bool Plan::validate(std::string* why) const {
   const auto fail = [why](std::string msg) {
@@ -86,24 +52,20 @@ bool Plan::validate(std::string* why) const {
                   " times (want exactly 1)");
     }
   }
-  for (const ParadigmPlacement& p : placements) {
+  for (size_t i = 0; i < placements.size(); ++i) {
+    const ParadigmPlacement& p = placements[i];
     if (p.paradigm.empty()) return fail("placement with empty paradigm");
     if (p.path != route::PathId::Default &&
         !route::path_valid_for(p.path, p.paradigm)) {
       return fail("placement '" + p.paradigm + "' routes to path '" +
                   route::path_name(p.path) + "' owned by another paradigm");
     }
-    Index prev = -1;
-    for (size_t i = 0; i < p.fuse_group.size(); ++i) {
-      const Index g = p.fuse_group[i];
-      const Index expected_min = prev;
-      const Index expected_max = prev + 1;
-      if (i == 0 ? g != 0 : (g < expected_min || g > expected_max)) {
-        return fail("placement '" + p.paradigm +
-                    "' fuse_group is not a contiguous non-decreasing "
-                    "grouping starting at 0");
+    // Consumers take the first placement of a paradigm, so a second one
+    // would be dead bytes that still change the fingerprint.
+    for (size_t j = 0; j < i; ++j) {
+      if (placements[j].paradigm == p.paradigm) {
+        return fail("paradigm '" + p.paradigm + "' placed twice");
       }
-      prev = g;
     }
   }
   return true;
@@ -153,13 +115,7 @@ std::string Plan::describe() const {
     s += "\n";
   }
   for (const ParadigmPlacement& p : placements) {
-    s += "  " + p.paradigm + " -> " + hw_model_name(p.hw) + " path=" +
-         route::path_name(p.path) + " fuse=[";
-    for (size_t i = 0; i < p.fuse_group.size(); ++i) {
-      if (i) s += ",";
-      s += std::to_string(p.fuse_group[i]);
-    }
-    s += "]\n";
+    s += "  " + p.paradigm + " -> " + route::path_name(p.path) + "\n";
   }
   s += "}";
   return s;
@@ -181,9 +137,7 @@ void Plan::serialize(std::vector<std::uint8_t>& out) const {
   w.i64(static_cast<std::int64_t>(placements.size()));
   for (const ParadigmPlacement& p : placements) {
     w.str(p.paradigm);
-    w.u32(static_cast<std::uint32_t>(p.hw));
     w.u8(static_cast<std::uint8_t>(p.path));
-    w.pod_vector(p.fuse_group);
   }
 }
 
@@ -230,12 +184,6 @@ Plan Plan::deserialize(std::span<const std::uint8_t> bytes) {
   plan.placements.resize(static_cast<size_t>(nplacements));
   for (ParadigmPlacement& p : plan.placements) {
     p.paradigm = r.str();
-    const std::uint32_t hw = r.u32();
-    if (hw > static_cast<std::uint32_t>(HwModel::GnnAccelLarge)) {
-      throw Error(ErrorCode::CheckpointCorrupt,
-                  "Plan::deserialize: unknown hw model " + std::to_string(hw));
-    }
-    p.hw = static_cast<HwModel>(hw);
     const std::uint8_t path_byte = r.u8();
     const auto path = route::path_from_byte(path_byte);
     if (!path) {
@@ -244,7 +192,6 @@ Plan Plan::deserialize(std::span<const std::uint8_t> bytes) {
                       std::to_string(path_byte));
     }
     p.path = *path;
-    r.pod_vector(p.fuse_group);
   }
   r.expect_end();
   if (std::string why; !plan.validate(&why)) {
@@ -263,8 +210,8 @@ Plan Plan::round_robin(Index session_count, Index region_count, Index burst) {
   if (region_count < 1) region_count = 1;
   if (region_count > session_count) region_count = session_count;
   plan.regions.resize(static_cast<size_t>(region_count));
-  // session s -> region s % W in id order: exactly the visit pattern the
-  // legacy grain-1 parallel_for produces with W workers.
+  // session s -> region s % W in id order: with W workers the grain-1
+  // region loop hands worker w sessions w, w+W, ...
   for (Index s = 0; s < session_count; ++s) {
     plan.regions[static_cast<size_t>(s % region_count)].entries.push_back(
         PlanEntry{s, plan.burst_cap});
@@ -292,8 +239,7 @@ bool operator==(const Plan& a, const Plan& b) {
   for (size_t p = 0; p < a.placements.size(); ++p) {
     const auto& pa = a.placements[p];
     const auto& pb = b.placements[p];
-    if (pa.paradigm != pb.paradigm || pa.hw != pb.hw || pa.path != pb.path ||
-        pa.fuse_group != pb.fuse_group) {
+    if (pa.paradigm != pb.paradigm || pa.path != pb.path) {
       return false;
     }
   }

@@ -11,20 +11,20 @@
 //     a round;
 //   * per-visit burst — how many queued ops each visit processes before
 //     yielding (per session, replacing the single global burst);
-//   * paradigm placement — which evd::hw cost model each paradigm is priced
-//     on (systolic vs. zero-skip for the CNN, digital vs. analogue core for
-//     the SNN, small vs. large gather-apply engine for the GNN) and which
-//     adjacent declared stages are fused (intermediate activations stay
-//     on-chip, see core/stages.hpp).
+//   * execution path — which proved-equivalent kernel variant each
+//     paradigm's sessions run (route/route.hpp).
+//
+// A plan holds only choices that change what executes: nothing in it is a
+// modeled-only knob. With no installed plan the SessionManager still pumps
+// through a Plan — Plan::round_robin — so there is one pump path.
 //
 // The equivalence contract — enforced bitwise by the
 // sched.plan_vs_sequential oracles: a Plan redistributes and re-orders
 // *visits*, never ops. Every session still applies its own ops in FIFO
 // submission order on a single worker per round, so each session's decision
 // stream is bit-for-bit the stream direct sequential feeding produces,
-// whatever plan runs it. Placement and fusion exist purely on the modeled
-// side: they change the plan's cost and the obs span labels, not the host
-// arithmetic.
+// whatever plan runs it. The route.* oracles hold every routable execution
+// path to the same bitwise bar, so path placements keep the contract too.
 #pragma once
 
 #include <cstdint>
@@ -36,23 +36,6 @@
 #include "route/route.hpp"
 
 namespace evd::sched {
-
-/// Hardware cost model a paradigm's stages are priced on (paper §III-§IV
-/// families; two placement choices per paradigm).
-enum class HwModel : std::uint8_t {
-  Systolic = 0,        ///< Dense weight-stationary PE array (CNN).
-  ZeroSkip = 1,        ///< Sparsity-exploiting CNN accelerator.
-  SnnCoreDigital = 2,  ///< Time-multiplexed digital neuromorphic core.
-  SnnCoreAnalog = 3,   ///< Analogue in-memory neuromorphic core.
-  GnnAccelSmall = 4,   ///< Gather-apply engine, 16 MAC lanes.
-  GnnAccelLarge = 5,   ///< Gather-apply engine, 64 MAC lanes.
-};
-
-const char* hw_model_name(HwModel hw) noexcept;
-
-/// The two models a paradigm label ("cnn" / "snn" / "gnn") may be placed
-/// on. Unknown paradigms get the dense default {Systolic, Systolic}.
-std::pair<HwModel, HwModel> allowed_models(const std::string& paradigm);
 
 /// One scheduled visit: session `session` processes up to `burst` queued
 /// ops when its region's worker reaches this entry.
@@ -69,22 +52,14 @@ struct PlanRegion {
   std::string label;
 };
 
-/// Modeled placement of one paradigm's declared stage chain.
+/// Execution path one paradigm's sessions run under the plan (see
+/// route/route.hpp). SessionManager::set_plan applies it to the live
+/// sessions; the route.* oracles hold every routable path to the bitwise
+/// decision-stream contract, so a placement never changes what a session
+/// computes. Default = the paradigm's built-in behavior.
 struct ParadigmPlacement {
   std::string paradigm;  ///< SessionBaseConfig.paradigm label ("cnn", ...).
-  HwModel hw = HwModel::Systolic;
-  /// Execution path this paradigm's sessions run under the plan (see
-  /// route/route.hpp). Unlike hw/fuse_group — which exist only on the
-  /// modeled side — the path IS applied to live sessions by
-  /// SessionManager::set_plan; the route.* oracles hold every routable
-  /// path to the bitwise decision-stream contract, so the placement still
-  /// never changes what a session computes. Default = the paradigm's
-  /// built-in behavior.
   route::PathId path = route::PathId::Default;
-  /// fuse_group[i] is the fusion group of declared stage i: non-decreasing,
-  /// starts at 0, steps by at most 1. Stages sharing a group are fused —
-  /// their boundary activation traffic is not charged by the cost model.
-  std::vector<Index> fuse_group;
 };
 
 struct Plan {
@@ -97,8 +72,9 @@ struct Plan {
 
   /// Structural validity: every session 0..session_count-1 scheduled
   /// exactly once, every burst in [1, burst_cap], at least one region when
-  /// any session exists, no empty region, fuse groups well-formed. On
-  /// failure returns false and (when `why` is non-null) says what broke.
+  /// any session exists, no empty region, at most one placement per
+  /// paradigm, each placed path owned by its paradigm. On failure returns
+  /// false and (when `why` is non-null) says what broke.
   bool validate(std::string* why = nullptr) const;
 
   /// FNV-1a over the serialized bytes — stable across platforms, used as
@@ -123,19 +99,13 @@ struct Plan {
 
   /// The do-nothing-clever baseline: sessions dealt round-robin across
   /// `regions` regions (session s -> region s % regions, preserving id
-  /// order within each region), every burst = `burst`, default placements,
-  /// no fusion. This is exactly the schedule the legacy pump executes.
+  /// order within each region), every burst = `burst`, no placements. The
+  /// SessionManager pumps this plan whenever none is installed.
   static Plan round_robin(Index session_count, Index region_count,
                           Index burst);
 };
 
 bool operator==(const Plan& a, const Plan& b);
 inline bool operator!=(const Plan& a, const Plan& b) { return !(a == b); }
-
-/// EVD_SCHED kill-switch (default on, mirrors EVD_OBS / EVD_SIMD): when
-/// off, the SessionManager ignores any installed plan and runs the legacy
-/// round-robin pump byte-identically to a build without this subsystem.
-bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
 
 }  // namespace evd::sched

@@ -33,7 +33,6 @@ std::uint64_t profiles_key(std::span<const SessionProfile> profiles,
       fnv_bytes(h, stage.name.data(), stage.name.size());
       fnv_bytes(h, &stage.per_op, sizeof(stage.per_op));
       fnv_bytes(h, &stage.duty, sizeof(stage.duty));
-      fnv_i64(h, stage.fusable_with_next ? 1 : 0);
     }
   }
   fnv_bytes(h, &config.seed, sizeof(config.seed));

@@ -103,7 +103,6 @@ std::vector<core::StageInfo> SnnPipeline::stream_stages() const {
   step.per_op.zero_skippable_mults = static_cast<std::int64_t>(in) * hidden;
   step.per_op.param_bytes_read = param_count() * 4;
   step.per_op.state_bytes_rw = state_bytes() * 2;  // read + write membranes
-  step.fusable_with_next = true;  // readout can ride the same sweep
 
   core::StageInfo readout;
   readout.name = "snn.readout";
@@ -274,7 +273,6 @@ class SnnStreamSession : public runtime::SessionBase {
       // scheduling cost. SnnClocked and Default both name the built-in
       // clocked path.
       const bool event_driven =
-          route::enabled() &&
           execution_path() == route::PathId::SnnEventDriven;
       const nn::Tensor logits = event_driven
                                     ? pipeline_.net().step_event(state_, pending_)

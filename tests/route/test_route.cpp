@@ -1,8 +1,7 @@
 // evd::route unit suite: the path registry (enumeration, byte codec,
-// paradigm scoping, proved-gating), the EVD_ROUTE kill-switch, the
-// thread-local ScopedConvAlgo override, the SessionBase routing contract,
-// and route application through SessionManager plans (set_plan /
-// clear_plan / plan bytes).
+// paradigm scoping, proved-gating), the thread-local ScopedConvAlgo
+// override, the SessionBase routing contract, and route application
+// through SessionManager plans (set_plan / clear_plan / plan bytes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,13 +16,6 @@
 
 namespace evd::route {
 namespace {
-
-/// RAII guard for the kill-switch (tests must leave the process default).
-struct ScopedRoute {
-  bool previous = enabled();
-  explicit ScopedRoute(bool on) { set_enabled(on); }
-  ~ScopedRoute() { set_enabled(previous); }
-};
 
 /// Minimal routable session with a chosen paradigm label.
 class ParadigmSession final : public runtime::SessionBase {
@@ -43,15 +35,8 @@ class ParadigmSession final : public runtime::SessionBase {
 /// A plan routing cnn -> sparse and snn -> event-driven.
 sched::Plan routed_plan(Index sessions) {
   sched::Plan plan = sched::Plan::round_robin(sessions, 1, 2);
-  sched::ParadigmPlacement cnn;
-  cnn.paradigm = "cnn";
-  cnn.hw = sched::HwModel::ZeroSkip;
-  cnn.path = PathId::CnnSparse;
-  sched::ParadigmPlacement snn;
-  snn.paradigm = "snn";
-  snn.hw = sched::HwModel::SnnCoreAnalog;
-  snn.path = PathId::SnnEventDriven;
-  plan.placements = {cnn, snn};
+  plan.placements = {{"cnn", PathId::CnnSparse},
+                     {"snn", PathId::SnnEventDriven}};
   plan.refresh_labels();
   return plan;
 }
@@ -96,7 +81,7 @@ TEST(Route, PathByteCodecRoundTripsAndRejectsUnknownValues) {
 }
 
 TEST(Route, PathValidityIsParadigmScoped) {
-  // Default is installable on anything, even unlabeled legacy sessions.
+  // Default is installable on anything, even an empty paradigm label.
   EXPECT_TRUE(path_valid_for(PathId::Default, "cnn"));
   EXPECT_TRUE(path_valid_for(PathId::Default, ""));
   EXPECT_TRUE(path_valid_for(PathId::CnnSparse, "cnn"));
@@ -148,20 +133,6 @@ TEST(Route, MarkProvedIgnoresDefaultAndUnknownIds) {
   reg.mark_proved(static_cast<PathId>(200)); // out of slot range
   EXPECT_FALSE(reg.proved(static_cast<PathId>(5)));
   EXPECT_FALSE(reg.proved(static_cast<PathId>(200)));
-}
-
-TEST(Route, KillSwitchTogglesAndRestores) {
-  const bool before = enabled();
-  {
-    ScopedRoute off(false);
-    EXPECT_FALSE(enabled());
-    {
-      ScopedRoute on(true);
-      EXPECT_TRUE(enabled());
-    }
-    EXPECT_FALSE(enabled());
-  }
-  EXPECT_EQ(enabled(), before);
 }
 
 TEST(Route, ScopedConvAlgoNestsAndRestoresThreadLocally) {

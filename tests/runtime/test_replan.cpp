@@ -119,7 +119,6 @@ TEST(Replan, ReturnedPlanIsInstalledWithItsRoutes) {
         sched::Plan plan = sched::Plan::round_robin(2, 1, 3);
         sched::ParadigmPlacement cnn;
         cnn.paradigm = "cnn";
-        cnn.hw = sched::HwModel::ZeroSkip;
         cnn.path = route::PathId::CnnSparse;
         plan.placements = {cnn};
         plan.refresh_labels();
@@ -190,7 +189,6 @@ TEST(Replan, ActivityDriftReroutesOffTheSparsePath) {
           // The sparse-conv pricing still holds: keep the sparse path.
           sched::ParadigmPlacement cnn;
           cnn.paradigm = "cnn";
-          cnn.hw = sched::HwModel::ZeroSkip;
           cnn.path = route::PathId::CnnSparse;
           plan.placements = {cnn};
         }

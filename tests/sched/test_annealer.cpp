@@ -13,39 +13,37 @@ namespace evd::sched {
 namespace {
 
 core::StageInfo stage(const char* name, std::int64_t macs,
-                      std::int64_t boundary_bytes, double duty,
-                      bool fusable) {
+                      std::int64_t boundary_bytes, double duty) {
   core::StageInfo s;
   s.name = name;
   s.per_op.mults = s.per_op.adds = macs;
   s.per_op.act_bytes_written = boundary_bytes;
   s.duty = duty;
-  s.fusable_with_next = fusable;
   return s;
 }
 
 /// A deliberately lopsided mixed population: heavy CNNs, cheap SNNs, a
-/// mid-weight GNN — enough asymmetry that balancing, burst and fusion
-/// choices all matter.
+/// mid-weight GNN — enough asymmetry that balancing and burst choices
+/// matter.
 std::vector<SessionProfile> mixed_profiles() {
   SessionProfile cnn;
   cnn.paradigm = "cnn";
   cnn.queued_ops = 96;
-  cnn.stages = {stage("cnn.accumulate", 2, 16, 1.0, false),
-                stage("cnn.representation_build", 256, 8192, 1.0 / 32, true),
-                stage("cnn.conv_forward", 40000, 0, 1.0 / 32, false)};
+  cnn.stages = {stage("cnn.accumulate", 2, 16, 1.0),
+                stage("cnn.representation_build", 256, 8192, 1.0 / 32),
+                stage("cnn.conv_forward", 40000, 0, 1.0 / 32)};
   SessionProfile snn;
   snn.paradigm = "snn";
   snn.queued_ops = 32;
-  snn.stages = {stage("snn.encode", 2, 8, 1.0, false),
-                stage("snn.step", 4096, 64, 1.0 / 64, true),
-                stage("snn.readout", 2, 8, 1.0 / 64, false)};
+  snn.stages = {stage("snn.encode", 2, 8, 1.0),
+                stage("snn.step", 4096, 64, 1.0 / 64),
+                stage("snn.readout", 2, 8, 1.0 / 64)};
   SessionProfile gnn;
   gnn.paradigm = "gnn";
   gnn.queued_ops = 48;
-  gnn.stages = {stage("gnn.graph_update", 64, 128, 0.5, true),
-                stage("gnn.message_pass", 4608, 32, 0.5, true),
-                stage("gnn.readout", 32, 0, 0.5, false)};
+  gnn.stages = {stage("gnn.graph_update", 64, 128, 0.5),
+                stage("gnn.message_pass", 4608, 32, 0.5),
+                stage("gnn.readout", 32, 0, 0.5)};
   return {cnn, cnn, snn, snn, snn, gnn};
 }
 
@@ -134,11 +132,11 @@ TEST(Annealer, FindsTheImbalanceARoundRobinDealIgnores) {
   SessionProfile heavy;
   heavy.paradigm = "cnn";
   heavy.queued_ops = 64;
-  heavy.stages = {stage("conv", 200000, 0, 1.0, false)};
+  heavy.stages = {stage("conv", 200000, 0, 1.0)};
   SessionProfile light;
   light.paradigm = "snn";
   light.queued_ops = 64;
-  light.stages = {stage("step", 64, 0, 1.0, false)};
+  light.stages = {stage("step", 64, 0, 1.0)};
   const std::vector<SessionProfile> profiles = {heavy, light, heavy, light};
   const CostModels models;
   AnnealerConfig config = search_config(5);
@@ -156,9 +154,8 @@ TEST(Annealer, PlacementsCoverEachParadigmOnce) {
   std::vector<std::string> paradigms;
   for (const auto& p : result.plan.placements) {
     paradigms.push_back(p.paradigm);
-    const auto allowed = allowed_models(p.paradigm);
-    EXPECT_TRUE(p.hw == allowed.first || p.hw == allowed.second)
-        << p.paradigm << " placed on " << hw_model_name(p.hw);
+    EXPECT_TRUE(route::path_valid_for(p.path, p.paradigm))
+        << p.paradigm << " routed to " << route::path_name(p.path);
   }
   EXPECT_EQ(paradigms, (std::vector<std::string>{"cnn", "snn", "gnn"}));
 }

@@ -1,5 +1,5 @@
 // Plan structure: validation, round-robin baseline construction,
-// checkpoint-framed serialization, fingerprints and the EVD_SCHED switch.
+// checkpoint-framed serialization and fingerprints.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +12,7 @@ namespace evd::sched {
 namespace {
 
 /// A small hand-built plan exercising every field: uneven regions, mixed
-/// bursts, a placement with a fused pair.
+/// bursts, a routed placement.
 Plan sample_plan() {
   Plan plan;
   plan.session_count = 5;
@@ -22,8 +22,7 @@ Plan sample_plan() {
   plan.regions[1].entries = {{1, 3}, {2, 1}};
   ParadigmPlacement cnn;
   cnn.paradigm = "cnn";
-  cnn.hw = HwModel::ZeroSkip;
-  cnn.fuse_group = {0, 1, 1};  // representation_build fused into conv.
+  cnn.path = route::PathId::CnnSparse;
   plan.placements.push_back(cnn);
   plan.seed = 42;
   plan.modeled_cost_us = 12.5;
@@ -91,18 +90,6 @@ TEST(Plan, ValidateBoundsBurstsAndForbidsEmptyRegions) {
   EXPECT_NE(why.find("empty"), std::string::npos);
 }
 
-TEST(Plan, ValidateChecksFuseGroupShape) {
-  Plan plan = sample_plan();
-  plan.placements[0].fuse_group = {0, 2, 2};  // skips group 1
-  EXPECT_FALSE(plan.validate());
-  plan.placements[0].fuse_group = {1, 1};  // must start at 0
-  EXPECT_FALSE(plan.validate());
-  plan.placements[0].fuse_group = {0, 1, 0};  // decreasing
-  EXPECT_FALSE(plan.validate());
-  plan.placements[0].fuse_group = {0, 0, 1};
-  EXPECT_TRUE(plan.validate());
-}
-
 TEST(Plan, SerializeRoundTripsEveryField) {
   const Plan plan = sample_plan();
   std::vector<std::uint8_t> bytes;
@@ -166,7 +153,7 @@ TEST(Plan, FingerprintTracksDecisionsNotLabels) {
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 
   b = sample_plan();
-  b.placements[0].hw = HwModel::Systolic;
+  b.placements[0].path = route::PathId::Default;
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
@@ -174,24 +161,7 @@ TEST(Plan, DescribeNamesRegionsBurstsAndPlacements) {
   const std::string text = sample_plan().describe();
   EXPECT_NE(text.find("sessions=5"), std::string::npos);
   EXPECT_NE(text.find("s3x4"), std::string::npos);
-  EXPECT_NE(text.find("cnn -> zero_skip"), std::string::npos);
-  EXPECT_NE(text.find("fuse=[0,1,1]"), std::string::npos);
-}
-
-TEST(Plan, AllowedModelsCoverTheThreeParadigms) {
-  EXPECT_EQ(allowed_models("cnn").second, HwModel::ZeroSkip);
-  EXPECT_EQ(allowed_models("snn").first, HwModel::SnnCoreDigital);
-  EXPECT_EQ(allowed_models("gnn").second, HwModel::GnnAccelLarge);
-  EXPECT_EQ(allowed_models("unknown").first, HwModel::Systolic);
-}
-
-TEST(Plan, KillSwitchToggles) {
-  const bool previous = enabled();
-  set_enabled(false);
-  EXPECT_FALSE(enabled());
-  set_enabled(true);
-  EXPECT_TRUE(enabled());
-  set_enabled(previous);
+  EXPECT_NE(text.find("cnn -> cnn.sparse"), std::string::npos);
 }
 
 }  // namespace

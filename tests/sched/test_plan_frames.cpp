@@ -32,22 +32,12 @@ class ParadigmSession final : public runtime::SessionBase {
   }
 };
 
-/// A plan with everything a frame can carry: regions, bursts, placements,
-/// hw models, execution paths and fusion groups.
+/// A plan with everything a frame can carry: regions, bursts, and
+/// placements with their execution paths.
 Plan full_plan(route::PathId cnn_path = route::PathId::CnnSparse) {
   Plan plan = Plan::round_robin(3, 2, 4);
   plan.regions[0].entries[0].burst = 2;
-  ParadigmPlacement cnn;
-  cnn.paradigm = "cnn";
-  cnn.hw = HwModel::ZeroSkip;
-  cnn.path = cnn_path;
-  cnn.fuse_group = {0, 0, 1};
-  ParadigmPlacement gnn;
-  gnn.paradigm = "gnn";
-  gnn.hw = HwModel::GnnAccelSmall;
-  gnn.path = route::PathId::GnnBatch;
-  gnn.fuse_group = {0, 1, 2};
-  plan.placements = {cnn, gnn};
+  plan.placements = {{"cnn", cnn_path}, {"gnn", route::PathId::GnnBatch}};
   plan.refresh_labels();
   return plan;
 }
@@ -91,9 +81,10 @@ TEST(PlanFrames, FlippedMagicRaisesCheckpointMismatch) {
 }
 
 TEST(PlanFrames, VersionSkewRaisesCheckpointMismatch) {
-  // The format is strict v2-only: a v1 frame (pre-routing, no path byte)
-  // and a from-the-future v3 frame are both refused up front.
-  for (std::uint32_t version : {0u, 1u, 3u, 0xFFFFFFFFu}) {
+  // The format is strict v3-only: a v1 frame (pre-routing, no path byte),
+  // a v2 frame (hw model + fusion groups per placement) and a
+  // from-the-future v4 frame are all refused up front.
+  for (std::uint32_t version : {0u, 1u, 2u, 4u, 0xFFFFFFFFu}) {
     std::vector<std::uint8_t> bytes = full_plan_bytes();
     std::memcpy(bytes.data() + 4, &version, sizeof(version));
     EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointMismatch)
@@ -123,6 +114,28 @@ TEST(PlanFrames, UnknownPathByteRaisesCheckpointCorrupt) {
   EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt);
   bytes[path_at] = 0xFE;
   EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt);
+}
+
+TEST(PlanFrames, DuplicatePlacementRaisesCheckpointCorrupt) {
+  // Two placements for one paradigm: consumers would silently use the
+  // first, so two frames executing the same plan would fingerprint apart.
+  Plan plan = full_plan();
+  plan.placements.push_back({"cnn", route::PathId::Default});
+  std::vector<std::uint8_t> bytes;
+  plan.serialize(bytes);
+  EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt);
+
+  runtime::SessionManager manager;
+  for (const char* paradigm : {"cnn", "snn", "gnn"}) {
+    manager.add(std::make_unique<ParadigmSession>(paradigm));
+  }
+  try {
+    manager.set_plan(plan);
+    FAIL() << "expected InvalidArgument";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
+  }
+  EXPECT_FALSE(manager.has_plan());
 }
 
 TEST(PlanFrames, EverySingleBitFlipDecodesTypedOrValid) {

@@ -30,7 +30,6 @@ TEST(Planner, ProfileForCopiesTheDeclaredStageChain) {
   ASSERT_EQ(profile.stages.size(), 3u);
   EXPECT_EQ(profile.stages[0].name, "cnn.accumulate");
   EXPECT_EQ(profile.stages[1].name, "cnn.representation_build");
-  EXPECT_TRUE(profile.stages[1].fusable_with_next);
   EXPECT_EQ(profile.stages[2].name, "cnn.conv_forward");
   EXPECT_GT(profile.stages[2].per_op.mults, 0);
   EXPECT_GT(profile.stages[2].per_op.param_bytes_read, 0);

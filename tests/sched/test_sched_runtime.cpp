@@ -1,13 +1,19 @@
 // Plan-driven pumping in the SessionManager: installation rules, FIFO
-// preservation under arbitrary plans, the EVD_SCHED kill-switch, plan
-// carriage through checkpoint bytes, and fault interaction (quarantine
-// under a fused plan leaves neighbours bitwise unchanged).
+// preservation under arbitrary plans, the round-robin default plan pumped
+// without an installed one, plan carriage through checkpoint bytes, and
+// fault interaction (quarantine under a single-region plan leaves
+// neighbours bitwise unchanged).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/injector.hpp"
 #include "runtime/session_manager.hpp"
@@ -25,16 +31,48 @@ events::Event event_at(TimeUs t) {
   return e;
 }
 
+/// Every applied event time across sessions, keyed by the thread that
+/// applied it. A region runs on one worker per round and the static chunk
+/// deal keeps region r on the same worker every round, so each thread's
+/// sequence is one region's interleaving of its sessions over all rounds.
+class VisitLog {
+ public:
+  void record(TimeUs t) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    by_thread_[std::this_thread::get_id()].push_back(t);
+  }
+  void clear() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    by_thread_.clear();
+  }
+  /// The per-thread sequences, sorted: which worker ran a region is not
+  /// part of the schedule.
+  std::vector<std::vector<TimeUs>> sequences() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::vector<TimeUs>> out;
+    for (const auto& [thread, times] : by_thread_) out.push_back(times);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<std::thread::id, std::vector<TimeUs>> by_thread_;
+};
+
 /// Deterministic recording session (the decision stream is the op stream).
+/// With `visits` set, every applied event time also goes to that log.
 class RecordingSession final : public SessionBase {
  public:
-  RecordingSession() : SessionBase(SessionBaseConfig{64, 64, "test"}) {}
+  explicit RecordingSession(VisitLog* visits = nullptr)
+      : SessionBase(SessionBaseConfig{64, 64, "test"}), visits_(visits) {}
 
   std::vector<TimeUs> seen;
 
  private:
   void on_event(const events::Event& event) override {
     seen.push_back(event.t);
+    if (visits_ != nullptr) visits_->record(event.t);
   }
   void on_advance(TimeUs t) override {
     core::Decision d;
@@ -43,6 +81,8 @@ class RecordingSession final : public SessionBase {
     d.confidence = 1.0;
     emit(d);
   }
+
+  VisitLog* visits_;
 };
 
 /// RecordingSession that can checkpoint: the event-time log is the state.
@@ -70,15 +110,56 @@ class CheckpointedRecordingSession final : public SessionBase {
   void on_load(fault::CheckpointReader& r) override { r.pod_vector(seen); }
 };
 
-/// RAII guard: force the kill-switch for a scope, restore on exit.
-struct ScopedSched {
-  bool previous = sched::enabled();
-  explicit ScopedSched(bool on) { sched::set_enabled(on); }
-  ~ScopedSched() { sched::set_enabled(previous); }
+/// RAII guard: pin the pool size for a scope, restore on exit.
+struct ScopedThreads {
+  Index previous = par::thread_count();
+  explicit ScopedThreads(Index n) { par::set_thread_count(n); }
+  ~ScopedThreads() { par::set_thread_count(previous); }
 };
 
+/// Drain `manager` from inside a parallel region, as a shard worker does.
+void pump_all_nested(SessionManager& manager) {
+  par::parallel_for(0, 2, 1, [&](Index begin, Index) {
+    if (begin == 0) manager.pump_all();
+  });
+}
+
+/// Queue events t * 10 + s (t < ops) on every session s.
+void submit_events(SessionManager& manager, Index ops) {
+  for (TimeUs t = 0; t < ops; ++t) {
+    for (Index s = 0; s < manager.session_count(); ++s) {
+      manager.submit(s, event_at(t * 10 + s));
+    }
+  }
+}
+
+/// What a VisitLog records when `plan` drains submit_events(ops): per
+/// region, rounds of entry-by-entry visits, each taking up to the entry's
+/// burst from its session's queue. Sorted like VisitLog::sequences().
+std::vector<std::vector<TimeUs>> region_visits(const sched::Plan& plan,
+                                               Index ops) {
+  std::vector<std::vector<TimeUs>> out;
+  for (const sched::PlanRegion& region : plan.regions) {
+    std::vector<Index> next(region.entries.size(), 0);
+    std::vector<TimeUs> order;
+    for (bool served = true; served;) {
+      served = false;
+      for (size_t i = 0; i < region.entries.size(); ++i) {
+        const sched::PlanEntry& e = region.entries[i];
+        for (Index b = 0; b < e.burst && next[i] < ops; ++b, ++next[i]) {
+          order.push_back(next[i] * 10 + e.session);
+          served = true;
+        }
+      }
+    }
+    out.push_back(std::move(order));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// A deliberately twisted plan for `n` sessions: one region visiting them
-/// in reverse id order with staggered bursts — nothing like the legacy
+/// in reverse id order with staggered bursts — nothing like the round-robin
 /// deal, which is the point.
 sched::Plan reversed_plan(Index n, Index burst_cap = 3) {
   sched::Plan plan;
@@ -144,7 +225,6 @@ TEST(SchedRuntime, SetPlanRejectsMismatchedOrInvalidPlans) {
 }
 
 TEST(SchedRuntime, PlannedPumpPreservesEverySessionsFifoOrder) {
-  ScopedSched on(true);
   SessionManager manager(/*burst=*/2);
   std::vector<RecordingSession*> raw;
   std::vector<SessionId> ids;
@@ -171,7 +251,6 @@ TEST(SchedRuntime, PlannedPumpPreservesEverySessionsFifoOrder) {
 }
 
 TEST(SchedRuntime, AnyPlanYieldsTheSameStreamsAsNoPlan) {
-  ScopedSched on(true);
   std::vector<std::vector<TimeUs>> unplanned, planned;
   {
     SessionManager manager(/*burst=*/2);
@@ -203,29 +282,68 @@ TEST(SchedRuntime, AnyPlanYieldsTheSameStreamsAsNoPlan) {
   EXPECT_EQ(planned, unplanned);
 }
 
-TEST(SchedRuntime, KillSwitchFallsBackToTheLegacyPump) {
-  // With EVD_SCHED off an installed plan must be inert: the pump behaves
-  // exactly as if the subsystem did not exist (the CI leg proves the
-  // byte-level version of this across the whole tier-1 suite).
-  ScopedSched off(false);
+TEST(SchedRuntime, UnplannedPumpVisitsInRoundRobinOrder) {
+  ScopedThreads threads(3);
   SessionManager manager(/*burst=*/2);
-  std::vector<RecordingSession*> raw;
-  std::vector<SessionId> ids;
-  for (Index s = 0; s < 3; ++s) {
-    auto session = std::make_unique<RecordingSession>();
-    raw.push_back(session.get());
-    ids.push_back(manager.add(std::move(session)));
+  VisitLog visits;
+  for (Index s = 0; s < 5; ++s) {
+    manager.add(std::make_unique<RecordingSession>(&visits));
   }
-  manager.set_plan(reversed_plan(3));
-  for (TimeUs t = 0; t < 6; ++t) {
-    for (size_t s = 0; s < ids.size(); ++s) {
-      manager.submit(ids[s], event_at(t + static_cast<TimeUs>(100 * s)));
-    }
-  }
+  submit_events(manager, 5);
   manager.pump_all();
-  for (auto* session : raw) EXPECT_EQ(session->seen.size(), 6u);
-  // The plan stays installed (flipping the switch back re-engages it).
-  EXPECT_TRUE(manager.has_plan());
+  EXPECT_EQ(visits.sequences(),
+            region_visits(sched::Plan::round_robin(5, 3, 2), 5));
+  // Pumped by a shard worker, the round runs serially: one region.
+  visits.clear();
+  submit_events(manager, 5);
+  pump_all_nested(manager);
+  EXPECT_EQ(visits.sequences(),
+            region_visits(sched::Plan::round_robin(5, 1, 2), 5));
+  // The default plan is not an installed one.
+  EXPECT_FALSE(manager.has_plan());
+  EXPECT_TRUE(manager.plan_bytes().empty());
+  EXPECT_THROW(manager.plan(), Error);
+}
+
+TEST(SchedRuntime, StalePlanFallsBackToRoundRobinOrder) {
+  ScopedThreads threads(3);
+  SessionManager manager(/*burst=*/2);
+  VisitLog visits;
+  for (Index s = 0; s < 4; ++s) {
+    manager.add(std::make_unique<RecordingSession>(&visits));
+  }
+  const sched::Plan installed = reversed_plan(4);
+  manager.set_plan(installed);
+  // A fifth session makes the installed plan stale: it no longer covers
+  // the population, so pump() runs the round-robin default instead.
+  manager.add(std::make_unique<RecordingSession>(&visits));
+  submit_events(manager, 5);
+  manager.pump_all();
+  EXPECT_EQ(visits.sequences(),
+            region_visits(sched::Plan::round_robin(5, 3, 2), 5));
+  // has_plan()/plan() keep reporting the installed plan, stale or not.
+  ASSERT_TRUE(manager.has_plan());
+  EXPECT_TRUE(manager.plan() == installed);
+}
+
+TEST(SchedRuntime, DefaultPlanFollowsThePoolSize) {
+  ScopedThreads threads(3);
+  SessionManager manager(/*burst=*/1);
+  VisitLog visits;
+  for (Index s = 0; s < 4; ++s) {
+    manager.add(std::make_unique<RecordingSession>(&visits));
+  }
+  submit_events(manager, 3);
+  manager.pump_all();
+  EXPECT_EQ(visits.sequences(),
+            region_visits(sched::Plan::round_robin(4, 3, 1), 3));
+  // A resized pool re-deals the same population over two regions.
+  par::set_thread_count(2);
+  visits.clear();
+  submit_events(manager, 3);
+  manager.pump_all();
+  EXPECT_EQ(visits.sequences(),
+            region_visits(sched::Plan::round_robin(4, 2, 1), 3));
 }
 
 TEST(SchedRuntime, PlanBytesRestoreIntoAFreshManager) {
@@ -265,8 +383,7 @@ class SchedFaultTest : public ::testing::Test {
 };
 
 TEST_F(SchedFaultTest, QuarantineUnderAPlanLeavesNeighboursBitwiseUnchanged) {
-  ScopedSched on(true);
-  // Single fused region visiting all sessions: the faulted session shares
+  // Single region visiting all sessions: the faulted session shares
   // its worker with every neighbour, the worst case for blast radius.
   const auto run = [&](bool inject) {
     SessionManager manager(/*burst=*/2);
@@ -307,7 +424,6 @@ TEST_F(SchedFaultTest, QuarantineUnderAPlanLeavesNeighboursBitwiseUnchanged) {
 }
 
 TEST_F(SchedFaultTest, CheckpointRestoreReplaysUnderThePlannedPump) {
-  ScopedSched on(true);
   const auto run = [&](bool inject) {
     SessionManager manager(/*burst=*/2);
     std::vector<CheckpointedRecordingSession*> raw;
