@@ -345,8 +345,8 @@ bool gate_overload() {
 // A mixed-paradigm population arranged adversarially for the legacy s % W
 // deal: the two expensive dense-GNN sessions sit at ids 0 and 4, so on a
 // 4-worker pool the blind round-robin pump stacks both onto worker 0 every
-// round while the SNN workers idle. The annealed plan re-partitions the
-// regions by modeled cost.
+// round while the SNN workers idle. The planner re-partitions the regions
+// longest-first by modeled cost.
 //
 // Three gates, in decreasing order of portability:
 //   1. Equivalence (every host): the planned pump's per-session decision
@@ -509,9 +509,7 @@ bool gate_planner() {
   for (size_t s = 0; s < population.paradigms.size(); ++s) {
     profiles.push_back(population.profile(s, 2048));
   }
-  sched::AnnealerConfig config;
-  config.seed = 11;
-  config.iterations = 900;
+  sched::PlanConfig config;
   config.region_count = 4;
   config.burst_cap = 256;
   const sched::Plan plan = sched::Planner::instance().plan_for(profiles, config);
@@ -609,12 +607,12 @@ bool gate_planner() {
 // streams live entirely in an 8x8 corner of the 32x32 sensor, so the live
 // fraction of the declared dense work is ~6% — the regime where the
 // paper's event-driven side of the dichotomy wins. The session profiles
-// carry that measured activity, and the planner — searching only over
+// carry that measured activity, and the planner — choosing only among
 // *proved* execution paths — must route the CNN placement onto cnn.sparse
 // and the SNN placement onto snn.event_driven.
 //
 // Four legs:
-//   1. Path choice (every host): the annealed plan routes cnn -> cnn.sparse
+//   1. Path choice (every host): the chosen plan routes cnn -> cnn.sparse
 //      and snn -> snn.event_driven.
 //   2. Equivalence (every host): serving through the routed plan produces
 //      decision streams bitwise identical to serving the same schedule
@@ -739,9 +737,7 @@ bool gate_routing() {
   for (size_t s = 0; s < population.paradigms.size(); ++s) {
     profiles.push_back(population.profile(s, 2048));
   }
-  sched::AnnealerConfig config;
-  config.seed = 23;
-  config.iterations = 1200;
+  sched::PlanConfig config;
   config.region_count = 4;
   config.burst_cap = 256;
   const sched::Plan plan = sched::Planner::instance().plan_for(profiles, config);
@@ -755,7 +751,7 @@ bool gate_routing() {
   const route::PathId cnn_path = placement_path("cnn");
   const route::PathId snn_path = placement_path("snn");
 
-  // The routing win in isolation: the same annealed schedule with every
+  // The routing win in isolation: the same chosen schedule with every
   // placement forced back to the default path, priced by the same models.
   sched::Plan unrouted = plan;
   for (sched::ParadigmPlacement& p : unrouted.placements) {

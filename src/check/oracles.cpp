@@ -1,6 +1,7 @@
 #include "check/oracles.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "check/ulp.hpp"
@@ -13,8 +14,7 @@
 #include "gnn/kdtree.hpp"
 #include "obs/metrics.hpp"
 #include "route/route.hpp"
-#include "sched/annealer.hpp"
-#include "sched/planner.hpp"
+#include "sched/plan.hpp"
 #include "shard/shard_manager.hpp"
 #include "simd/dispatch.hpp"
 #include "runtime/session_manager.hpp"
@@ -1096,10 +1096,45 @@ std::optional<std::string> diff_checkpoint_replay(
 
 namespace {
 
-/// Sequential reference, then the same ops served under an annealer-chosen
-/// plan. The plan is derived deterministically from the schedule (seeded by
-/// its total op count), so every generated case exercises a different plan
-/// and a shrunk schedule carries a correspondingly shrunk witness plan.
+/// A random valid plan for `n` sessions of `paradigm`: the ids shuffled into
+/// one or two non-empty regions, a burst in [1, 4], and the paradigm's path
+/// drawn uniformly from its routable set. The oracles thereby cover
+/// arbitrary plans, not only the ones the planner would choose.
+sched::Plan random_plan(Index n, const std::string& paradigm,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  sched::Plan plan;
+  plan.session_count = n;
+  plan.burst = 1 + static_cast<Index>(rng.uniform_int(4));
+  std::vector<Index> ids(static_cast<size_t>(n));
+  std::iota(ids.begin(), ids.end(), Index{0});
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[static_cast<size_t>(rng.uniform_int(i))]);
+  }
+  // Region 0 takes the first `split` shuffled ids, region 1 the rest.
+  const Index split =
+      n < 2 || rng.bernoulli(0.5)
+          ? n
+          : 1 + static_cast<Index>(
+                    rng.uniform_int(static_cast<std::uint64_t>(n - 1)));
+  for (Index i = 0; i < n; ++i) {
+    const size_t r = i < split ? 0 : 1;
+    if (plan.regions.size() <= r) plan.regions.resize(r + 1);
+    plan.regions[r].sessions.push_back(ids[static_cast<size_t>(i)]);
+  }
+  const std::vector<route::PathId> routable =
+      route::PathRegistry::instance().routable(paradigm);
+  plan.placements.push_back(
+      {paradigm, routable[static_cast<size_t>(rng.uniform_int(
+                     routable.size()))]});
+  plan.refresh_labels();
+  return plan;
+}
+
+/// Sequential reference, then the same ops served under a random plan. The
+/// plan is derived deterministically from the schedule (seeded by its
+/// per-session op counts), so every generated case exercises a different
+/// plan and a shrunk schedule carries a correspondingly shrunk witness plan.
 template <typename Pipeline>
 std::optional<std::string> diff_planned(Pipeline& pipeline,
                                         const std::string& paradigm,
@@ -1121,18 +1156,8 @@ std::optional<std::string> diff_planned(Pipeline& pipeline,
         for (size_t s = 0; s < c.sessions.size(); ++s) {
           ids.push_back(manager.add(pipeline.open_session(c.width, c.height)));
         }
-        // Anneal a plan for this population: re-drawn bursts, re-partitioned
-        // regions, re-routed paths — whatever the search likes for this seed.
-        std::vector<sched::SessionProfile> profiles(
-            c.sessions.size(), sched::profile_for(pipeline, paradigm, 16));
-        sched::AnnealerConfig search;
-        search.seed = schedule_seed;
-        search.iterations = 120;
-        search.region_count = 2;
-        search.burst_cap = 4;
-        const sched::AnnealResult annealed =
-            sched::anneal_plan(profiles, sched::CostModels{}, search);
-        manager.set_plan(annealed.plan);
+        manager.set_plan(random_plan(static_cast<Index>(c.sessions.size()),
+                                     paradigm, schedule_seed));
         size_t cursor = 0;
         bool more = true;
         while (more) {
@@ -1539,17 +1564,17 @@ void register_builtin_oracles() {
         multiplex_case_gen(), diff_checkpoint_replay));
     registry().add(make_diff_oracle<MultiSessionSchedule>(
         "sched.plan_vs_sequential.cnn",
-        "CNN sessions pumped under an annealer-chosen execution plan emit "
+        "CNN sessions pumped under a random valid execution plan emit "
         "the exact decision stream of sequential feeding",
         multiplex_case_gen(), diff_cnn_plan_vs_sequential));
     registry().add(make_diff_oracle<MultiSessionSchedule>(
         "sched.plan_vs_sequential.snn",
-        "SNN sessions pumped under an annealer-chosen execution plan emit "
+        "SNN sessions pumped under a random valid execution plan emit "
         "the exact decision stream of sequential feeding",
         multiplex_case_gen(), diff_snn_plan_vs_sequential));
     registry().add(make_diff_oracle<MultiSessionSchedule>(
         "sched.plan_vs_sequential.gnn",
-        "GNN sessions pumped under an annealer-chosen execution plan emit "
+        "GNN sessions pumped under a random valid execution plan emit "
         "the exact decision stream of sequential feeding",
         multiplex_case_gen(), diff_gnn_plan_vs_sequential));
     registry().add(make_diff_oracle<MultiSessionSchedule>(

@@ -28,9 +28,9 @@
 //                                checkpoint and replays must emit the exact
 //                                decision stream of a never-faulted run
 //   sched.plan_vs_sequential.{cnn,snn,gnn}
-//                                sessions pumped under an annealer-chosen
-//                                execution plan (routed paths, per-entry
-//                                bursts, re-partitioned worker regions) vs
+//                                sessions pumped under a random valid
+//                                execution plan (routed paths, a drawn
+//                                burst, shuffled worker regions) vs
 //                                direct sequential feeding — decision
 //                                streams must match bitwise (the planner's
 //                                equivalence contract)
@@ -211,11 +211,11 @@ std::optional<std::string> diff_checkpoint_replay(const MultiSessionSchedule& c)
 
 /// Feed every session's ops directly and sequentially, then serve the same
 /// schedule through a SessionManager on 4 workers with an execution plan
-/// installed — annealed from the schedule itself (seeded by its op count,
-/// so shrinking the schedule shrinks the witness plan with it) — and
-/// require bitwise-identical per-session decision streams. A plan may
-/// re-partition sessions across workers, reorder visits and change bursts,
-/// but must never change a single emitted bit.
+/// installed — drawn at random from the schedule itself (seeded by its op
+/// counts, so shrinking the schedule shrinks the witness plan with it) —
+/// and require bitwise-identical per-session decision streams. A plan may
+/// re-partition sessions across workers, reorder visits, change the burst
+/// and re-route paths, but must never change a single emitted bit.
 std::optional<std::string> diff_cnn_plan_vs_sequential(
     const MultiSessionSchedule& c);
 std::optional<std::string> diff_snn_plan_vs_sequential(

@@ -14,16 +14,15 @@
 //     are *proved*: a path becomes routable to the planner only once a
 //     registered differential oracle (`route.*` in evd::check) pins it
 //     decision-stream-identical (ULP 0) to the paradigm's default path.
-//     The annealer's path move only ever selects Default or a proved
-//     path, so a plan can change how work executes but never what it
-//     computes.
+//     The planner only ever picks Default or a proved path, so a plan
+//     can change how work executes but never what it computes.
 //   * Sessions store a PathId (installed by SessionManager::set_plan from
 //     the plan's placements) and consult it at their hot-stage dispatch
 //     point. PathId::Default runs the pre-refactor hard-coded behavior.
 //
 // The library sits at the leaf of the link graph (depends only on
 // evd_common) so both the runtime (which applies routes) and the planning
-// stack (which searches over them) can link it without cycles.
+// stack (which chooses among them) can link it without cycles.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +107,7 @@ class PathRegistry {
 
   /// The paths the planner may route `paradigm` onto: Default plus every
   /// proved variant, in registry order. Unproved variants never appear —
-  /// the annealer cannot choose an unverified execution path.
+  /// the planner cannot choose an unverified execution path.
   std::vector<PathId> routable(std::string_view paradigm) const;
 
  private:

@@ -447,14 +447,16 @@ Index SessionManager::pump() {
   // Grain 1 over *regions*: region r is chunk r, one worker per region per
   // round. Plan::validate() guarantees each session sits in exactly one
   // region, so no session is ever touched by two workers, and the plan
-  // chooses the partition, visit order and per-visit bursts.
+  // chooses the partition, visit order and burst. validate() bounds the
+  // burst by kMaxPlanBurst, so no installed plan overflows it here.
   const auto nregions = static_cast<Index>(plan.regions.size());
+  const Index burst = plan.burst * coarsen;
   par::parallel_for(0, nregions, 1, [&](Index begin, Index end) {
     for (Index r = begin; r < end; ++r) {
       const sched::PlanRegion& region = plan.regions[static_cast<size_t>(r)];
-      for (const sched::PlanEntry& e : region.entries) {
-        processed_[static_cast<size_t>(e.session)] = pump_session(
-            e.session, e.burst * coarsen, region.label.c_str());
+      for (const Index s : region.sessions) {
+        processed_[static_cast<size_t>(s)] =
+            pump_session(s, burst, region.label.c_str());
       }
     }
   });

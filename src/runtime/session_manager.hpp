@@ -5,7 +5,7 @@
 //
 //   pump() round:  parallel_for over plan regions, grain 1 — region r is
 //                  one chunk, so every session in it runs on exactly one
-//                  worker per round. Each visit processes up to the entry's
+//                  worker per round. Each visit processes up to the plan's
 //                  burst of queued ops, in FIFO order, then yields. With no
 //                  installed plan the manager pumps Plan::round_robin over
 //                  the pool (worker w gets sessions w, w+W, ... at `burst`).
@@ -134,7 +134,7 @@ class SessionManager {
   bool submit_advance(SessionId id, TimeUs t);
 
   /// One scheduling round: each region of the installed plan is pumped by
-  /// one worker, visiting its sessions in plan order with per-entry bursts.
+  /// one worker, visiting its sessions in plan order at the plan's burst.
   /// Without an installed plan — or when add() made it stale — the round
   /// runs Plan::round_robin(n, par::thread_count(), burst), cached until n
   /// or the thread count changes; its regions run under the
@@ -178,8 +178,8 @@ class SessionManager {
   /// set_plan (routes included); nullopt keeps the current plan. The hook
   /// runs on the pumping thread, outside the parallel region — callers
   /// typically close over their pipelines, fold the activity into each
-  /// session's sched::SessionProfile, and delegate to the fingerprint-keyed
-  /// Planner cache, so a repeated mix costs one lookup, not an anneal. A
+  /// session's sched::SessionProfile, and call Planner::plan_for, whose
+  /// closed-form plan costs a few cost-model evaluations per session. A
   /// stream that turns dense mid-run therefore re-plans off the sparse /
   /// event-driven paths the old mix priced as cheap. The hook must return a
   /// valid plan for the current population.

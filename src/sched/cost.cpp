@@ -153,7 +153,7 @@ double plan_cost_us(const Plan& plan,
   // slowest region. The executor's grain-1 parallel_for deals region r to
   // worker r % W, so a host with fewer workers than regions serializes
   // several regions onto one core — pretending every region owns a core
-  // would make the annealer buy region counts the host cannot pay for.
+  // would make the planner buy region counts the host cannot pay for.
   const Index resolved_workers =
       models.host_workers > 0 ? models.host_workers : par::thread_count();
   const auto workers = static_cast<size_t>(
@@ -169,13 +169,13 @@ double plan_cost_us(const Plan& plan,
     double makespan = 0.0;
     for (size_t r = 0; r < plan.regions.size(); ++r) {
       double region_us = 0.0;
-      for (const PlanEntry& e : plan.regions[r].entries) {
-        std::int64_t& left = backlog[static_cast<size_t>(e.session)];
+      for (const Index s : plan.regions[r].sessions) {
+        std::int64_t& left = backlog[static_cast<size_t>(s)];
         if (left <= 0) continue;
-        const std::int64_t served = std::min<std::int64_t>(left, e.burst);
+        const std::int64_t served = std::min<std::int64_t>(left, plan.burst);
         region_us += models.visit_overhead_us +
                      static_cast<double>(served) *
-                         op_us[static_cast<size_t>(e.session)];
+                         op_us[static_cast<size_t>(s)];
         left -= served;
         remaining -= served;
       }

@@ -34,7 +34,7 @@ namespace evd::sched {
 
 /// What the planner knows about one managed session: its paradigm label,
 /// the pipeline's declared stage chain, and the expected backlog (ops per
-/// planning quantum) — the workload-mix axis of the plan cache key.
+/// planning quantum) — the workload-mix axis the planner balances.
 struct SessionProfile {
   std::string paradigm;  ///< "cnn" / "snn" / "gnn" (SessionBaseConfig label).
   std::vector<core::StageInfo> stages;

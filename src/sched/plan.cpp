@@ -9,10 +9,11 @@ namespace evd::sched {
 namespace {
 
 constexpr std::uint32_t kPlanMagic = 0x53434845u;  // "SCHE"
-// v3: a placement is (paradigm, path byte) — the hw model and fusion
-// groups of v2 are gone. Reads are strict v3-only: re-planning is cheaper
-// than a migration path nothing would exercise.
-constexpr std::uint32_t kPlanVersion = 3;
+// v4: a region is a list of session ids and one burst covers every visit —
+// v3's annealer seed and per-entry bursts are gone. Reads are strict
+// v4-only: re-planning is cheaper than a migration path nothing would
+// exercise.
+constexpr std::uint32_t kPlanVersion = 4;
 constexpr std::size_t kPlanMaxBytes = 1u << 20;
 
 }  // namespace
@@ -23,26 +24,25 @@ bool Plan::validate(std::string* why) const {
     return false;
   };
   if (session_count < 0) return fail("negative session_count");
-  if (burst_cap < 1) return fail("burst_cap must be >= 1");
+  if (burst < 1 || burst > kMaxPlanBurst) {
+    return fail("burst " + std::to_string(burst) + " outside [1, " +
+                std::to_string(kMaxPlanBurst) + "]");
+  }
   if (session_count > 0 && regions.empty()) {
     return fail("sessions exist but no regions");
   }
   std::vector<Index> seen(static_cast<size_t>(session_count), 0);
   for (size_t r = 0; r < regions.size(); ++r) {
     const PlanRegion& region = regions[r];
-    if (region.entries.empty()) {
+    if (region.sessions.empty()) {
       return fail("region " + std::to_string(r) + " is empty");
     }
-    for (const PlanEntry& e : region.entries) {
-      if (e.session < 0 || e.session >= session_count) {
-        return fail("entry session " + std::to_string(e.session) +
+    for (const Index session : region.sessions) {
+      if (session < 0 || session >= session_count) {
+        return fail("session " + std::to_string(session) +
                     " out of range [0, " + std::to_string(session_count) + ")");
       }
-      if (e.burst < 1 || e.burst > burst_cap) {
-        return fail("entry burst " + std::to_string(e.burst) +
-                    " outside [1, " + std::to_string(burst_cap) + "]");
-      }
-      ++seen[static_cast<size_t>(e.session)];
+      ++seen[static_cast<size_t>(session)];
     }
   }
   for (Index s = 0; s < session_count; ++s) {
@@ -106,11 +106,12 @@ void Plan::refresh_labels() {
 std::string Plan::describe() const {
   std::string s = "plan{sessions=" + std::to_string(session_count) +
                   " regions=" + std::to_string(regions.size()) +
+                  " burst=" + std::to_string(burst) +
                   " cost_us=" + std::to_string(modeled_cost_us) + "\n";
   for (size_t r = 0; r < regions.size(); ++r) {
     s += "  r" + std::to_string(r) + ":";
-    for (const PlanEntry& e : regions[r].entries) {
-      s += " s" + std::to_string(e.session) + "x" + std::to_string(e.burst);
+    for (const Index session : regions[r].sessions) {
+      s += " s" + std::to_string(session);
     }
     s += "\n";
   }
@@ -126,13 +127,12 @@ void Plan::serialize(std::vector<std::uint8_t>& out) const {
   w.u32(kPlanMagic);
   w.u32(kPlanVersion);
   w.i64(session_count);
-  w.i64(burst_cap);
-  w.i64(static_cast<std::int64_t>(seed));
+  w.i64(burst);
   w.f64(modeled_cost_us);
   w.i64(static_cast<std::int64_t>(regions.size()));
   for (const PlanRegion& region : regions) {
     // Labels are derived (refresh_labels), not stored.
-    w.pod_vector(region.entries);
+    w.pod_vector(region.sessions);
   }
   w.i64(static_cast<std::int64_t>(placements.size()));
   for (const ParadigmPlacement& p : placements) {
@@ -157,15 +157,14 @@ Plan Plan::deserialize(std::span<const std::uint8_t> bytes) {
   // Bound before anything sizes off it: validate() allocates a seen-count
   // per session, so a corrupt count must die here as a typed error, not as
   // a multi-terabyte allocation. A 1 MiB frame cannot describe more
-  // sessions than it has PlanEntry bytes.
+  // sessions than it has session-id bytes.
   if (plan.session_count < 0 ||
       plan.session_count >
-          static_cast<Index>(kPlanMaxBytes / sizeof(PlanEntry))) {
+          static_cast<Index>(kPlanMaxBytes / sizeof(Index))) {
     throw Error(ErrorCode::CheckpointCorrupt,
                 "Plan::deserialize: implausible session count");
   }
-  plan.burst_cap = r.i64();
-  plan.seed = static_cast<std::uint64_t>(r.i64());
+  plan.burst = r.i64();
   plan.modeled_cost_us = r.f64();
   const std::int64_t nregions = r.i64();
   if (nregions < 0 || nregions > plan.session_count) {
@@ -174,7 +173,7 @@ Plan Plan::deserialize(std::span<const std::uint8_t> bytes) {
   }
   plan.regions.resize(static_cast<size_t>(nregions));
   for (PlanRegion& region : plan.regions) {
-    r.pod_vector(region.entries);
+    r.pod_vector(region.sessions);
   }
   const std::int64_t nplacements = r.i64();
   if (nplacements < 0 || nplacements > 64) {
@@ -205,7 +204,7 @@ Plan Plan::deserialize(std::span<const std::uint8_t> bytes) {
 Plan Plan::round_robin(Index session_count, Index region_count, Index burst) {
   Plan plan;
   plan.session_count = session_count;
-  plan.burst_cap = burst < 1 ? 1 : burst;
+  plan.burst = std::clamp<Index>(burst, 1, kMaxPlanBurst);
   if (session_count <= 0) return plan;
   if (region_count < 1) region_count = 1;
   if (region_count > session_count) region_count = session_count;
@@ -213,28 +212,20 @@ Plan Plan::round_robin(Index session_count, Index region_count, Index burst) {
   // session s -> region s % W in id order: with W workers the grain-1
   // region loop hands worker w sessions w, w+W, ...
   for (Index s = 0; s < session_count; ++s) {
-    plan.regions[static_cast<size_t>(s % region_count)].entries.push_back(
-        PlanEntry{s, plan.burst_cap});
+    plan.regions[static_cast<size_t>(s % region_count)].sessions.push_back(s);
   }
   plan.refresh_labels();
   return plan;
 }
 
 bool operator==(const Plan& a, const Plan& b) {
-  if (a.session_count != b.session_count || a.burst_cap != b.burst_cap ||
+  if (a.session_count != b.session_count || a.burst != b.burst ||
       a.regions.size() != b.regions.size() ||
       a.placements.size() != b.placements.size()) {
     return false;
   }
   for (size_t r = 0; r < a.regions.size(); ++r) {
-    const auto& ra = a.regions[r].entries;
-    const auto& rb = b.regions[r].entries;
-    if (ra.size() != rb.size()) return false;
-    for (size_t i = 0; i < ra.size(); ++i) {
-      if (ra[i].session != rb[i].session || ra[i].burst != rb[i].burst) {
-        return false;
-      }
-    }
+    if (a.regions[r].sessions != b.regions[r].sessions) return false;
   }
   for (size_t p = 0; p < a.placements.size(); ++p) {
     const auto& pa = a.placements[p];

@@ -9,8 +9,8 @@
 //     one-worker-per-session determinism contract);
 //   * visit order — the order a region's worker visits its sessions within
 //     a round;
-//   * per-visit burst — how many queued ops each visit processes before
-//     yielding (per session, replacing the single global burst);
+//   * burst — how many queued ops each visit processes before yielding
+//     (one value for every visit of the plan);
 //   * execution path — which proved-equivalent kernel variant each
 //     paradigm's sessions run (route/route.hpp).
 //
@@ -37,18 +37,16 @@
 
 namespace evd::sched {
 
-/// One scheduled visit: session `session` processes up to `burst` queued
-/// ops when its region's worker reaches this entry.
-struct PlanEntry {
-  Index session = 0;
-  Index burst = 1;
-};
+/// Largest burst a plan may carry. Far above every burst the repo uses
+/// (256), and small enough that `burst * coarsen_factor` in the pump cannot
+/// overflow: a decoded frame with a larger burst is refused, not installed.
+inline constexpr Index kMaxPlanBurst = Index{1} << 20;
 
 /// The sessions one worker pumps each round, in visit order. `label` is the
 /// obs span every visit in this region runs under — owned by the plan so
 /// the const char* handed to obs::Span stays valid for the plan's lifetime.
 struct PlanRegion {
-  std::vector<PlanEntry> entries;
+  std::vector<Index> sessions;
   std::string label;
 };
 
@@ -64,29 +62,28 @@ struct ParadigmPlacement {
 
 struct Plan {
   Index session_count = 0;
-  Index burst_cap = 1;  ///< Upper bound every entry's burst respects.
+  Index burst = 1;  ///< Queued ops every visit processes, in [1, kMaxPlanBurst].
   std::vector<PlanRegion> regions;
   std::vector<ParadigmPlacement> placements;
   double modeled_cost_us = 0.0;  ///< Objective value of the chosen plan.
-  std::uint64_t seed = 0;        ///< Annealer seed that produced it.
 
   /// Structural validity: every session 0..session_count-1 scheduled
-  /// exactly once, every burst in [1, burst_cap], at least one region when
+  /// exactly once, burst in [1, kMaxPlanBurst], at least one region when
   /// any session exists, no empty region, at most one placement per
   /// paradigm, each placed path owned by its paradigm. On failure returns
   /// false and (when `why` is non-null) says what broke.
   bool validate(std::string* why = nullptr) const;
 
-  /// FNV-1a over the serialized bytes — stable across platforms, used as
-  /// the planner cache key component and in span labels.
+  /// FNV-1a over the serialized bytes — stable across platforms, used in
+  /// span labels.
   std::uint64_t fingerprint() const;
 
   /// Human-readable one-plan summary (tests, golden snapshots, logs).
   std::string describe() const;
 
   /// Rebuild each region's obs span label ("sched.r<k>.p<fp>"). Call after
-  /// any structural mutation; serialize()/deserialize() and the annealer do
-  /// so themselves.
+  /// any structural mutation; deserialize() and the planner do so
+  /// themselves.
   void refresh_labels();
 
   /// Checkpoint-framed serialization (fault/checkpoint.hpp writer/reader,
@@ -99,8 +96,9 @@ struct Plan {
 
   /// The do-nothing-clever baseline: sessions dealt round-robin across
   /// `regions` regions (session s -> region s % regions, preserving id
-  /// order within each region), every burst = `burst`, no placements. The
-  /// SessionManager pumps this plan whenever none is installed.
+  /// order within each region), `burst` clamped to [1, kMaxPlanBurst], no
+  /// placements. The SessionManager pumps this plan whenever none is
+  /// installed.
   static Plan round_robin(Index session_count, Index region_count,
                           Index burst);
 };

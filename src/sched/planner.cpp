@@ -1,6 +1,8 @@
 #include "sched/planner.hpp"
 
-#include "common/parallel.hpp"
+#include <algorithm>
+#include <numeric>
+
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "route/route.hpp"
@@ -8,52 +10,92 @@
 namespace evd::sched {
 namespace {
 
-constexpr size_t kCacheCap = 64;  ///< Distinct populations kept.
-
-void fnv_bytes(std::uint64_t& h, const void* data, size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
+const ParadigmPlacement* placement_of(const Plan& plan,
+                                      const std::string& paradigm) {
+  for (const ParadigmPlacement& p : plan.placements) {
+    if (p.paradigm == paradigm) return &p;
   }
+  return nullptr;
 }
 
-void fnv_i64(std::uint64_t& h, std::int64_t v) { fnv_bytes(h, &v, sizeof(v)); }
+/// Modeled work of one session's expected backlog under `placement`.
+double backlog_us(const SessionProfile& profile,
+                  const ParadigmPlacement* placement,
+                  const CostModels& models) {
+  return static_cast<double>(std::max<Index>(0, profile.queued_ops)) *
+         per_op_cost_us(profile, placement, models);
+}
+
+/// Rule 1: per paradigm, in first-appearance order, the routable path that
+/// prices that paradigm's backlog lowest. Default holds unless another path
+/// is strictly cheaper — the cost model prices AsDeclared variants like
+/// Default, and Default is the path the pipeline's own heuristics tune.
+std::vector<ParadigmPlacement> cheapest_paths(
+    std::span<const SessionProfile> profiles, const CostModels& models) {
+  std::vector<ParadigmPlacement> placements;
+  for (const SessionProfile& profile : profiles) {
+    const bool known =
+        std::any_of(placements.begin(), placements.end(),
+                    [&](const ParadigmPlacement& p) {
+                      return p.paradigm == profile.paradigm;
+                    });
+    if (known) continue;
+    ParadigmPlacement best{profile.paradigm};
+    double best_us = 0.0;
+    for (const route::PathId path :
+         route::PathRegistry::instance().routable(profile.paradigm)) {
+      const ParadigmPlacement candidate{profile.paradigm, path};
+      double total_us = 0.0;
+      for (const SessionProfile& other : profiles) {
+        if (other.paradigm == profile.paradigm) {
+          total_us += backlog_us(other, &candidate, models);
+        }
+      }
+      if (path == route::PathId::Default || total_us < best_us) {
+        best = candidate;
+        best_us = total_us;
+      }
+    }
+    placements.push_back(best);
+  }
+  return placements;
+}
+
+/// Rule 2: longest-processing-time-first partition into `region_count`
+/// regions, each visited in id order. Regions left empty (possible only
+/// when sessions carry no backlog) are dropped.
+std::vector<PlanRegion> lpt_regions(std::span<const SessionProfile> profiles,
+                                    const Plan& plan, Index region_count,
+                                    const CostModels& models) {
+  const size_t n = profiles.size();
+  std::vector<double> load(n);
+  for (size_t s = 0; s < n; ++s) {
+    load[s] = backlog_us(profiles[s],
+                         placement_of(plan, profiles[s].paradigm), models);
+  }
+  std::vector<Index> order(n);
+  std::iota(order.begin(), order.end(), Index{0});
+  std::stable_sort(order.begin(), order.end(), [&](Index a, Index b) {
+    return load[static_cast<size_t>(a)] > load[static_cast<size_t>(b)];
+  });
+  std::vector<PlanRegion> regions(static_cast<size_t>(region_count));
+  std::vector<double> region_load(regions.size(), 0.0);
+  for (const Index s : order) {
+    const auto least = static_cast<size_t>(
+        std::min_element(region_load.begin(), region_load.end()) -
+        region_load.begin());
+    regions[least].sessions.push_back(s);
+    region_load[least] += load[static_cast<size_t>(s)];
+  }
+  std::erase_if(regions,
+                [](const PlanRegion& r) { return r.sessions.empty(); });
+  for (PlanRegion& region : regions) {
+    std::sort(region.sessions.begin(), region.sessions.end());
+  }
+  return regions;
+}
 
 }  // namespace
-
-std::uint64_t profiles_key(std::span<const SessionProfile> profiles,
-                           const AnnealerConfig& config) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const SessionProfile& profile : profiles) {
-    fnv_bytes(h, profile.paradigm.data(), profile.paradigm.size());
-    fnv_i64(h, profile.queued_ops);
-    fnv_bytes(h, &profile.activity, sizeof(profile.activity));
-    for (const core::StageInfo& stage : profile.stages) {
-      fnv_bytes(h, stage.name.data(), stage.name.size());
-      fnv_bytes(h, &stage.per_op, sizeof(stage.per_op));
-      fnv_bytes(h, &stage.duty, sizeof(stage.duty));
-    }
-  }
-  fnv_bytes(h, &config.seed, sizeof(config.seed));
-  fnv_i64(h, config.iterations);
-  fnv_bytes(h, &config.initial_temperature, sizeof(config.initial_temperature));
-  fnv_bytes(h, &config.cooling, sizeof(config.cooling));
-  fnv_i64(h, config.region_count);
-  fnv_i64(h, config.burst_cap);
-  fnv_i64(h, config.restarts);
-  // Axes outside the profiles that still change the annealed plan: the
-  // host parallelism the default CostModels resolves (satellite of the
-  // worker-aware makespan) and the set of proved execution paths the path
-  // move may draw from (grows as route.* oracles register).
-  fnv_i64(h, par::thread_count());
-  for (const route::ExecutionPath& path :
-       route::PathRegistry::instance().paths()) {
-    fnv_i64(h, static_cast<std::int64_t>(path.id));
-    fnv_i64(h, route::PathRegistry::instance().proved(path.id) ? 1 : 0);
-  }
-  return h;
-}
 
 SessionProfile profile_for(const core::EventPipeline& pipeline,
                            const std::string& paradigm, Index queued_ops,
@@ -66,43 +108,40 @@ SessionProfile profile_for(const core::EventPipeline& pipeline,
   return profile;
 }
 
-Planner& Planner::instance() {
+Plan build_plan(std::span<const SessionProfile> profiles,
+                const CostModels& models, const PlanConfig& config) {
+  const auto n = static_cast<Index>(profiles.size());
+  // Rule 3 (one burst per plan) and the guard's baseline in one step.
+  Plan round_robin = Plan::round_robin(n, config.region_count,
+                                       config.burst_cap);
+  round_robin.placements = cheapest_paths(profiles, models);
+  round_robin.modeled_cost_us = plan_cost_us(round_robin, profiles, models);
+
+  Plan lpt = round_robin;
+  lpt.regions = lpt_regions(profiles, round_robin,
+                            static_cast<Index>(round_robin.regions.size()),
+                            models);
+  lpt.modeled_cost_us = plan_cost_us(lpt, profiles, models);
+
+  // Rule 4: never modeled worse than round-robin; ties keep round-robin.
+  Plan chosen = lpt.modeled_cost_us < round_robin.modeled_cost_us
+                    ? std::move(lpt)
+                    : std::move(round_robin);
+  chosen.refresh_labels();
+  return chosen;
+}
+
+Planner& Planner::instance() noexcept {
   static Planner planner;
   return planner;
 }
 
-Planner::Planner() = default;
-
 Plan Planner::plan_for(std::span<const SessionProfile> profiles,
-                       const AnnealerConfig& config) {
-  static obs::Counter hits = obs::counter("evd_sched_plan_cache_hits_total");
-  static obs::Counter built = obs::counter("evd_sched_plans_built_total");
+                       const PlanConfig& config) {
   static obs::Gauge cost = obs::gauge("evd_sched_plan_cost_us");
-  const std::uint64_t key = profiles_key(profiles, config);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = cache_.find(key); it != cache_.end()) {
-      hits.add(1);
-      return it->second;
-    }
-  }
-  const AnnealResult result = anneal_plan(profiles, CostModels{}, config);
-  built.add(1);
-  cost.set(result.plan.modeled_cost_us);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (cache_.size() >= kCacheCap) cache_.clear();  // crude but bounded
-  cache_.emplace(key, result.plan);
-  return result.plan;
-}
-
-void Planner::clear_cache() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_.clear();
-}
-
-Index Planner::cache_size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<Index>(cache_.size());
+  Plan plan = build_plan(profiles, CostModels{}, config);
+  cost.set(plan.modeled_cost_us);
+  return plan;
 }
 
 }  // namespace evd::sched

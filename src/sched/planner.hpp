@@ -1,23 +1,30 @@
-// Plan selection front door: profile extraction, the annealing search, and
-// a process-wide cache keyed by (paradigm mix + geometry-derived stage
-// counters + workload mix + search config).
+// Plan selection front door: profile extraction and the closed-form
+// planner (DESIGN.md section 13).
 //
-// open_session-time planning must not cost an anneal per session: serving
-// front-ends describe their session population once (profiles_key), and
-// identical populations — same paradigms, same declared stage counters
-// (which encode the pipeline geometry), same queued-op mix, same search
-// config — get the cached plan back. The cache is thread-safe and bounded.
+// A plan is built directly from the session profiles, priced with
+// per_op_cost_us — no search, no cache:
 //
-// Everything here is deterministic: the key is an FNV-1a fingerprint of
-// the profile bytes, the search is the seeded annealer, so the same inputs
-// return the same plan object on every platform and thread count.
+//   1. paths   — per paradigm (first-appearance order), the routable path
+//                with the lowest sum of queued_ops * per-op cost over that
+//                paradigm's sessions; Default unless another is strictly
+//                cheaper;
+//   2. regions — longest-processing-time-first: R = min(n, region_count)
+//                regions, sessions by descending queued_ops * op price (ties
+//                by id) each to the least-loaded region (ties to the lowest
+//                index), visited in id order within a region;
+//   3. burst   — every visit gets config.burst_cap;
+//   4. guard   — the cheaper of that plan and Plan::round_robin with the
+//                same placements under plan_cost_us, ties to round-robin,
+//                so a plan is never modeled worse than round-robin.
+//
+// Everything here is deterministic: the same profiles, cost models and
+// config give the same plan on every platform and thread count.
 #pragma once
 
-#include <mutex>
 #include <span>
-#include <unordered_map>
 
-#include "sched/annealer.hpp"
+#include "sched/cost.hpp"
+#include "sched/plan.hpp"
 
 namespace evd::core {
 class EventPipeline;
@@ -25,10 +32,13 @@ class EventPipeline;
 
 namespace evd::sched {
 
-/// Deterministic fingerprint of a session population + search config — the
-/// plan cache key.
-std::uint64_t profiles_key(std::span<const SessionProfile> profiles,
-                           const AnnealerConfig& config);
+struct PlanConfig {
+  Index region_count = 4;  ///< Worker regions to plan for (pool size).
+  Index burst_cap = 8;     ///< Burst of every visit.
+};
+
+/// Kept because servebench/ calls it; drop with the next benchmark change.
+using AnnealerConfig = PlanConfig;
 
 /// Build a session profile from a pipeline's declared stages. `paradigm`
 /// is the SessionBaseConfig label ("cnn"/"snn"/"gnn"); `queued_ops` the
@@ -40,22 +50,23 @@ SessionProfile profile_for(const core::EventPipeline& pipeline,
                            const std::string& paradigm, Index queued_ops,
                            double activity = 1.0);
 
+/// The closed-form plan for `profiles` under `models` (see file comment).
+/// Out-of-range config values clamp as in Plan::round_robin.
+Plan build_plan(std::span<const SessionProfile> profiles,
+                const CostModels& models, const PlanConfig& config);
+
 class Planner {
  public:
-  static Planner& instance();
+  /// Kept because servebench/ calls it; the planner holds no state.
+  static Planner& instance() noexcept;
 
-  /// The plan for this session population: cached when seen before,
-  /// annealed (and cached) otherwise.
+  /// build_plan on the default CostModels; exports the chosen plan's cost
+  /// as the evd_sched_plan_cost_us gauge.
   Plan plan_for(std::span<const SessionProfile> profiles,
-                const AnnealerConfig& config = {});
+                const PlanConfig& config = {});
 
-  void clear_cache();
-  Index cache_size() const;
-
- private:
-  Planner();
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, Plan> cache_;
+  /// Kept because servebench/ calls it; there is no cache to clear.
+  void clear_cache() noexcept {}
 };
 
 }  // namespace evd::sched

@@ -186,7 +186,7 @@ TEST(Route, RejectedPlanLeavesInstalledRoutesUntouched) {
   const std::vector<std::uint8_t> bytes = manager.plan_bytes();
 
   sched::Plan broken = routed_plan(2);
-  broken.regions[0].entries[0].session = 9;  // structurally invalid
+  broken.regions[0].sessions[0] = 9;  // structurally invalid
   EXPECT_THROW(manager.set_plan(broken), Error);
   // Atomicity: validation failed before any route was applied.
   EXPECT_EQ(manager.session(id).execution_path(), PathId::CnnSparse);

@@ -1,7 +1,7 @@
-// Golden snapshot of the plans the annealer chooses for three canonical
+// Golden snapshot of the plans the planner chooses for three canonical
 // session populations (CNN-heavy, SNN-heavy, mixed). Any change to the
-// cost models, the stage declarations, the search moves or the rng shifts
-// these plans — the snapshot turns that into a reviewed diff instead of a
+// cost models, the stage declarations or the planning rules shifts these
+// plans — the snapshot turns that into a reviewed diff instead of a
 // silent re-plan. Refresh with EVD_UPDATE_GOLDEN=1.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "cnn/cnn_pipeline.hpp"
 #include "gnn/gnn_pipeline.hpp"
 #include "route/route.hpp"
-#include "sched/annealer.hpp"
 #include "sched/planner.hpp"
 #include "snn/snn_pipeline.hpp"
 
@@ -51,26 +50,27 @@ SessionProfile gnn_profile(Index queued_ops) {
 
 std::string render(const std::string& title,
                    const std::vector<SessionProfile>& profiles) {
-  AnnealerConfig config;
-  config.seed = 2024;
-  config.iterations = 500;
+  PlanConfig config;
   config.region_count = 4;
   config.burst_cap = 8;
   CostModels models;
   // Pin the modeled host: with host_workers = 0 plan_cost_us resolves the
   // live pool size and the snapshot would depend on the machine.
   models.host_workers = 4;
-  const AnnealResult result = anneal_plan(profiles, models, config);
-  EXPECT_TRUE(result.plan.validate()) << title;
+  const Plan plan = build_plan(profiles, models, config);
+  EXPECT_TRUE(plan.validate()) << title;
+  Plan round_robin = Plan::round_robin(plan.session_count, config.region_count,
+                                       config.burst_cap);
+  round_robin.placements = plan.placements;
   std::string out = "== " + title + " ==\n";
-  out += "round_robin_cost_us=" + std::to_string(result.initial_cost_us) +
-         "\n";
-  out += result.plan.describe() + "\n";
+  out += "round_robin_cost_us=" +
+         std::to_string(plan_cost_us(round_robin, profiles, models)) + "\n";
+  out += plan.describe() + "\n";
   return out;
 }
 
 TEST(GoldenPlans, ChosenPlansMatchTheSnapshot) {
-  // The path move only draws proved variants, and proving is process-wide
+  // The planner only picks proved variants, and proving is process-wide
   // and sticky (route.* oracle registration). Pin the full proved set here
   // so the snapshot does not depend on which suites ran before this one.
   route::PathRegistry::instance().mark_proved(route::PathId::CnnSparse);

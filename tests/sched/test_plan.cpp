@@ -11,20 +11,19 @@
 namespace evd::sched {
 namespace {
 
-/// A small hand-built plan exercising every field: uneven regions, mixed
-/// bursts, a routed placement.
+/// A small hand-built plan exercising every field: uneven regions, a
+/// non-default burst, a routed placement.
 Plan sample_plan() {
   Plan plan;
   plan.session_count = 5;
-  plan.burst_cap = 4;
+  plan.burst = 4;
   plan.regions.resize(2);
-  plan.regions[0].entries = {{0, 2}, {3, 4}, {4, 1}};
-  plan.regions[1].entries = {{1, 3}, {2, 1}};
+  plan.regions[0].sessions = {0, 3, 4};
+  plan.regions[1].sessions = {1, 2};
   ParadigmPlacement cnn;
   cnn.paradigm = "cnn";
   cnn.path = route::PathId::CnnSparse;
   plan.placements.push_back(cnn);
-  plan.seed = 42;
   plan.modeled_cost_us = 12.5;
   plan.refresh_labels();
   return plan;
@@ -36,14 +35,9 @@ TEST(Plan, RoundRobinMatchesTheLegacyDealing) {
   ASSERT_TRUE(plan.validate());
   ASSERT_EQ(plan.regions.size(), 2u);
   // session s -> region s % W, in id order — the grain-1 parallel_for deal.
-  std::vector<Index> r0, r1;
-  for (const PlanEntry& e : plan.regions[0].entries) r0.push_back(e.session);
-  for (const PlanEntry& e : plan.regions[1].entries) r1.push_back(e.session);
-  EXPECT_EQ(r0, (std::vector<Index>{0, 2, 4}));
-  EXPECT_EQ(r1, (std::vector<Index>{1, 3}));
-  for (const PlanRegion& region : plan.regions) {
-    for (const PlanEntry& e : region.entries) EXPECT_EQ(e.burst, 3);
-  }
+  EXPECT_EQ(plan.regions[0].sessions, (std::vector<Index>{0, 2, 4}));
+  EXPECT_EQ(plan.regions[1].sessions, (std::vector<Index>{1, 3}));
+  EXPECT_EQ(plan.burst, 3);
   EXPECT_EQ(plan.regions[0].label.rfind("sched.r0.p", 0), 0u);
   EXPECT_EQ(plan.regions[1].label.rfind("sched.r1.p", 0), 0u);
 }
@@ -52,6 +46,9 @@ TEST(Plan, RoundRobinClampsRegionCountToSessions) {
   const Plan plan = Plan::round_robin(2, 8, 1);
   EXPECT_TRUE(plan.validate());
   EXPECT_EQ(plan.regions.size(), 2u);  // no empty regions allowed
+  // The burst clamps into the range validate() accepts.
+  EXPECT_EQ(Plan::round_robin(2, 1, 0).burst, 1);
+  EXPECT_EQ(Plan::round_robin(2, 1, kMaxPlanBurst * 4).burst, kMaxPlanBurst);
 }
 
 TEST(Plan, ValidateRequiresEachSessionExactlyOnce) {
@@ -60,28 +57,31 @@ TEST(Plan, ValidateRequiresEachSessionExactlyOnce) {
   EXPECT_TRUE(plan.validate(&why)) << why;
 
   Plan missing = plan;
-  missing.regions[1].entries.pop_back();  // session 2 now unscheduled
+  missing.regions[1].sessions.pop_back();  // session 2 now unscheduled
   EXPECT_FALSE(missing.validate(&why));
   EXPECT_NE(why.find("session 2"), std::string::npos);
 
   Plan doubled = plan;
-  doubled.regions[0].entries.push_back({1, 1});  // session 1 twice
+  doubled.regions[0].sessions.push_back(1);  // session 1 twice
   EXPECT_FALSE(doubled.validate(&why));
 
   Plan out_of_range = plan;
-  out_of_range.regions[0].entries[0].session = 9;
+  out_of_range.regions[0].sessions[0] = 9;
   EXPECT_FALSE(out_of_range.validate(&why));
 }
 
 TEST(Plan, ValidateBoundsBurstsAndForbidsEmptyRegions) {
   Plan plan = sample_plan();
-  plan.regions[0].entries[0].burst = plan.burst_cap + 1;
+  plan.burst = kMaxPlanBurst + 1;
   std::string why;
   EXPECT_FALSE(plan.validate(&why));
   EXPECT_NE(why.find("burst"), std::string::npos);
 
+  plan.burst = kMaxPlanBurst;
+  EXPECT_TRUE(plan.validate(&why)) << why;
+
   Plan zero_burst = sample_plan();
-  zero_burst.regions[0].entries[0].burst = 0;
+  zero_burst.burst = 0;
   EXPECT_FALSE(zero_burst.validate());
 
   Plan empty_region = sample_plan();
@@ -98,7 +98,6 @@ TEST(Plan, SerializeRoundTripsEveryField) {
 
   const Plan back = Plan::deserialize(bytes);
   EXPECT_TRUE(back == plan);
-  EXPECT_EQ(back.seed, plan.seed);
   EXPECT_EQ(back.modeled_cost_us, plan.modeled_cost_us);
   EXPECT_EQ(back.fingerprint(), plan.fingerprint());
   // Labels are derived, not stored — deserialize rebuilds them.
@@ -131,7 +130,7 @@ TEST(Plan, DeserializeRevalidatesTheDecodedPlan) {
   // check the decoder refuses it — corruption cannot smuggle in an invalid
   // schedule just because the framing is intact.
   Plan broken = sample_plan();
-  broken.regions[0].entries[0].session = 1;  // session 1 twice, 0 never
+  broken.regions[0].sessions[0] = 1;  // session 1 twice, 0 never
   std::vector<std::uint8_t> bytes;
   broken.serialize(bytes);
   try {
@@ -149,7 +148,11 @@ TEST(Plan, FingerprintTracksDecisionsNotLabels) {
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
 
   b = sample_plan();
-  b.regions[0].entries[0].burst = 1;
+  b.burst = 1;
+  EXPECT_NE(a.fingerprint(), b.fingerprint());
+
+  b = sample_plan();
+  b.regions[0].sessions = {3, 0, 4};  // same partition, other visit order
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 
   b = sample_plan();
@@ -160,7 +163,8 @@ TEST(Plan, FingerprintTracksDecisionsNotLabels) {
 TEST(Plan, DescribeNamesRegionsBurstsAndPlacements) {
   const std::string text = sample_plan().describe();
   EXPECT_NE(text.find("sessions=5"), std::string::npos);
-  EXPECT_NE(text.find("s3x4"), std::string::npos);
+  EXPECT_NE(text.find("burst=4"), std::string::npos);
+  EXPECT_NE(text.find("r0: s0 s3 s4"), std::string::npos);
   EXPECT_NE(text.find("cnn -> cnn.sparse"), std::string::npos);
 }
 

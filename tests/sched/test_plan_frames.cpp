@@ -32,11 +32,11 @@ class ParadigmSession final : public runtime::SessionBase {
   }
 };
 
-/// A plan with everything a frame can carry: regions, bursts, and
+/// A plan with everything a frame can carry: regions, a burst, and
 /// placements with their execution paths.
 Plan full_plan(route::PathId cnn_path = route::PathId::CnnSparse) {
   Plan plan = Plan::round_robin(3, 2, 4);
-  plan.regions[0].entries[0].burst = 2;
+  plan.regions[0].sessions = {2, 0};
   plan.placements = {{"cnn", cnn_path}, {"gnn", route::PathId::GnnBatch}};
   plan.refresh_labels();
   return plan;
@@ -81,15 +81,38 @@ TEST(PlanFrames, FlippedMagicRaisesCheckpointMismatch) {
 }
 
 TEST(PlanFrames, VersionSkewRaisesCheckpointMismatch) {
-  // The format is strict v3-only: a v1 frame (pre-routing, no path byte),
-  // a v2 frame (hw model + fusion groups per placement) and a
-  // from-the-future v4 frame are all refused up front.
-  for (std::uint32_t version : {0u, 1u, 2u, 4u, 0xFFFFFFFFu}) {
+  // The format is strict v4-only: a v1 frame (pre-routing, no path byte),
+  // a v2 frame (hw model + fusion groups per placement), a v3 frame (seed
+  // and per-entry bursts) and a from-the-future v5 frame are all refused
+  // up front.
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 5u, 0xFFFFFFFFu}) {
     std::vector<std::uint8_t> bytes = full_plan_bytes();
     std::memcpy(bytes.data() + 4, &version, sizeof(version));
     EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointMismatch)
         << "version " << version;
   }
+}
+
+TEST(PlanFrames, OversizedBurstRaisesCheckpointCorrupt) {
+  // A well-framed plan whose burst would overflow `burst * coarsen_factor`
+  // in the pump: refused at decode and at install, never pumped.
+  Plan plan = full_plan();
+  plan.burst = Index{1} << 62;
+  std::vector<std::uint8_t> bytes;
+  plan.serialize(bytes);
+  EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt);
+
+  runtime::SessionManager manager;
+  for (const char* paradigm : {"cnn", "snn", "gnn"}) {
+    manager.add(std::make_unique<ParadigmSession>(paradigm));
+  }
+  try {
+    manager.set_plan(plan);
+    FAIL() << "expected InvalidArgument";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
+  }
+  EXPECT_FALSE(manager.has_plan());
 }
 
 TEST(PlanFrames, UnknownPathByteRaisesCheckpointCorrupt) {
@@ -141,7 +164,7 @@ TEST(PlanFrames, DuplicatePlacementRaisesCheckpointCorrupt) {
 TEST(PlanFrames, EverySingleBitFlipDecodesTypedOrValid) {
   // Exhaustive robustness sweep: no single-bit corruption may crash the
   // decoder or hand back an invalid plan — each flip either decodes to a
-  // plan that passes validate() (flips in cost/seed/burst payloads can be
+  // plan that passes validate() (flips in cost/burst payloads can be
   // legitimate values) or raises a typed checkpoint error.
   const std::vector<std::uint8_t> bytes = full_plan_bytes();
   for (size_t i = 0; i < bytes.size(); ++i) {

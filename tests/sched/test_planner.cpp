@@ -1,12 +1,18 @@
-// Planner front door: profile extraction from real pipelines, the
-// deterministic cache key, and cache hit/miss behaviour.
+// Planner front door: profile extraction from real pipelines and the
+// closed-form planner — determinism across pool sizes, structural validity
+// across generated populations, the round-robin guard, longest-first
+// balancing and the cheapest-path pick per paradigm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "cnn/cnn_pipeline.hpp"
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "gnn/gnn_pipeline.hpp"
+#include "route/route.hpp"
 #include "sched/planner.hpp"
 #include "snn/snn_pipeline.hpp"
 
@@ -20,6 +26,81 @@ cnn::CnnPipeline small_cnn() {
   config.num_classes = 2;
   config.base_filters = 2;
   return cnn::CnnPipeline(config);
+}
+
+core::StageInfo stage(const char* name, std::int64_t macs,
+                      std::int64_t boundary_bytes, double duty) {
+  core::StageInfo s;
+  s.name = name;
+  s.per_op.mults = s.per_op.adds = macs;
+  s.per_op.act_bytes_written = boundary_bytes;
+  s.duty = duty;
+  return s;
+}
+
+SessionProfile synthetic(const char* paradigm, Index queued_ops) {
+  SessionProfile p;
+  p.paradigm = paradigm;
+  p.queued_ops = queued_ops;
+  if (p.paradigm == "cnn") {
+    p.stages = {stage("cnn.accumulate", 2, 16, 1.0),
+                stage("cnn.representation_build", 256, 8192, 1.0 / 32),
+                stage("cnn.conv_forward", 40000, 0, 1.0 / 32)};
+  } else if (p.paradigm == "snn") {
+    p.stages = {stage("snn.encode", 2, 8, 1.0),
+                stage("snn.step", 4096, 64, 1.0 / 64),
+                stage("snn.readout", 2, 8, 1.0 / 64)};
+  } else {
+    p.stages = {stage("gnn.graph_update", 64, 128, 0.5),
+                stage("gnn.message_pass", 4608, 32, 0.5),
+                stage("gnn.readout", 32, 0, 0.5)};
+  }
+  return p;
+}
+
+/// A deliberately lopsided mixed population: heavy CNNs, cheap SNNs, a
+/// mid-weight GNN — enough asymmetry that balancing matters.
+std::vector<SessionProfile> mixed_profiles() {
+  return {synthetic("cnn", 96), synthetic("cnn", 96), synthetic("snn", 32),
+          synthetic("snn", 32), synthetic("snn", 32), synthetic("gnn", 48)};
+}
+
+/// A random population: 1-12 sessions of random paradigm, backlog (zero
+/// included) and activity.
+std::vector<SessionProfile> random_profiles(Rng& rng) {
+  static const char* const kParadigms[] = {"cnn", "snn", "gnn"};
+  std::vector<SessionProfile> profiles;
+  const auto n = 1 + static_cast<Index>(rng.uniform_int(12));
+  for (Index s = 0; s < n; ++s) {
+    SessionProfile p = synthetic(kParadigms[rng.uniform_int(3)],
+                                 static_cast<Index>(rng.uniform_int(200)));
+    p.activity = rng.uniform(0.0, 1.0);
+    profiles.push_back(p);
+  }
+  return profiles;
+}
+
+CostModels pinned_models(Index workers) {
+  CostModels models;
+  // Pin the modeled host: with host_workers = 0 the cost model resolves
+  // the live pool size, which would (correctly) steer plans per host.
+  models.host_workers = workers;
+  return models;
+}
+
+PlanConfig plan_config(Index regions, Index burst) {
+  PlanConfig config;
+  config.region_count = regions;
+  config.burst_cap = burst;
+  return config;
+}
+
+const ParadigmPlacement& placement(const Plan& plan, const char* paradigm) {
+  for (const ParadigmPlacement& p : plan.placements) {
+    if (p.paradigm == paradigm) return p;
+  }
+  ADD_FAILURE() << "no placement for " << paradigm;
+  return plan.placements.front();
 }
 
 TEST(Planner, ProfileForCopiesTheDeclaredStageChain) {
@@ -53,56 +134,174 @@ TEST(Planner, AllThreePipelinesDeclareStages) {
   EXPECT_EQ(profile_for(gnn_pipeline, "gnn", 8).stages.size(), 3u);
 }
 
-TEST(Planner, ProfilesKeyIsDeterministicAndDiscriminating) {
-  const auto pipeline = small_cnn();
-  const std::vector<SessionProfile> population(
-      3, profile_for(pipeline, "cnn", 16));
-  const AnnealerConfig config;
-  const std::uint64_t key = profiles_key(population, config);
-  EXPECT_EQ(profiles_key(population, config), key);  // stable
-
-  // Workload mix, population size and search config all move the key.
-  std::vector<SessionProfile> busier = population;
-  busier[0].queued_ops = 128;
-  EXPECT_NE(profiles_key(busier, config), key);
-
-  std::vector<SessionProfile> larger = population;
-  larger.push_back(population[0]);
-  EXPECT_NE(profiles_key(larger, config), key);
-
-  AnnealerConfig other_search = config;
-  other_search.seed += 1;
-  EXPECT_NE(profiles_key(population, other_search), key);
+TEST(Planner, SamePlanAtAnyThreadCount) {
+  const auto profiles = mixed_profiles();
+  const CostModels models = pinned_models(4);
+  const auto run = [&](Index threads) {
+    const Index previous = par::thread_count();
+    par::set_thread_count(threads);
+    const Plan plan = build_plan(profiles, models, plan_config(4, 8));
+    par::set_thread_count(previous);
+    return plan;
+  };
+  const Plan serial = run(1);
+  const Plan pooled = run(4);
+  EXPECT_TRUE(serial == pooled);
+  EXPECT_EQ(serial.fingerprint(), pooled.fingerprint());
+  EXPECT_EQ(serial.modeled_cost_us, pooled.modeled_cost_us);
 }
 
-TEST(Planner, CachesThePlanForARepeatedPopulation) {
-  const auto pipeline = small_cnn();
-  const std::vector<SessionProfile> population(
-      4, profile_for(pipeline, "cnn", 16));
-  AnnealerConfig config;
-  config.iterations = 120;
+TEST(Planner, EveryPlanValidatesAcrossPopulations) {
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto profiles = random_profiles(rng);
+    const auto regions = 1 + static_cast<Index>(rng.uniform_int(6));
+    const auto burst = 1 + static_cast<Index>(rng.uniform_int(16));
+    const Plan plan = build_plan(
+        profiles, pinned_models(1 + static_cast<Index>(rng.uniform_int(4))),
+        plan_config(regions, burst));
+    std::string why;
+    EXPECT_TRUE(plan.validate(&why))
+        << "trial " << trial << ": " << why << "\n" << plan.describe();
+    EXPECT_EQ(plan.session_count, static_cast<Index>(profiles.size()));
+    EXPECT_LE(static_cast<Index>(plan.regions.size()), regions);
+    EXPECT_EQ(plan.burst, burst);
+    for (const PlanRegion& region : plan.regions) {
+      EXPECT_TRUE(std::is_sorted(region.sessions.begin(),
+                                 region.sessions.end()))
+          << "trial " << trial << ": visits not in id order";
+    }
+  }
+}
 
-  Planner& planner = Planner::instance();
-  planner.clear_cache();
-  EXPECT_EQ(planner.cache_size(), 0);
+TEST(Planner, NeverModeledWorseThanRoundRobin) {
+  Rng rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto profiles = random_profiles(rng);
+    const CostModels models =
+        pinned_models(1 + static_cast<Index>(rng.uniform_int(4)));
+    const PlanConfig config =
+        plan_config(1 + static_cast<Index>(rng.uniform_int(6)),
+                    1 + static_cast<Index>(rng.uniform_int(16)));
+    const Plan plan = build_plan(profiles, models, config);
+    Plan round_robin = Plan::round_robin(plan.session_count,
+                                         config.region_count, config.burst_cap);
+    round_robin.placements = plan.placements;
+    EXPECT_EQ(plan.modeled_cost_us, plan_cost_us(plan, profiles, models))
+        << "trial " << trial;
+    EXPECT_LE(plan.modeled_cost_us,
+              plan_cost_us(round_robin, profiles, models))
+        << "trial " << trial << "\n" << plan.describe();
+  }
+}
 
-  const Plan first = planner.plan_for(population, config);
-  EXPECT_EQ(planner.cache_size(), 1);
-  EXPECT_TRUE(first.validate());
-  EXPECT_EQ(first.session_count, 4);
+TEST(Planner, SplitsHeavySessionsRoundRobinStacks) {
+  // Heavy sessions at even ids: the s % W deal stacks both heavies into
+  // region 0 at region_count 2; longest-first puts one in each region.
+  SessionProfile heavy;
+  heavy.paradigm = "cnn";
+  heavy.queued_ops = 64;
+  heavy.stages = {stage("conv", 200000, 0, 1.0)};
+  SessionProfile light;
+  light.paradigm = "snn";
+  light.queued_ops = 64;
+  light.stages = {stage("step", 64, 0, 1.0)};
+  const std::vector<SessionProfile> profiles = {heavy, light, heavy, light};
+  const CostModels models = pinned_models(2);
+  const Plan plan = build_plan(profiles, models, plan_config(2, 8));
+  ASSERT_EQ(plan.regions.size(), 2u);
+  EXPECT_EQ(plan.regions[0].sessions, (std::vector<Index>{0, 1}));
+  EXPECT_EQ(plan.regions[1].sessions, (std::vector<Index>{2, 3}));
+  Plan round_robin = Plan::round_robin(4, 2, 8);
+  round_robin.placements = plan.placements;
+  EXPECT_LT(plan.modeled_cost_us, plan_cost_us(round_robin, profiles, models))
+      << plan.describe();
+}
 
-  const Plan again = planner.plan_for(population, config);
-  EXPECT_EQ(planner.cache_size(), 1);  // hit, not a second anneal
-  EXPECT_TRUE(again == first);
-  EXPECT_EQ(again.fingerprint(), first.fingerprint());
+TEST(Planner, PlacementsCoverEachParadigmOnce) {
+  const Plan plan =
+      build_plan(mixed_profiles(), pinned_models(4), plan_config(4, 8));
+  ASSERT_EQ(plan.placements.size(), 3u);
+  std::vector<std::string> paradigms;
+  for (const auto& p : plan.placements) {
+    paradigms.push_back(p.paradigm);
+    EXPECT_TRUE(route::path_valid_for(p.path, p.paradigm))
+        << p.paradigm << " routed to " << route::path_name(p.path);
+  }
+  EXPECT_EQ(paradigms, (std::vector<std::string>{"cnn", "snn", "gnn"}));
+}
 
-  // A different workload mix is a different key — and a fresh plan slot.
-  std::vector<SessionProfile> busier = population;
-  busier[1].queued_ops = 256;
-  const Plan other = planner.plan_for(busier, config);
-  EXPECT_EQ(planner.cache_size(), 2);
-  EXPECT_EQ(other.session_count, 4);
-  planner.clear_cache();
+/// A CNN, SNN and GNN population built from real pipelines at `activity`.
+std::vector<SessionProfile> pipeline_profiles(double activity) {
+  cnn::CnnPipelineConfig cnn_config;
+  cnn_config.width = 32;
+  cnn_config.height = 32;
+  cnn_config.num_classes = 2;
+  cnn_config.base_filters = 4;
+  const cnn::CnnPipeline cnn_pipeline(cnn_config);
+  snn::SnnPipelineConfig snn_config;
+  snn_config.width = 32;
+  snn_config.height = 32;
+  snn_config.num_classes = 2;
+  snn_config.hidden = 64;
+  const snn::SnnPipeline snn_pipeline(snn_config);
+  gnn::GnnPipelineConfig gnn_config;
+  gnn_config.width = 32;
+  gnn_config.height = 32;
+  gnn_config.num_classes = 2;
+  gnn_config.model.hidden = 16;
+  const gnn::GnnPipeline gnn_pipeline(gnn_config);
+  std::vector<SessionProfile> profiles;
+  for (int i = 0; i < 2; ++i) {
+    profiles.push_back(profile_for(cnn_pipeline, "cnn", 64, activity));
+    profiles.push_back(profile_for(snn_pipeline, "snn", 64, activity));
+    profiles.push_back(profile_for(gnn_pipeline, "gnn", 64, activity));
+  }
+  return profiles;
+}
+
+void prove_variants() {
+  // Proving is process-wide and sticky (route.* oracle registration); pin
+  // the full proved set so the pick does not depend on suite order.
+  route::PathRegistry::instance().mark_proved(route::PathId::CnnSparse);
+  route::PathRegistry::instance().mark_proved(route::PathId::SnnEventDriven);
+  route::PathRegistry::instance().mark_proved(route::PathId::GnnBatch);
+}
+
+TEST(Planner, SparsePopulationRoutesToEventDrivenPaths) {
+  prove_variants();
+  const Plan plan =
+      build_plan(pipeline_profiles(0.0625), pinned_models(4), plan_config(4, 8));
+  EXPECT_EQ(placement(plan, "cnn").path, route::PathId::CnnSparse);
+  EXPECT_EQ(placement(plan, "snn").path, route::PathId::SnnEventDriven);
+  EXPECT_EQ(placement(plan, "gnn").path, route::PathId::Default);
+}
+
+TEST(Planner, DensePopulationStaysOnDefaultPaths) {
+  prove_variants();
+  const Plan plan =
+      build_plan(pipeline_profiles(1.0), pinned_models(4), plan_config(4, 8));
+  for (const ParadigmPlacement& p : plan.placements) {
+    EXPECT_EQ(p.path, route::PathId::Default)
+        << p.paradigm << " routed to " << route::path_name(p.path);
+  }
+}
+
+TEST(Planner, CostTieStaysOnDefault) {
+  // cnn.direct and cnn.gemm alias the built-in behavior, so the model
+  // prices them exactly like Default: a tie, which Default must win.
+  const auto profiles = pipeline_profiles(1.0);
+  const CostModels models = pinned_models(4);
+  const ParadigmPlacement direct{"cnn", route::PathId::CnnDirect};
+  const std::vector<route::PathId> routable =
+      route::PathRegistry::instance().routable("cnn");
+  ASSERT_NE(std::find(routable.begin(), routable.end(),
+                      route::PathId::CnnDirect),
+            routable.end());
+  ASSERT_EQ(per_op_cost_us(profiles[0], &direct, models),
+            per_op_cost_us(profiles[0], nullptr, models));
+  const Plan plan = build_plan(profiles, models, plan_config(4, 8));
+  EXPECT_EQ(placement(plan, "cnn").path, route::PathId::Default);
 }
 
 }  // namespace

@@ -134,20 +134,20 @@ void submit_events(SessionManager& manager, Index ops) {
 }
 
 /// What a VisitLog records when `plan` drains submit_events(ops): per
-/// region, rounds of entry-by-entry visits, each taking up to the entry's
-/// burst from its session's queue. Sorted like VisitLog::sequences().
+/// region, rounds of session-by-session visits, each taking up to the
+/// plan's burst from its session's queue. Sorted like
+/// VisitLog::sequences().
 std::vector<std::vector<TimeUs>> region_visits(const sched::Plan& plan,
                                                Index ops) {
   std::vector<std::vector<TimeUs>> out;
   for (const sched::PlanRegion& region : plan.regions) {
-    std::vector<Index> next(region.entries.size(), 0);
+    std::vector<Index> next(region.sessions.size(), 0);
     std::vector<TimeUs> order;
     for (bool served = true; served;) {
       served = false;
-      for (size_t i = 0; i < region.entries.size(); ++i) {
-        const sched::PlanEntry& e = region.entries[i];
-        for (Index b = 0; b < e.burst && next[i] < ops; ++b, ++next[i]) {
-          order.push_back(next[i] * 10 + e.session);
+      for (size_t i = 0; i < region.sessions.size(); ++i) {
+        for (Index b = 0; b < plan.burst && next[i] < ops; ++b, ++next[i]) {
+          order.push_back(next[i] * 10 + region.sessions[i]);
           served = true;
         }
       }
@@ -159,16 +159,14 @@ std::vector<std::vector<TimeUs>> region_visits(const sched::Plan& plan,
 }
 
 /// A deliberately twisted plan for `n` sessions: one region visiting them
-/// in reverse id order with staggered bursts — nothing like the round-robin
-/// deal, which is the point.
-sched::Plan reversed_plan(Index n, Index burst_cap = 3) {
+/// in reverse id order at a burst unlike the manager's — nothing like the
+/// round-robin deal, which is the point.
+sched::Plan reversed_plan(Index n, Index burst = 3) {
   sched::Plan plan;
   plan.session_count = n;
-  plan.burst_cap = burst_cap;
+  plan.burst = burst;
   plan.regions.resize(1);
-  for (Index s = n - 1; s >= 0; --s) {
-    plan.regions[0].entries.push_back({s, 1 + (s % burst_cap)});
-  }
+  for (Index s = n - 1; s >= 0; --s) plan.regions[0].sessions.push_back(s);
   plan.refresh_labels();
   return plan;
 }
@@ -211,7 +209,7 @@ TEST(SchedRuntime, SetPlanRejectsMismatchedOrInvalidPlans) {
 
   // Structurally broken plan.
   sched::Plan broken = sched::Plan::round_robin(2, 2, 2);
-  broken.regions[0].entries[0].session = 5;
+  broken.regions[0].sessions[0] = 5;
   EXPECT_THROW(manager.set_plan(broken), Error);
   EXPECT_FALSE(manager.has_plan());
 
@@ -350,8 +348,8 @@ TEST(SchedRuntime, PlanBytesRestoreIntoAFreshManager) {
   SessionManager source;
   source.add(std::make_unique<RecordingSession>());
   source.add(std::make_unique<RecordingSession>());
-  sched::Plan plan = sched::Plan::round_robin(2, 2, 4);
-  plan.regions[0].entries[0].burst = 2;  // make it distinguishable
+  sched::Plan plan = sched::Plan::round_robin(2, 1, 4);
+  plan.regions[0].sessions = {1, 0};  // make it distinguishable
   plan.refresh_labels();
   source.set_plan(plan);
 
