@@ -1040,8 +1040,9 @@ bool gate_sharding() {
   serve_tape_sharded(pipeline, tape, kShardCount);
   obs::set_enabled(false);
   const obs::MetricsSnapshot snap = obs::snapshot();
-  // Each shard's inner manager records its own labeled histogram
-  // (evd_feed_to_decision_us{shard="k"}); the population tail is the
+  // Each shard's inner manager records one labeled histogram
+  // (evd_feed_to_decision_us{shard="k"}), and sessions record none of their
+  // own, so every sample is counted once; the population tail is the
   // bucket-wise merge across shards.
   obs::HistogramSnapshot latency;
   for (const auto& [name, h] : snap.histograms) {

@@ -59,6 +59,8 @@ struct SessionStats {
   /// Events the ingress queue lost to its overflow policy (managed
   /// sessions only; directly-fed sessions never drop).
   std::int64_t events_dropped = 0;
+
+  bool operator==(const SessionStats&) const = default;
 };
 
 /// Incremental processing session. feed() pushes events in time order;

@@ -178,7 +178,7 @@ class MetricsRegistry {
 
   /// Instrument factories. Names follow Prometheus conventions with an
   /// optional {label="value"} suffix (the exporters understand it), e.g.
-  /// "evd_feed_to_decision_us{session=\"3\"}". Re-registering a name of the
+  /// "evd_feed_to_decision_us{shard=\"3\"}". Re-registering a name of the
   /// same kind returns a handle to the same instrument; a kind clash throws.
   Counter counter(const std::string& name);
   Gauge gauge(const std::string& name);

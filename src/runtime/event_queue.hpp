@@ -58,6 +58,8 @@ class EventQueue {
     std::int64_t pushed = 0;   ///< Ops accepted into the queue.
     std::int64_t dropped = 0;  ///< Ops lost to the overflow policy.
     std::int64_t popped = 0;
+
+    bool operator==(const Stats&) const = default;
   };
 
   EventQueue(Index capacity, OverflowPolicy policy)
@@ -82,8 +84,8 @@ class EventQueue {
   }
 
   /// Route overflow losses into the metrics registry as well as the local
-  /// Stats ledger (the SessionManager binds every managed queue to the
-  /// shared evd_queue_ops_dropped_total counter).
+  /// Stats ledger (the SessionManager binds every queue it manages to its
+  /// one evd_queue_ops_dropped_total counter).
   void bind_obs(obs::Counter dropped) { dropped_counter_ = dropped; }
 
   bool pop(StreamOp& out) {

@@ -34,7 +34,8 @@ SessionManager::SessionManager(Index burst, std::string instrument_label)
       instrument_label_(std::move(instrument_label)) {
   obs::init();  // wires the evd::par collector into snapshots
   const std::string& l = instrument_label_;
-  latency_all_ = obs::histogram(labelled("evd_feed_to_decision_us", l));
+  latency_ = obs::histogram(labelled("evd_feed_to_decision_us", l));
+  queue_dropped_ = obs::counter(labelled("evd_queue_ops_dropped_total", l));
   ops_processed_ = obs::counter(labelled("evd_runtime_ops_processed_total", l));
   pump_rounds_ = obs::counter(labelled("evd_runtime_pump_rounds_total", l));
   sessions_gauge_ = obs::gauge(labelled("evd_sessions_active", l));
@@ -66,15 +67,7 @@ SessionId SessionManager::add(std::unique_ptr<core::StreamSession> session,
   }
   auto slot = std::make_unique<Slot>(std::move(session), config);
   const auto id = static_cast<SessionId>(slots_.size());
-  // Per-session latency series plus the shared loss counter. Open-time
-  // registration cost only; recording goes through per-thread shards. Under
-  // a labelled (sharded) manager the session label nests inside the shard
-  // label so inner ids, which restart at 0 per shard, stay distinct series.
-  slot->latency = obs::histogram(
-      "evd_feed_to_decision_us{" +
-      (instrument_label_.empty() ? "" : instrument_label_ + ",") +
-      "session=\"" + std::to_string(id) + "\"}");
-  slot->queue.bind_obs(obs::counter("evd_queue_ops_dropped_total"));
+  slot->queue.bind_obs(queue_dropped_);
   slot->bucket.configure(config.rate_limit_eps, config.rate_limit_burst);
   if (config.checkpoint_every > 0) {
     // Initial checkpoint: a fault is recoverable from the very first op
@@ -85,17 +78,13 @@ SessionId SessionManager::add(std::unique_ptr<core::StreamSession> session,
       slot->checkpointing = true;
       slot->checkpoint = std::move(buf);
       slot->checkpoint_last_feed_t = slot->last_feed_t;
-      ++slot->checkpoints;
+      ++slot->faults.checkpoints;
     }
   }
   capacity_total_ += config.queue_capacity;
   slots_.push_back(std::move(slot));
   processed_.push_back(0);
-  Index active = 0;
-  for (const auto& sl : slots_) {
-    if (sl->state != SessionState::Retired) ++active;
-  }
-  sessions_gauge_.set(static_cast<double>(active));
+  sessions_gauge_.set(static_cast<double>(session_count() - retired_slots_));
   return id;
 }
 
@@ -258,7 +247,7 @@ bool SessionManager::take_checkpoint(Slot& s) {
   s.checkpoint_last_feed_t = s.last_feed_t;
   s.replay_log.clear();
   s.ops_since_checkpoint = 0;
-  ++s.checkpoints;
+  ++s.faults.checkpoints;
   return true;
 }
 
@@ -298,7 +287,7 @@ bool SessionManager::recover(SessionId id, Slot& s, const StreamOp& op) {
     for (const StreamOp& logged : s.replay_log) apply_op(id, s, logged);
     apply_op(id, s, op);
     note_applied(s, op);
-    ++s.restores;
+    ++s.faults.restores;
     restores_counter_.add(1);
     return true;
   } catch (const std::exception&) {
@@ -314,7 +303,7 @@ void SessionManager::quarantine(SessionId id, Slot& s, const char* why) {
   // accounting so the queue ledger stays consistent.
   const Index backlog = s.queue.drain_to_loss();
   queued_ops_.fetch_sub(backlog, std::memory_order_relaxed);
-  s.quarantine_dropped += backlog + 1;
+  s.faults.quarantine_dropped += backlog + 1;
 }
 
 Index SessionManager::pump_session(Index i, Index burst,
@@ -343,17 +332,14 @@ Index SessionManager::pump_session(Index i, Index burst,
         const std::int64_t before = s.session->stats().decisions_emitted;
         apply_op(i, s, op);
         if (s.session->stats().decisions_emitted > before) {
-          const std::int64_t us =
-              (obs::Tracer::now_ns() - op.enqueue_ns) / 1000;
-          s.latency.record(us);
-          latency_all_.record(us);
+          latency_.record((obs::Tracer::now_ns() - op.enqueue_ns) / 1000);
         }
       } else {
         apply_op(i, s, op);
       }
       note_applied(s, op);
     } catch (const std::exception& e) {
-      ++s.faults;
+      ++s.faults.faults;
       faults_counter_.add(1);
       if (!recover(i, s, op)) {
         quarantine(i, s, e.what());
@@ -558,7 +544,7 @@ bool SessionManager::restore(SessionId id) {
   for (const StreamOp& logged : s.replay_log) apply_op(id, s, logged);
   s.state = SessionState::Active;
   s.fault_message.clear();
-  ++s.restores;
+  ++s.faults.restores;
   restores_counter_.add(1);
   return true;
 }
@@ -567,7 +553,7 @@ bool SessionManager::checkpoint_now(SessionId id) {
   return take_checkpoint(slot(id));
 }
 
-SessionManager::RetiredLedger SessionManager::retire(SessionId id) {
+SessionManager::AggregateStats SessionManager::retire(SessionId id) {
   Slot& s = slot(id);
   if (s.state == SessionState::Retired) {
     throw Error(ErrorCode::InvalidSessionId,
@@ -579,13 +565,7 @@ SessionManager::RetiredLedger SessionManager::retire(SessionId id) {
   // must still conserve every op somewhere visible.
   const Index backlog = s.queue.drain_to_loss();
   queued_ops_.fetch_sub(backlog, std::memory_order_relaxed);
-  RetiredLedger ledger;
-  ledger.queue = s.queue.stats();
-  ledger.shed = s.shed;
-  ledger.faults = s.faults;
-  ledger.restores = s.restores;
-  ledger.checkpoints = s.checkpoints;
-  ledger.quarantine_dropped = s.quarantine_dropped;
+  const AggregateStats ledger = ledger_of(s);
   s.state = SessionState::Retired;
   s.session.reset();
   s.fault_message.clear();
@@ -596,59 +576,75 @@ SessionManager::RetiredLedger SessionManager::retire(SessionId id) {
   // Zero the slot ledgers: their story now lives in the returned ledger
   // (and stats() skips the tombstone anyway).
   s.shed = {};
-  s.faults = s.restores = s.checkpoints = s.quarantine_dropped = 0;
+  s.faults = {};
   // The tombstone's queue stops counting toward occupancy, so the overload
   // ladder keeps seeing real capacity.
   capacity_total_ -= s.config.queue_capacity;
-  Index active = 0;
-  for (const auto& sl : slots_) {
-    if (sl->state != SessionState::Retired) ++active;
-  }
-  sessions_gauge_.set(static_cast<double>(active));
+  ++retired_slots_;
+  sessions_gauge_.set(static_cast<double>(session_count() - retired_slots_));
+  return ledger;
+}
+
+SessionManager::AggregateStats& SessionManager::AggregateStats::operator+=(
+    const AggregateStats& o) {
+  totals.events_fed += o.totals.events_fed;
+  totals.decisions_emitted += o.totals.decisions_emitted;
+  totals.decisions_dropped += o.totals.decisions_dropped;
+  totals.events_dropped += o.totals.events_dropped;
+  queues.pushed += o.queues.pushed;
+  queues.dropped += o.queues.dropped;
+  queues.popped += o.queues.popped;
+  shedding.rate_limited += o.shedding.rate_limited;
+  shedding.shed_noise += o.shedding.shed_noise;
+  shedding.rejected_overload += o.shedding.rejected_overload;
+  shedding.rejected_faulted += o.shedding.rejected_faulted;
+  shedding.coarsened_rounds += o.shedding.coarsened_rounds;
+  faults.faults += o.faults.faults;
+  faults.restores += o.faults.restores;
+  faults.checkpoints += o.faults.checkpoints;
+  faults.quarantine_dropped += o.faults.quarantine_dropped;
+  faults.quarantined_sessions += o.faults.quarantined_sessions;
+  sessions += o.sessions;
+  return *this;
+}
+
+SessionManager::AggregateStats SessionManager::ledger_of(const Slot& s) {
+  AggregateStats ledger;
+  ledger.queues = s.queue.stats();
+  ledger.shedding = s.shed;
+  ledger.faults = s.faults;
+  // The queue and the admission gates sit in front of the session, so their
+  // losses are part of the session's story even though the session never
+  // saw those ops.
+  ledger.totals.events_dropped =
+      s.queue.stats().dropped + s.shed.rate_limited + s.shed.shed_noise +
+      s.shed.rejected_overload + s.shed.rejected_faulted +
+      s.faults.quarantine_dropped;
   return ledger;
 }
 
 core::SessionStats SessionManager::stats(SessionId id) const {
   const Slot& s = slot(id);
-  // A retired slot's contribution left with its RetiredLedger; reporting it
+  // A retired slot's contribution left with retire()'s ledger; reporting it
   // here too would double-count across a migration.
   if (s.state == SessionState::Retired) return {};
   core::SessionStats stats = s.session->stats();
-  // The queue and the admission gates sit in front of the session, so their
-  // losses are part of the session's story even though the session never
-  // saw those ops.
-  stats.events_dropped += s.queue.stats().dropped + s.shed.rate_limited +
-                          s.shed.shed_noise + s.shed.rejected_overload +
-                          s.shed.rejected_faulted + s.quarantine_dropped;
+  stats.events_dropped += ledger_of(s).totals.events_dropped;
   return stats;
 }
 
 SessionManager::AggregateStats SessionManager::stats() const {
   AggregateStats agg;
   agg.shedding.coarsened_rounds = coarsened_rounds_;
-  agg.shedding.rejected_faulted += rejected_retired_;
+  agg.shedding.rejected_faulted = rejected_retired_;
   for (SessionId id = 0; id < session_count(); ++id) {
-    const Slot& sl = slot(id);
+    const Slot& sl = *slots_[static_cast<size_t>(id)];
     if (sl.state == SessionState::Retired) continue;  // ledger moved out
-    ++agg.sessions;
-    const core::SessionStats s = stats(id);
-    agg.totals.events_fed += s.events_fed;
-    agg.totals.decisions_emitted += s.decisions_emitted;
-    agg.totals.decisions_dropped += s.decisions_dropped;
-    agg.totals.events_dropped += s.events_dropped;
-    const EventQueue::Stats& q = sl.queue.stats();
-    agg.queues.pushed += q.pushed;
-    agg.queues.dropped += q.dropped;
-    agg.queues.popped += q.popped;
-    agg.shedding.rate_limited += sl.shed.rate_limited;
-    agg.shedding.shed_noise += sl.shed.shed_noise;
-    agg.shedding.rejected_overload += sl.shed.rejected_overload;
-    agg.shedding.rejected_faulted += sl.shed.rejected_faulted;
-    agg.faults.faults += sl.faults;
-    agg.faults.restores += sl.restores;
-    agg.faults.checkpoints += sl.checkpoints;
-    agg.faults.quarantine_dropped += sl.quarantine_dropped;
-    if (sl.state == SessionState::Faulted) ++agg.faults.quarantined_sessions;
+    AggregateStats one = ledger_of(sl);
+    one.totals = stats(id);  // the session's own counters, losses folded in
+    one.sessions = 1;
+    one.faults.quarantined_sessions = sl.state == SessionState::Faulted;
+    agg += one;
   }
   return agg;
 }

@@ -257,6 +257,8 @@ class SessionManager {
     std::int64_t rejected_overload = 0;///< RejectAdmits rung rejections.
     std::int64_t rejected_faulted = 0; ///< Submits to quarantined sessions.
     std::int64_t coarsened_rounds = 0; ///< pump() rounds at CoarsenBursts+.
+
+    bool operator==(const SheddingStats&) const = default;
   };
 
   /// Fault / recovery ledger.
@@ -266,41 +268,34 @@ class SessionManager {
     std::int64_t checkpoints = 0; ///< Checkpoints taken.
     std::int64_t quarantine_dropped = 0;  ///< Backlog ops lost to quarantine.
     Index quarantined_sessions = 0;
+
+    bool operator==(const FaultStats&) const = default;
   };
 
-  /// Everything the manager knows, summed across sessions — the serving
-  /// dashboard numbers: totals include per-session events/decisions (with
-  /// ingress drops folded in), the aggregated queue ledger, and the
-  /// shedding / fault ledgers.
+  /// The serving ledger — everything the manager knows, summed across
+  /// sessions: totals include per-session events/decisions (with ingress
+  /// drops folded in), the aggregated queue ledger, and the shedding /
+  /// fault ledgers. One value type from slot to shard: retire() returns a
+  /// slot's share in it, and ShardManager::Stats extends it.
   struct AggregateStats {
     core::SessionStats totals;
     EventQueue::Stats queues;
     SheddingStats shedding;
     FaultStats faults;
     Index sessions = 0;
+
+    AggregateStats& operator+=(const AggregateStats& o);
+    bool operator==(const AggregateStats&) const = default;
   };
   AggregateStats stats() const;
 
-  /// Everything a retired slot had charged against this manager — the
-  /// manager-side half of a migration's ledger. Session-level counters
-  /// (events fed, decisions) travel inside the session's checkpoint; these
-  /// slot-side ledgers cannot, so retire() hands them to the caller and the
-  /// sharded runtime keeps the sum conserved across the move.
-  struct RetiredLedger {
-    EventQueue::Stats queue;
-    SheddingStats shed;
-    std::int64_t faults = 0;
-    std::int64_t restores = 0;
-    std::int64_t checkpoints = 0;
-    std::int64_t quarantine_dropped = 0;
-  };
-
   /// Tombstone the slot after its session has been checkpointed out
   /// (evd::shard migration). Any unflushed backlog is drained to the queue's
-  /// loss ledger first, so nothing vanishes silently; the returned ledger is
-  /// the slot's complete contribution, which stats() stops reporting from
-  /// this manager. Throws Error(InvalidSessionId) on an already-retired id.
-  RetiredLedger retire(SessionId id);
+  /// loss ledger first, so nothing vanishes silently. Returns the slot's
+  /// ledger_of(), which stats() stops reporting from this manager (session
+  /// counters travel in the session's checkpoint instead). Throws
+  /// Error(InvalidSessionId) on an already-retired id.
+  AggregateStats retire(SessionId id);
 
   Index drain(SessionId id, std::vector<core::Decision>& out) {
     return slot(id).session->drain(out);
@@ -310,7 +305,6 @@ class SessionManager {
   struct Slot {
     std::unique_ptr<core::StreamSession> session;
     EventQueue queue;
-    obs::Histogram latency;  ///< evd_feed_to_decision_us{session="N"}
     ManagedSessionConfig config;
     SessionState state = SessionState::Active;
     std::string fault_message;
@@ -330,10 +324,7 @@ class SessionManager {
     // Per-slot ledgers (submit-side fields written by the submitting thread,
     // pump-side fields by the one worker that owns the slot per round).
     SheddingStats shed;
-    std::int64_t faults = 0;
-    std::int64_t restores = 0;
-    std::int64_t checkpoints = 0;
-    std::int64_t quarantine_dropped = 0;
+    FaultStats faults;
     Slot(std::unique_ptr<core::StreamSession> s,
          const ManagedSessionConfig& cfg)
         : session(std::move(s)),
@@ -343,6 +334,9 @@ class SessionManager {
 
   Slot& slot(SessionId id);
   const Slot& slot(SessionId id) const;
+  /// The slot's queue, shedding and fault ledgers, with the losses they
+  /// record summed into totals.events_dropped (its other totals are zero).
+  static AggregateStats ledger_of(const Slot& s);
 
   /// Admission pipeline shared by submit/submit_advance. Returns false (and
   /// accounts the shed) when the op is refused before reaching the queue.
@@ -378,6 +372,7 @@ class SessionManager {
   Index burst_;
   std::string instrument_label_;  ///< Obs label fragment, e.g. `shard="2"`.
   std::int64_t rejected_retired_ = 0;  ///< Submits to retired (migrated) ids.
+  Index retired_slots_ = 0;  ///< Tombstones left by retire().
   std::unique_ptr<sched::Plan> plan_;   ///< Installed execution plan.
   std::vector<std::uint8_t> plan_bytes_;  ///< Serialized form of plan_.
   sched::Plan default_plan_;  ///< Cached default_plan() result.
@@ -404,7 +399,8 @@ class SessionManager {
   fault::Site site_op_fault_;
 
   // Registry instruments (shared names — registering twice is a no-op).
-  obs::Histogram latency_all_;    ///< Aggregate feed→decision latency, µs.
+  obs::Histogram latency_;        ///< Feed→decision latency, µs.
+  obs::Counter queue_dropped_;    ///< evd_queue_ops_dropped_total
   obs::Counter ops_processed_;
   obs::Counter pump_rounds_;
   obs::Gauge sessions_gauge_;

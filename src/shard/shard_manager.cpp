@@ -234,19 +234,7 @@ void ShardManager::migrate(SessionId id, Index target_shard) {
   const runtime::SessionId new_inner =
       dst.manager.add(std::move(fresh), e.config);
   dst.manager.seed_feed_watermark(new_inner, watermark);
-  const runtime::SessionManager::RetiredLedger ledger =
-      src.manager.retire(e.inner);
-  retired_queues_.pushed += ledger.queue.pushed;
-  retired_queues_.dropped += ledger.queue.dropped;
-  retired_queues_.popped += ledger.queue.popped;
-  retired_shed_.rate_limited += ledger.shed.rate_limited;
-  retired_shed_.shed_noise += ledger.shed.shed_noise;
-  retired_shed_.rejected_overload += ledger.shed.rejected_overload;
-  retired_shed_.rejected_faulted += ledger.shed.rejected_faulted;
-  retired_faults_ += ledger.faults;
-  retired_restores_ += ledger.restores;
-  retired_checkpoints_ += ledger.checkpoints;
-  retired_quarantine_dropped_ += ledger.quarantine_dropped;
+  retired_ += src.manager.retire(e.inner);
   e.shard = target_shard;
   e.inner = new_inner;
   ++migrations_;
@@ -274,46 +262,13 @@ ShardManager::Stats ShardManager::stats() const {
   out.shards = shard_count();
   out.migrations = migrations_;
   for (const auto& st : shards_) {
-    const runtime::SessionManager::AggregateStats a = st->manager.stats();
-    out.totals.events_fed += a.totals.events_fed;
-    out.totals.decisions_emitted += a.totals.decisions_emitted;
-    out.totals.decisions_dropped += a.totals.decisions_dropped;
-    out.totals.events_dropped += a.totals.events_dropped;
-    out.queues.pushed += a.queues.pushed;
-    out.queues.dropped += a.queues.dropped;
-    out.queues.popped += a.queues.popped;
-    out.shedding.rate_limited += a.shedding.rate_limited;
-    out.shedding.shed_noise += a.shedding.shed_noise;
-    out.shedding.rejected_overload += a.shedding.rejected_overload;
-    out.shedding.rejected_faulted += a.shedding.rejected_faulted;
-    out.shedding.coarsened_rounds += a.shedding.coarsened_rounds;
-    out.faults.faults += a.faults.faults;
-    out.faults.restores += a.faults.restores;
-    out.faults.checkpoints += a.faults.checkpoints;
-    out.faults.quarantine_dropped += a.faults.quarantine_dropped;
-    out.faults.quarantined_sessions += a.faults.quarantined_sessions;
-    out.sessions += a.sessions;
+    out += st->manager.stats();
     out.ingress_ops += st->ops_accepted.load(std::memory_order_relaxed);
     out.ingress_dropped += st->ops_dropped.load(std::memory_order_relaxed);
   }
-  // Fold every retired slot's carried-over ledger back in, mirroring how
-  // the inner managers fold the same fields for live slots — a migration
-  // therefore never changes any aggregate.
-  out.queues.pushed += retired_queues_.pushed;
-  out.queues.dropped += retired_queues_.dropped;
-  out.queues.popped += retired_queues_.popped;
-  out.shedding.rate_limited += retired_shed_.rate_limited;
-  out.shedding.shed_noise += retired_shed_.shed_noise;
-  out.shedding.rejected_overload += retired_shed_.rejected_overload;
-  out.shedding.rejected_faulted += retired_shed_.rejected_faulted;
-  out.faults.faults += retired_faults_;
-  out.faults.restores += retired_restores_;
-  out.faults.checkpoints += retired_checkpoints_;
-  out.faults.quarantine_dropped += retired_quarantine_dropped_;
-  out.totals.events_dropped +=
-      retired_queues_.dropped + retired_shed_.rate_limited +
-      retired_shed_.shed_noise + retired_shed_.rejected_overload +
-      retired_shed_.rejected_faulted + retired_quarantine_dropped_;
+  // Every retired slot's ledger, summed at retire() — a migration therefore
+  // never changes any aggregate.
+  out += retired_;
   // Ring rejections are losses in front of everything else.
   out.totals.events_dropped += out.ingress_dropped;
   return out;

@@ -165,17 +165,12 @@ class ShardManager {
 
   std::int64_t migrations() const noexcept { return migrations_; }
 
-  /// The serving-plane dashboard, aggregated across shards: inner manager
-  /// aggregates (with every retired slot's carried-over ledger folded back
-  /// in, so migration never changes a total), the ingress-ring ledgers, and
-  /// the migration count. Ring drops are charged to totals.events_dropped —
-  /// an op lost at the ring is exactly as lost as one the queue shed.
-  struct Stats {
-    core::SessionStats totals;
-    runtime::EventQueue::Stats queues;
-    runtime::SessionManager::SheddingStats shedding;
-    runtime::SessionManager::FaultStats faults;
-    Index sessions = 0;
+  /// The serving-plane dashboard, aggregated across shards: the inner
+  /// managers' ledgers plus every retired slot's ledger (so migration never
+  /// changes a total), the ingress-ring ledgers, and the migration count.
+  /// Ring drops are charged to totals.events_dropped — an op lost at the
+  /// ring is exactly as lost as one the queue shed.
+  struct Stats : runtime::SessionManager::AggregateStats {
     Index shards = 0;
     std::int64_t migrations = 0;
     std::int64_t ingress_ops = 0;      ///< Ops accepted by the rings.
@@ -233,14 +228,9 @@ class ShardManager {
   std::vector<Index> round_ops_;  ///< Per-shard scratch for pump().
   std::int64_t migrations_ = 0;
   obs::Counter migrations_counter_;  ///< evd_shard_migrations_total
-  /// Ledgers of retired (migrated-out) slots, folded into stats() so a
-  /// migration conserves every total.
-  runtime::EventQueue::Stats retired_queues_;
-  runtime::SessionManager::SheddingStats retired_shed_;
-  std::int64_t retired_faults_ = 0;
-  std::int64_t retired_restores_ = 0;
-  std::int64_t retired_checkpoints_ = 0;
-  std::int64_t retired_quarantine_dropped_ = 0;
+  /// Sum of retired (migrated-out) slots' ledgers, folded into stats() so
+  /// a migration conserves every total.
+  runtime::SessionManager::AggregateStats retired_;
 };
 
 }  // namespace evd::shard

@@ -206,14 +206,32 @@ TEST(SessionManager, AggregateStatsSumAcrossSessions) {
   manager.submit_advance(b, 10);   // b emits one decision
   manager.pump_all();
 
-  const SessionManager::AggregateStats agg = manager.stats();
-  EXPECT_EQ(agg.sessions, 2);
-  EXPECT_EQ(agg.totals.events_fed, 3);
-  EXPECT_EQ(agg.totals.events_dropped, 1);
-  EXPECT_EQ(agg.totals.decisions_emitted, 1);
-  EXPECT_EQ(agg.queues.pushed, 4);  // 2 admitted at a + event and advance at b
-  EXPECT_EQ(agg.queues.dropped, 1);
-  EXPECT_EQ(agg.queues.popped, 4);
+  SessionManager::AggregateStats want;
+  want.sessions = 2;
+  want.totals.events_fed = 3;
+  want.totals.events_dropped = 1;
+  want.totals.decisions_emitted = 1;
+  want.queues = {.pushed = 4, .dropped = 1, .popped = 4};  // 2 at a, 2 at b
+  EXPECT_EQ(manager.stats(), want);
+}
+
+// Sessions carry no registry series of their own: adding tenants costs no
+// registration and grows no recording thread's shard.
+TEST(SessionManager, RegistrySeriesDoNotGrowWithSessions) {
+  SessionManager manager;
+  // The first session registers its paradigm's shared counters (one set
+  // per paradigm, not per session); count from there.
+  manager.add(std::make_unique<RecordingSession>());
+  const auto count = [] {
+    const obs::MetricsSnapshot snap = obs::snapshot();
+    return std::vector<size_t>{snap.histograms.size(), snap.counters.size(),
+                               snap.gauges.size()};
+  };
+  const std::vector<size_t> before = count();
+  for (int s = 0; s < 256; ++s) {
+    manager.add(std::make_unique<RecordingSession>());
+  }
+  EXPECT_EQ(count(), before);
 }
 
 TEST(SessionManager, WiresLossCountersIntoTheMetricsRegistry) {

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/session_base.hpp"
 #include "shard/shard_manager.hpp"
 
@@ -127,9 +129,13 @@ TEST(ShardMigration, MigrationKeepsTheMonotoneGuardWatermark) {
 }
 
 // The ledger-exact loss accounting property: drive real losses (inner
-// queue overflow + ring overflow), then migrate and compare the aggregate
-// stats field by field. A migration may not change any total.
+// queue overflow + ring overflow), then migrate and compare the whole
+// aggregate ledger. A migration may not change any total — including a
+// field added to the ledger later.
 TEST(ShardMigration, ConservesEveryAggregateLedgerExactly) {
+  using Ledger = runtime::SessionManager::AggregateStats;
+  obs::MetricsRegistry::instance().reset();
+  obs::set_enabled(true);
   ShardManagerConfig mcfg;
   mcfg.shards = 2;
   mcfg.ingress_capacity = 16;  // 20 un-pumped submits: 4 ring rejections
@@ -149,30 +155,32 @@ TEST(ShardMigration, ConservesEveryAggregateLedgerExactly) {
   EXPECT_EQ(before.totals.events_fed, 8);
   EXPECT_EQ(before.totals.events_dropped, 12);
 
-  sharded.migrate(id, 1 - sharded.shard_of(id));
+  const Index from = sharded.shard_of(id);
+  sharded.migrate(id, 1 - from);
   const ShardManager::Stats after = sharded.stats();
-
-  EXPECT_EQ(after.totals.events_fed, before.totals.events_fed);
-  EXPECT_EQ(after.totals.events_dropped, before.totals.events_dropped);
-  EXPECT_EQ(after.totals.decisions_emitted, before.totals.decisions_emitted);
-  EXPECT_EQ(after.queues.pushed, before.queues.pushed);
-  EXPECT_EQ(after.queues.dropped, before.queues.dropped);
-  EXPECT_EQ(after.queues.popped, before.queues.popped);
-  EXPECT_EQ(after.shedding.rate_limited, before.shedding.rate_limited);
-  EXPECT_EQ(after.shedding.rejected_faulted, before.shedding.rejected_faulted);
-  EXPECT_EQ(after.faults.faults, before.faults.faults);
-  EXPECT_EQ(after.faults.checkpoints, before.faults.checkpoints);
-  EXPECT_EQ(after.faults.quarantine_dropped, before.faults.quarantine_dropped);
-  EXPECT_EQ(after.sessions, before.sessions);
+  EXPECT_EQ(static_cast<const Ledger&>(after),
+            static_cast<const Ledger&>(before));
+  EXPECT_EQ(after.ingress_ops, before.ingress_ops);
+  EXPECT_EQ(after.ingress_dropped, before.ingress_dropped);
   EXPECT_EQ(after.migrations, before.migrations + 1);
 
-  // And the ledgers survive a *second* hop (carryover accumulates, not
-  // overwrites).
-  sharded.migrate(id, 1 - sharded.shard_of(id));
+  // The move shows in each shard's active-session gauge: the tombstone
+  // left behind no longer counts.
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  const auto active = [&](Index s) {
+    const double* g = snap.gauge("evd_sessions_active{shard=\"" +
+                                 std::to_string(s) + "\"}");
+    return g == nullptr ? -1.0 : *g;
+  };
+  EXPECT_EQ(active(from), 0.0);
+  EXPECT_EQ(active(1 - from), 1.0);
+
+  // And the ledgers survive a *second* hop (retired ledgers accumulate,
+  // not overwrite).
+  sharded.migrate(id, from);
   const ShardManager::Stats again = sharded.stats();
-  EXPECT_EQ(again.totals.events_fed, before.totals.events_fed);
-  EXPECT_EQ(again.queues.pushed, before.queues.pushed);
-  EXPECT_EQ(again.queues.dropped, before.queues.dropped);
+  EXPECT_EQ(static_cast<const Ledger&>(again),
+            static_cast<const Ledger&>(before));
 }
 
 TEST(ShardMigration, QuarantinedSessionsRefuseToMigrate) {

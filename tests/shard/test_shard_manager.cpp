@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/session_base.hpp"
 #include "shard/shard_manager.hpp"
 
@@ -219,6 +220,31 @@ TEST(ShardManager, IngressLedgersAccountAcceptsAndFullRingRejections) {
   s = manager.stats();
   EXPECT_EQ(s.totals.events_fed, 4);
   EXPECT_EQ(s.queues.pushed, 4);  // drained ops entered the inner queue
+}
+
+// Each shard's queue losses land in its own labelled series, so a scrape
+// can tell which shard is shedding; nothing folds into the unlabelled name.
+TEST(ShardManager, QueueDropCounterIsLabelledPerShard) {
+  obs::MetricsRegistry::instance().reset();
+  obs::set_enabled(true);
+  ShardManagerConfig cfg;
+  cfg.shards = 2;
+  ShardManager manager(cfg);
+  runtime::ManagedSessionConfig tight;
+  tight.queue_capacity = 2;  // DropNewest: draining 5 ops sheds 3
+  const auto id = manager.add(recording_factory(), tight);
+  for (int i = 0; i < 5; ++i) manager.submit(id, event_at(i));
+  manager.pump_all();
+
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  const auto dropped = [&](const std::string& label) {
+    const std::int64_t* c = snap.counter("evd_queue_ops_dropped_total" + label);
+    return c == nullptr ? std::int64_t{-1} : *c;
+  };
+  const Index home = manager.shard_of(id);
+  EXPECT_EQ(dropped("{shard=\"" + std::to_string(home) + "\"}"), 3);
+  EXPECT_EQ(dropped("{shard=\"" + std::to_string(1 - home) + "\"}"), 0);
+  EXPECT_LE(dropped(""), 0);  // absent, or left at zero by another manager
 }
 
 TEST(ShardManager, InvalidIdsAndShardsAreTypedErrors) {
