@@ -74,7 +74,7 @@ void cnn_panel(const events::EventStream& stream) {
   nn::ReLU relu;
   const nn::Tensor feature_map = relu.forward(conv.forward(frame, false), false);
   std::printf("conv3x3(2->8) + ReLU feature map: %.1f%% zeros\n",
-              relu.last_sparsity() * 100.0);
+              feature_map.zero_fraction() * 100.0);
 
   Table compress({"storage", "bytes", "vs dense"});
   const double dense_bytes = static_cast<double>(feature_map.numel()) * 1.0;

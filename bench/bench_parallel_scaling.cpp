@@ -186,6 +186,7 @@ void sweep_snn_step() {
   config.layer_sizes = {1024, 2048, 2048, 10};
   Rng rng(3);
   snn::SpikingNet net(config, rng);
+  net.freeze();  // time the serving path: transposed weights
   const snn::SpikeTrain train = random_train(50, 1024, 0.05, 4);
 
   std::vector<SweepRow> rows;
@@ -265,6 +266,7 @@ RooflineRow roofline_snn() {
   config.layer_sizes = {1024, 2048, 2048, 10};
   Rng rng(3);
   snn::SpikingNet net(config, rng);
+  net.freeze();  // time the serving path: transposed weights
   const snn::SpikeTrain train = random_train(50, 1024, 0.05, 4);
   nn::Tensor logits;
   auto fn = [&] { logits = net.forward(train, false); };
@@ -277,6 +279,7 @@ RooflineRow roofline_gnn() {
   constexpr Index kIn = 16, kOut = 16, kNodes = 2048, kDegree = 8;
   Rng rng(5);
   gnn::GraphConv conv(kIn, kOut, rng, gnn::Aggregation::Max);
+  conv.freeze();  // time the serving path: transposed weights
   // Synthetic node features + ring-neighbor references: the exact
   // gathered-accumulate workload the incremental message pass runs per
   // event, without graph-construction cost polluting the span.
@@ -376,6 +379,7 @@ void BM_SnnForwardThreads(benchmark::State& state) {
   config.layer_sizes = {1024, 2048, 2048, 10};
   Rng rng(3);
   snn::SpikingNet net(config, rng);
+  net.freeze();  // time the serving path: transposed weights
   const snn::SpikeTrain train = random_train(50, 1024, 0.05, 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.forward(train, false));

@@ -76,15 +76,16 @@ struct Workbench {
 
 void activation_sparsity(Workbench& bench, nn::Sequential& model) {
   std::printf("-- activation sparsity per ReLU layer ([50]) --\n");
-  // Forward a frame and read each ReLU's sparsity.
-  (void)model.forward(bench.test_frames[0], false);
+  // Forward a frame layer by layer and read each ReLU output's sparsity.
   Table table({"layer", "output sparsity"});
   table.add_row({"input frame",
                  Table::num(bench.test_frames[0].zero_fraction(), 3)});
+  nn::Tensor x = bench.test_frames[0];
   for (Index i = 0; i < model.size(); ++i) {
-    if (auto* relu = dynamic_cast<nn::ReLU*>(&model.layer(i))) {
+    x = model.layer(i).forward(x, false);
+    if (dynamic_cast<nn::ReLU*>(&model.layer(i)) != nullptr) {
       table.add_row({"ReLU after layer " + std::to_string(i - 1),
-                     Table::num(relu->last_sparsity(), 3)});
+                     Table::num(x.zero_fraction(), 3)});
     }
   }
   table.print();

@@ -407,6 +407,7 @@ std::optional<std::string> diff_simd_snn_step_vs_scalar(const SnnNetCase& c) {
     config.layer_sizes = c.layer_sizes;
     Rng rng(c.weight_seed);
     snn::SpikingNet net(config, rng);
+    net.freeze();  // the serving path: transposed weights
     StepRun r;
     r.state = net.make_state();
     for (Index t = 0; t < c.input.steps; ++t) {
@@ -506,6 +507,7 @@ std::optional<std::string> diff_simd_gnn_accumulate_vs_scalar(
   gnn::GraphConv conv(c.in, c.out, rng,
                       c.max_aggregation ? gnn::Aggregation::Max
                                         : gnn::Aggregation::Mean);
+  conv.freeze();  // the serving path: transposed weights
   std::vector<gnn::GraphConv::NeighborRef> refs(c.neighbor_features.size());
   for (size_t j = 0; j < refs.size(); ++j) {
     refs[j].features = c.neighbor_features[j].data();
@@ -1516,13 +1518,15 @@ void register_builtin_oracles() {
         conv_case_gen(), diff_simd_conv_vs_scalar));
     registry().add(make_diff_oracle<SnnNetCase>(
         "simd.snn_step_vs_scalar",
-        "Vectorized LIF membrane update + compressed spike emit vs scalar: "
-        "bitwise per-step logits, membranes and spike counts",
+        "Vectorized LIF membrane update + compressed spike emit vs scalar "
+        "on a frozen net: bitwise per-step logits, membranes and spike "
+        "counts (the kernel tests cover the unfrozen gather path)",
         snn_net_case_gen(), diff_simd_snn_step_vs_scalar));
     registry().add(make_diff_oracle<GnnNodeCase>(
         "simd.gnn_accumulate_vs_scalar",
-        "Gathered neighbor-accumulate (apply_node) vs scalar within 2 ULPs "
-        "(bitwise in practice)",
+        "Gathered neighbor-accumulate (apply_node) on a frozen conv vs "
+        "scalar within 2 ULPs (bitwise in practice; the kernel tests cover "
+        "the unfrozen gather path)",
         gnn_node_case_gen(), diff_simd_gnn_accumulate_vs_scalar));
     registry().add(make_diff_oracle<HwCase>(
         "hw.systolic_vs_naive",

@@ -7,7 +7,7 @@
 
 namespace evd::gnn {
 
-AsyncEventGnn::AsyncEventGnn(EventGnn& model, bool bidirectional)
+AsyncEventGnn::AsyncEventGnn(const EventGnn& model, bool bidirectional)
     : model_(model), bidirectional_(bidirectional) {
   features_.resize(static_cast<size_t>(model_.conv_count()));
   pooled_sum_.assign(static_cast<size_t>(model_.config().hidden), 0.0);
@@ -119,7 +119,7 @@ void AsyncEventGnn::load(fault::CheckpointReader& r) {
 }
 
 bool AsyncEventGnn::recompute(Index layer, Index v, AsyncGnnStats& stats) {
-  GraphConv& conv = model_.conv(layer);
+  const GraphConv& conv = model_.conv(layer);
   const auto& neighbors = adj_[static_cast<size_t>(v)];
   const auto& pv = nodes_[static_cast<size_t>(v)].position;
 
@@ -309,7 +309,7 @@ void AsyncEventGnn::logits_into(nn::Tensor& out) {
 std::int64_t AsyncEventGnn::full_recompute_macs() const {
   std::int64_t macs = 0;
   for (Index l = 0; l < model_.conv_count(); ++l) {
-    const auto& conv = const_cast<EventGnn&>(model_).conv(l);
+    const auto& conv = model_.conv(l);
     for (Index v = 0; v < count_; ++v) {
       macs += conv.node_macs(
           static_cast<Index>(adj_[static_cast<size_t>(v)].size()));

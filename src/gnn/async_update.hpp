@@ -34,7 +34,7 @@ class AsyncEventGnn {
  public:
   /// The model must outlive this object and must not be retrained while an
   /// async session is active.
-  AsyncEventGnn(EventGnn& model, bool bidirectional);
+  AsyncEventGnn(const EventGnn& model, bool bidirectional);
 
   /// Insert a node with its (earlier) neighbour ids, update features.
   AsyncGnnStats insert(const GraphNode& node, std::span<const Index> neighbors);
@@ -100,7 +100,7 @@ class AsyncEventGnn {
 
   static constexpr float kEps = 1e-6f;
 
-  EventGnn& model_;
+  const EventGnn& model_;
   bool bidirectional_;
   Index count_ = 0;  ///< Live nodes; storage below may be larger (reserve()).
   std::vector<GraphNode> nodes_;

@@ -90,10 +90,19 @@ std::vector<nn::Param*> EventGnn::params() {
   return all;
 }
 
-Index EventGnn::param_count() {
-  Index n = 0;
-  for (auto* p : params()) n += p->value.numel();
+Index EventGnn::param_count() const {
+  // Counted from the shapes: params() would thaw the convs.
+  Index n = head_.out_features() *
+            (head_.in_features() + (head_.has_bias() ? 1 : 0));
+  for (const auto& conv : convs_) {
+    // w_self [out, in], w_nbr [out, in + 3], bias [out].
+    n += conv.out_features() * (2 * conv.in_features() + 4);
+  }
   return n;
+}
+
+void EventGnn::freeze() {
+  for (auto& conv : convs_) conv.freeze();
 }
 
 GnnFitReport fit_gnn(EventGnn& model, std::span<const EventGraph> graphs,

@@ -29,14 +29,22 @@ class EventGnn {
   /// Backward from dL/dlogits (requires forward(train=true)).
   void backward(const nn::Tensor& grad_logits);
 
+  /// Mutable handles to every weight; thaws each conv (GraphConv::params).
   std::vector<nn::Param*> params();
-  Index param_count();
+  Index param_count() const;
+
+  /// Freeze every conv for serving (GraphConv::freeze).
+  void freeze();
 
   Index conv_count() const noexcept {
     return static_cast<Index>(convs_.size());
   }
   GraphConv& conv(Index l) { return convs_.at(static_cast<size_t>(l)); }
+  const GraphConv& conv(Index l) const {
+    return convs_.at(static_cast<size_t>(l));
+  }
   nn::Linear& head() noexcept { return head_; }
+  const nn::Linear& head() const noexcept { return head_; }
   const EventGnnConfig& config() const noexcept { return config_; }
 
  private:

@@ -20,7 +20,9 @@ EventGnnConfig model_config(const GnnPipelineConfig& config) {
 }  // namespace
 
 GnnPipeline::GnnPipeline(GnnPipelineConfig config)
-    : config_(config), model_(model_config(config)) {}
+    : config_(config), model_(model_config(config)) {
+  model_.freeze();
+}
 
 void GnnPipeline::train(std::span<const events::LabelledSample> samples,
                         const core::TrainOptions& options) {
@@ -38,6 +40,7 @@ void GnnPipeline::train(std::span<const events::LabelledSample> samples,
   fit.shuffle_seed = options.shuffle_seed;
   fit.verbose = options.verbose;
   fit_gnn(model_, graphs, labels, fit);
+  model_.freeze();
 }
 
 int GnnPipeline::classify(const events::EventStream& stream) {
@@ -89,7 +92,7 @@ std::vector<core::StageInfo> GnnPipeline::stream_stages() const {
 }
 
 Index GnnPipeline::param_count() const {
-  return const_cast<EventGnn&>(model_).param_count();
+  return model_.param_count();
 }
 
 Index GnnPipeline::state_bytes() const {
@@ -251,6 +254,7 @@ std::unique_ptr<core::StreamSession> GnnPipeline::open_session(Index width,
                                                                Index height) {
   runtime::SessionBase::check_geometry("GnnPipeline", width, height,
                                        config_.width, config_.height);
+  model_.freeze();
   return std::make_unique<GnnStreamSession>(*this, width, height);
 }
 

@@ -45,6 +45,8 @@ class GnnPipeline : public core::EventPipeline {
   void train(std::span<const events::LabelledSample> samples,
              const core::TrainOptions& options) override;
   int classify(const events::EventStream& stream) override;
+  /// Freezes the model, as construction and train() do; a no-op read
+  /// unless model() thawed it, so sessions may be opened concurrently.
   std::unique_ptr<core::StreamSession> open_session(Index width,
                                                     Index height) override;
   std::vector<core::StageInfo> stream_stages() const override;

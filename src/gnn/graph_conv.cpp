@@ -158,21 +158,21 @@ nn::Tensor GraphConv::backward(const nn::Tensor& grad_output) {
   return grad_h;
 }
 
-const GraphConv::TransposedWeights& GraphConv::ensure_transposed() const {
-  return transposed_.ensure([this](TransposedWeights& t) {
-    t.self.resize(static_cast<size_t>(in_) * static_cast<size_t>(out_));
-    t.nbr.resize(static_cast<size_t>(in_ + 3) * static_cast<size_t>(out_));
-    const float* ws = w_self_.value.data();
-    const float* wn = w_nbr_.value.data();
-    for (Index o = 0; o < out_; ++o) {
-      for (Index f = 0; f < in_; ++f) {
-        t.self[static_cast<size_t>(f * out_ + o)] = ws[o * in_ + f];
-      }
-      for (Index f = 0; f < in_ + 3; ++f) {
-        t.nbr[static_cast<size_t>(f * out_ + o)] = wn[o * (in_ + 3) + f];
-      }
+void GraphConv::freeze() {
+  if (frozen()) return;
+  TransposedWeights& t = transposed_;
+  t.self.resize(static_cast<size_t>(in_) * static_cast<size_t>(out_));
+  t.nbr.resize(static_cast<size_t>(in_ + 3) * static_cast<size_t>(out_));
+  const float* ws = w_self_.value.data();
+  const float* wn = w_nbr_.value.data();
+  for (Index o = 0; o < out_; ++o) {
+    for (Index f = 0; f < in_; ++f) {
+      t.self[static_cast<size_t>(f * out_ + o)] = ws[o * in_ + f];
     }
-  });
+    for (Index f = 0; f < in_ + 3; ++f) {
+      t.nbr[static_cast<size_t>(f * out_ + o)] = wn[o * (in_ + 3) + f];
+    }
+  }
 }
 
 void GraphConv::apply_node(const float* h_self,
@@ -188,9 +188,12 @@ void GraphConv::apply_node(const float* h_self,
   static_assert(offsetof(simd::GnnNeighbor, dz) == offsetof(NeighborRef, dz));
   const float inv_deg =
       neighbors.empty() ? 0.0f : 1.0f / static_cast<float>(neighbors.size());
-  const TransposedWeights& t = ensure_transposed();
-  simd::gnn_apply_node(w_self_.value.data(), t.self.data(),
-                       w_nbr_.value.data(), t.nbr.data(),
+  // Unfrozen, nullptr selects the kernel's gather fallback.
+  const bool use_t = frozen();
+  simd::gnn_apply_node(w_self_.value.data(),
+                       use_t ? transposed_.self.data() : nullptr,
+                       w_nbr_.value.data(),
+                       use_t ? transposed_.nbr.data() : nullptr,
                        bias_.value.data(), in_, out_, h_self,
                        reinterpret_cast<const simd::GnnNeighbor*>(
                            neighbors.data()),

@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "common/derived_cache.hpp"
 #include "common/rng.hpp"
 #include "gnn/graph.hpp"
 #include "nn/layer.hpp"
@@ -48,10 +47,18 @@ class GraphConv {
   void apply_node(const float* h_self, std::span<const NeighborRef> neighbors,
                   float* out) const;
 
+  /// Mutable weight handles. Thaws: drops the transposed copies, since the
+  /// caller may write through the handles at any time.
   std::vector<nn::Param*> params() {
-    transposed_.mark_escaped();
+    transposed_ = {};
     return {&w_self_, &w_nbr_, &bias_};
   }
+
+  /// Build the transposed weight copies from the current weights; a no-op
+  /// while they exist. Serving freezes once, on the control thread.
+  void freeze();
+  bool frozen() const noexcept { return !transposed_.self.empty(); }
+
   Index in_features() const noexcept { return in_; }
   Index out_features() const noexcept { return out_; }
 
@@ -74,15 +81,13 @@ class GraphConv {
     std::vector<float> nbr;   ///< [in+3][out]
   };
 
-  /// Build/refresh and return the transposed weight copies.
-  const TransposedWeights& ensure_transposed() const;
-
   // Transposed weight copies feeding the per-event kernel's contiguous path
   // (simd::gnn_apply_node's w_*_t): per-feature weight columns become
-  // sequential row reads instead of strided gathers. mutable because
-  // apply_node() is const and may run from concurrent sessions; see
-  // DerivedCache for the build-once / escaped-handle rebuild protocol.
-  mutable DerivedCache<TransposedWeights> transposed_;
+  // sequential row reads instead of strided gathers. freeze() builds them,
+  // params() drops them, and while empty the kernel gathers instead,
+  // bitwise equal. Both run on the control thread, never while a session
+  // on this model is pumped, so apply_node() reads without a lock.
+  TransposedWeights transposed_;
 
   const EventGraph* cached_graph_ = nullptr;
   nn::Tensor cached_input_;

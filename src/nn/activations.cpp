@@ -10,19 +10,13 @@ namespace evd::nn {
 Tensor ReLU::forward(const Tensor& input, bool train) {
   Tensor output = input;
   if (train) mask_ = Tensor(input.shape());
-  Index zeros = 0;
   for (Index i = 0; i < output.numel(); ++i) {
     if (output[i] > 0.0f) {
       if (train) mask_[i] = 1.0f;
     } else {
       output[i] = 0.0f;
-      ++zeros;
     }
   }
-  last_sparsity_ = output.numel() > 0
-                       ? static_cast<double>(zeros) /
-                             static_cast<double>(output.numel())
-                       : 0.0;
   count_compare(output.numel());
   count_act_read(input.numel() * 4);
   count_act_write(output.numel() * 4);

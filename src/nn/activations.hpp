@@ -13,12 +13,8 @@ class ReLU : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 
-  /// Output sparsity of the most recent forward (fraction of zeros).
-  double last_sparsity() const noexcept { return last_sparsity_; }
-
  private:
   Tensor mask_;  ///< 1 where input > 0.
-  double last_sparsity_ = 0.0;
 };
 
 class LeakyReLU : public Layer {

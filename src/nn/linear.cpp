@@ -62,7 +62,7 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   return output;
 }
 
-void Linear::forward_into(const Tensor& input, Tensor& output) {
+void Linear::forward_into(const Tensor& input, Tensor& output) const {
   if (input.numel() != in_) {
     throw std::invalid_argument("Linear::forward_into: input numel " +
                                 std::to_string(input.numel()) + " != " +

@@ -18,7 +18,7 @@ class Linear : public Layer {
   /// dispatch. Per-output-feature accumulation order is identical to
   /// forward(), so results are bitwise equal — the streaming runtime's
   /// zero-allocation feed path depends on both properties.
-  void forward_into(const Tensor& input, Tensor& output);
+  void forward_into(const Tensor& input, Tensor& output) const;
 
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;

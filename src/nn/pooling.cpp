@@ -30,8 +30,12 @@ Tensor MaxPool2d::forward(const Tensor& input, bool train) {
     throw std::invalid_argument("MaxPool2d: window larger than input");
   }
   Tensor output({c, oh, ow});
-  argmax_.assign(static_cast<size_t>(c * oh * ow), 0);
-  if (train) cached_input_ = input;
+  // Only backward() reads the argmax: inference writes no layer state, so
+  // sessions can share the layer and backward() keeps the training routing.
+  if (train) {
+    argmax_.assign(static_cast<size_t>(c * oh * ow), 0);
+    cached_input_ = input;
+  }
 
   par::parallel_for(0, c, 1, [&](Index ch_begin, Index ch_end) {
     for (Index ch = ch_begin; ch < ch_end; ++ch) {
@@ -52,7 +56,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool train) {
             }
           }
           output[out_idx] = best;
-          argmax_[static_cast<size_t>(out_idx)] = best_idx;
+          if (train) argmax_[static_cast<size_t>(out_idx)] = best_idx;
         }
       }
     }

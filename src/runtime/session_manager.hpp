@@ -20,7 +20,9 @@
 //     worker runs the chunk or how rounds interleave across sessions —
 //     so each session's decision stream is identical to feeding the same
 //     ops directly, sequentially.
-//   * Layer forward() caches are train-gated off in inference and the op
+//   * A shared model is read-only while it serves: layer forward() caches
+//     are train-gated off in inference, open_session() freezes the SNN/GNN
+//     transposed weight copies once on the control thread, and the op
 //     counters are thread_local, so concurrent sessions do not race on the
 //     shared model (workers simply don't count ops).
 //

@@ -42,37 +42,36 @@ SpikingNet::SpikingNet(SpikingNetConfig config, Rng& rng)
 }
 
 std::vector<nn::Param*> SpikingNet::params() {
-  weights_t_.mark_escaped();
+  weights_t_.clear();
   std::vector<nn::Param*> all;
   for (auto& w : weights_) all.push_back(&w);
   for (auto& b : biases_) all.push_back(&b);
   return all;
 }
 
-Index SpikingNet::param_count() {
+Index SpikingNet::param_count() const {
   Index n = 0;
   for (const auto& w : weights_) n += w.value.numel();
   for (const auto& b : biases_) n += b.value.numel();
   return n;
 }
 
-const std::vector<std::vector<float>>& SpikingNet::ensure_transposed() {
-  return weights_t_.ensure([this](std::vector<std::vector<float>>& all) {
-    all.resize(weights_.size());
-    for (size_t l = 0; l < weights_.size(); ++l) {
-      const Index in = config_.layer_sizes[l];
-      const Index out = config_.layer_sizes[l + 1];
-      auto& wt = all[l];
-      wt.resize(static_cast<size_t>(in) * static_cast<size_t>(out));
-      const float* w = weights_[l].value.data();
-      for (Index o = 0; o < out; ++o) {
-        for (Index i = 0; i < in; ++i) {
-          wt[static_cast<size_t>(i) * static_cast<size_t>(out) +
-             static_cast<size_t>(o)] = w[o * in + i];
-        }
+void SpikingNet::freeze() {
+  if (frozen()) return;
+  weights_t_.resize(weights_.size());
+  for (size_t l = 0; l < weights_.size(); ++l) {
+    const Index in = config_.layer_sizes[l];
+    const Index out = config_.layer_sizes[l + 1];
+    auto& wt = weights_t_[l];
+    wt.resize(static_cast<size_t>(in) * static_cast<size_t>(out));
+    const float* w = weights_[l].value.data();
+    for (Index o = 0; o < out; ++o) {
+      for (Index i = 0; i < in; ++i) {
+        wt[static_cast<size_t>(i) * static_cast<size_t>(out) +
+           static_cast<size_t>(o)] = w[o * in + i];
       }
     }
-  });
+  }
 }
 
 nn::Tensor SpikingNet::forward(const SpikeTrain& input, bool train) {
@@ -111,7 +110,6 @@ nn::Tensor SpikingNet::forward(const SpikeTrain& input, bool train) {
   last_hidden_spikes_ = 0;
   const bool counting = nn::active_counter() != nullptr;
   std::vector<Index> spikes_in, spikes_next;
-  const auto& weights_t = ensure_transposed();
 
   for (Index t = 0; t < T; ++t) {
     spikes_in = input.active[static_cast<size_t>(t)];
@@ -134,7 +132,7 @@ nn::Tensor SpikingNet::forward(const SpikeTrain& input, bool train) {
       float* membrane_row =
           train ? &cached_membrane_[static_cast<size_t>(l)].at2(t, 0)
                 : nullptr;
-      const float* w_t = weights_t[static_cast<size_t>(l)].data();
+      const float* w_t = weight_t(l);
       par::parallel_for_chunks(0, n, kNeuronGrain, [&](Index chunk, Index nb,
                                                        Index ne) {
         simd::lif_step_block(vl.data(), b, w, w_t, in_dim, n,
@@ -323,7 +321,7 @@ SnnState SpikingNet::make_state() const {
 }
 
 nn::Tensor SpikingNet::step(SnnState& state,
-                            const std::vector<Index>& input_spikes) {
+                            const std::vector<Index>& input_spikes) const {
   const Index L = layer_count();
   const Index hidden_layers = L - 1;
   const float theta = config_.lif.threshold;
@@ -335,7 +333,6 @@ nn::Tensor SpikingNet::step(SnnState& state,
   // Spike accounting lives in the state, not the net: step() must stay
   // const-safe on `this` so concurrent sessions can share one network.
   state.step_hidden_spikes = 0;
-  const auto& weights_t = ensure_transposed();
   for (Index l = 0; l < hidden_layers; ++l) {
     auto& vl = state.membrane[static_cast<size_t>(l)];
     const Index n = static_cast<Index>(vl.size());
@@ -346,7 +343,7 @@ nn::Tensor SpikingNet::step(SnnState& state,
     // tier-invariant (see simd::lif_step_block).
     const Index nchunks = par::chunk_count(0, n, kNeuronGrain);
     std::vector<std::vector<Index>> chunk_spikes(static_cast<size_t>(nchunks));
-    const float* w_t = weights_t[static_cast<size_t>(l)].data();
+    const float* w_t = weight_t(l);
     par::parallel_for_chunks(0, n, kNeuronGrain, [&](Index chunk, Index nb,
                                                      Index ne) {
       simd::lif_step_block(vl.data(), b, w, w_t, in_dim, n, spikes_in.data(),
@@ -373,8 +370,8 @@ nn::Tensor SpikingNet::step(SnnState& state,
   return readout(state, spikes_in);
 }
 
-nn::Tensor SpikingNet::step_event(SnnState& state,
-                                  const std::vector<Index>& input_spikes) {
+nn::Tensor SpikingNet::step_event(
+    SnnState& state, const std::vector<Index>& input_spikes) const {
   // One spike-driven kernel call per layer on the calling thread — see the
   // header for the bitwise-equivalence argument against step(). The op
   // counting below is deliberately identical to step()'s: both paths do
@@ -389,14 +386,13 @@ nn::Tensor SpikingNet::step_event(SnnState& state,
   std::vector<Index> spikes_in = input_spikes;
   std::vector<Index> spikes_next;
   state.step_hidden_spikes = 0;
-  const auto& weights_t = ensure_transposed();
   for (Index l = 0; l < hidden_layers; ++l) {
     auto& vl = state.membrane[static_cast<size_t>(l)];
     const Index n = static_cast<Index>(vl.size());
     const Index in_dim = config_.layer_sizes[static_cast<size_t>(l)];
     const float* w = weights_[static_cast<size_t>(l)].value.data();
     const float* b = biases_[static_cast<size_t>(l)].value.data();
-    const float* w_t = weights_t[static_cast<size_t>(l)].data();
+    const float* w_t = weight_t(l);
     spikes_next.clear();
     simd::lif_step_block(vl.data(), b, w, w_t, in_dim, n, spikes_in.data(),
                          static_cast<Index>(spikes_in.size()), 0, n, beta,
@@ -417,7 +413,7 @@ nn::Tensor SpikingNet::step_event(SnnState& state,
 }
 
 nn::Tensor SpikingNet::readout(SnnState& state,
-                               const std::vector<Index>& spikes_in) {
+                               const std::vector<Index>& spikes_in) const {
   const Index L = layer_count();
   auto& v_out = state.membrane.back();
   const Index out_size = static_cast<Index>(v_out.size());

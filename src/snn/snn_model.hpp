@@ -15,7 +15,6 @@
 
 #include <vector>
 
-#include "common/derived_cache.hpp"
 #include "common/rng.hpp"
 #include "nn/layer.hpp"
 #include "snn/encoding.hpp"
@@ -55,8 +54,15 @@ class SpikingNet {
   /// BPTT given dL/dlogits; accumulates parameter gradients.
   void backward(const nn::Tensor& grad_logits);
 
+  /// Mutable weight handles. Thaws, like weight(l) and bias(l): drops the
+  /// transposed copies, since the caller may write through the handles.
   std::vector<nn::Param*> params();
-  Index param_count();
+  Index param_count() const;
+
+  /// Build the transposed weight copies from the current weights; a no-op
+  /// while they exist. Serving freezes once, on the control thread.
+  void freeze();
+  bool frozen() const noexcept { return !weights_t_.empty(); }
 
   /// Hidden spike count of the most recent forward (activity metric).
   Index last_hidden_spikes() const noexcept { return last_hidden_spikes_; }
@@ -67,7 +73,8 @@ class SpikingNet {
   SnnState make_state() const;
   /// Advance one timestep with the given active input indices; returns the
   /// current running logits (time-averaged readout membrane).
-  nn::Tensor step(SnnState& state, const std::vector<Index>& input_spikes);
+  nn::Tensor step(SnnState& state,
+                  const std::vector<Index>& input_spikes) const;
 
   /// Event-driven stepping: the same timestep arithmetic as step(), but
   /// each layer runs as ONE spike-driven kernel call on the calling thread
@@ -81,18 +88,18 @@ class SpikingNet {
   /// it the right path for sparse, latency-sensitive streams (the paper's
   /// event-driven execution style).
   nn::Tensor step_event(SnnState& state,
-                        const std::vector<Index>& input_spikes);
+                        const std::vector<Index>& input_spikes) const;
 
   const SpikingNetConfig& config() const noexcept { return config_; }
   Index layer_count() const noexcept {
     return static_cast<Index>(weights_.size());
   }
   nn::Param& weight(Index l) {
-    weights_t_.mark_escaped();
+    weights_t_.clear();
     return weights_.at(static_cast<size_t>(l));
   }
   nn::Param& bias(Index l) {
-    weights_t_.mark_escaped();
+    weights_t_.clear();
     return biases_.at(static_cast<size_t>(l));
   }
 
@@ -101,19 +108,24 @@ class SpikingNet {
   std::vector<nn::Param> weights_;
   std::vector<nn::Param> biases_;
 
-  /// Build/refresh and return the transposed weight copies.
-  const std::vector<std::vector<float>>& ensure_transposed();
+  /// Layer l's transposed weights, or nullptr (gather fallback) unfrozen.
+  const float* weight_t(Index l) const noexcept {
+    return frozen() ? weights_t_[static_cast<size_t>(l)].data() : nullptr;
+  }
 
   /// Shared readout tail of step()/step_event(): leaky output-membrane
   /// update from the last hidden layer's spikes, running-average logits.
-  nn::Tensor readout(SnnState& state, const std::vector<Index>& spikes_in);
+  nn::Tensor readout(SnnState& state,
+                     const std::vector<Index>& spikes_in) const;
 
   // Per-layer transposed ([in][out]) weight copies feeding the LIF kernel's
   // contiguous-streaming path (simd::lif_step_block's w_t): the per-spike
   // synapse fetch becomes a sequential row read instead of a strided gather
-  // through the row-major matrix. See DerivedCache for the build-once /
-  // escaped-handle rebuild protocol.
-  DerivedCache<std::vector<std::vector<float>>> weights_t_;
+  // through the row-major matrix. freeze() builds them, params(), weight(l)
+  // and bias(l) drop them, and while empty the kernel gathers instead,
+  // bitwise equal. All run on the control thread, never while a session on
+  // this net is pumped, so step()/step_event() read without a lock.
+  std::vector<std::vector<float>> weights_t_;
 
   // Training caches (valid after forward(train=true)).
   Index cached_steps_ = 0;

@@ -24,7 +24,9 @@ SpikingNetConfig net_config(const SnnPipelineConfig& config) {
 }  // namespace
 
 SnnPipeline::SnnPipeline(SnnPipelineConfig config)
-    : config_(config), rng_(config.seed), net_(net_config(config), rng_) {}
+    : config_(config), rng_(config.seed), net_(net_config(config), rng_) {
+  net_.freeze();
+}
 
 void SnnPipeline::train(std::span<const events::LabelledSample> samples,
                         const core::TrainOptions& options) {
@@ -68,6 +70,7 @@ void SnnPipeline::train(std::span<const events::LabelledSample> samples,
   fit.shuffle_seed = options.shuffle_seed;
   fit.verbose = options.verbose;
   fit_snn(net_, inputs, labels, fit);
+  net_.freeze();
 }
 
 int SnnPipeline::classify(const events::EventStream& stream) {
@@ -115,7 +118,7 @@ std::vector<core::StageInfo> SnnPipeline::stream_stages() const {
 }
 
 Index SnnPipeline::param_count() const {
-  return const_cast<SpikingNet&>(net_).param_count();
+  return net_.param_count();
 }
 
 Index SnnPipeline::state_bytes() const {
@@ -303,6 +306,7 @@ std::unique_ptr<core::StreamSession> SnnPipeline::open_session(Index width,
                                                                Index height) {
   runtime::SessionBase::check_geometry("SnnPipeline", width, height,
                                        config_.width, config_.height);
+  net_.freeze();
   return std::make_unique<SnnStreamSession>(*this, width, height);
 }
 

@@ -1,18 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "common/serialization.hpp"
+#include "test_util.hpp"
 
 namespace evd {
 namespace {
 
 class SerializationTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "evd_serialization_test.bin")
-                          .string();
+  std::string path_ = test::unique_temp_path("evd_serialization_test.bin");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

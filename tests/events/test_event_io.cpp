@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <filesystem>
 
 #include "events/event_io.hpp"
 #include "test_util.hpp"
@@ -12,9 +11,7 @@ namespace {
 
 class EventIoTest : public ::testing::Test {
  protected:
-  std::string path(const char* name) {
-    return (std::filesystem::temp_directory_path() / name).string();
-  }
+  std::string path(const char* name) { return test::unique_temp_path(name); }
   void TearDown() override {
     std::remove(path("evd_io_test.csv").c_str());
     std::remove(path("evd_io_test.bin").c_str());

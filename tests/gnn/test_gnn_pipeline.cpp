@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "common/parallel.hpp"
+
 #include "gnn/gnn_pipeline.hpp"
+#include "sched/planner.hpp"
 
 namespace evd::gnn {
 namespace {
@@ -60,6 +63,44 @@ TEST(GnnPipeline, SessionEmitsDecisionPerInsertedEvent) {
   // Decisions carry the event's own timestamp — no frame/step quantisation.
   EXPECT_EQ(session->decisions().front().t, 0);
   EXPECT_EQ(session->decisions().back().t, 8000);
+}
+
+TEST(GnnPipeline, OpensSessionsFromPoolWorkersAtOnce) {
+  // A fresh pipeline's model is frozen already, so sessions opened from
+  // several workers at once only read it, and each stream equals the one
+  // a session opened alone produces.
+  GnnPipeline pipeline(tiny_pipeline());
+  auto serve = [&pipeline] {
+    auto session = pipeline.open_session(16, 16);
+    for (TimeUs t = 0; t < 10000; t += 1000) {
+      session->feed({static_cast<std::int16_t>(2 + t / 4000), 4,
+                     Polarity::On, t});
+    }
+    return session->decisions();
+  };
+  const Index previous = par::thread_count();
+  par::set_thread_count(4);
+  std::vector<std::vector<core::Decision>> streams(4);
+  par::parallel_for(0, 4, 1, [&](Index b, Index e) {
+    for (Index i = b; i < e; ++i) streams[static_cast<size_t>(i)] = serve();
+  });
+  par::set_thread_count(previous);
+  const std::vector<core::Decision> expected = serve();
+  ASSERT_FALSE(expected.empty());
+  for (const auto& stream : streams) EXPECT_EQ(stream, expected);
+}
+
+TEST(GnnPipeline, PlanningKeepsTheServedModelFrozen) {
+  GnnPipeline pipeline(tiny_pipeline());
+  auto session = pipeline.open_session(16, 16);
+  for (Index l = 0; l < pipeline.model().conv_count(); ++l) {
+    ASSERT_TRUE(pipeline.model().conv(l).frozen()) << "conv " << l;
+  }
+  (void)sched::profile_for(pipeline, "gnn", 4);
+  EXPECT_GT(pipeline.param_count(), 0);
+  for (Index l = 0; l < pipeline.model().conv_count(); ++l) {
+    EXPECT_TRUE(pipeline.model().conv(l).frozen()) << "conv " << l;
+  }
 }
 
 TEST(GnnPipeline, GeometryMismatchThrows) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gnn/graph_conv.hpp"
 #include "nn/softmax.hpp"
 #include "test_util.hpp"
@@ -104,6 +106,56 @@ TEST(GraphConv, ApplyNodeMatchesBatchForward) {
   for (Index o = 0; o < 4; ++o) {
     EXPECT_NEAR(out[static_cast<size_t>(o)], batch.at2(3, o), 1e-5f);
   }
+}
+
+/// apply_node on node 3 of chain_graph() for a 2 -> 4 conv.
+std::vector<float> apply_node3(const GraphConv& conv) {
+  const auto graph = chain_graph();
+  const nn::Tensor h = features_for(graph);
+  const auto& p3 = graph.node(3).position;
+  std::vector<GraphConv::NeighborRef> refs;
+  for (const Index j : graph.neighbors(3)) {
+    const auto& pj = graph.node(j).position;
+    refs.push_back({h.data() + j * 2, pj.x - p3.x, pj.y - p3.y, pj.z - p3.z});
+  }
+  std::vector<float> out(4);
+  conv.apply_node(h.data() + 3 * 2, refs, out.data());
+  return out;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(GraphConv, ParamsThawsSoEditedWeightsAreServed) {
+  Rng rng(9);
+  GraphConv conv(2, 4, rng, Aggregation::Max);
+  EXPECT_FALSE(conv.frozen());
+  conv.freeze();
+  ASSERT_TRUE(conv.frozen());
+  const std::vector<float> before = apply_node3(conv);
+
+  const std::vector<nn::Param*> params = conv.params();
+  EXPECT_FALSE(conv.frozen());
+  for (nn::Param* p : params) {
+    for (Index i = 0; i < p->value.numel(); ++i) p->value[i] += 1.0f;
+  }
+
+  Rng fresh_rng(9);
+  GraphConv fresh(2, 4, fresh_rng, Aggregation::Max);
+  const std::vector<nn::Param*> fresh_params = fresh.params();
+  for (size_t i = 0; i < params.size(); ++i) {
+    fresh_params[i]->value = params[i]->value;
+  }
+  fresh.freeze();
+  const std::vector<float> expected = apply_node3(fresh);
+  EXPECT_FALSE(bitwise_equal(before, expected));
+
+  // Thawed (gather fallback), then re-frozen from the edited weights.
+  EXPECT_TRUE(bitwise_equal(apply_node3(conv), expected));
+  conv.freeze();
+  EXPECT_TRUE(bitwise_equal(apply_node3(conv), expected));
 }
 
 TEST(GraphConv, IsolatedNodeUsesSelfPathOnly) {

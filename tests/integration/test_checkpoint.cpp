@@ -3,22 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "cnn/cnn_pipeline.hpp"
 #include "events/dataset.hpp"
 #include "gnn/gnn_pipeline.hpp"
 #include "nn/model_io.hpp"
 #include "snn/snn_pipeline.hpp"
+#include "test_util.hpp"
 
 namespace evd {
 namespace {
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "evd_checkpoint_test.evdm")
-                          .string();
+  std::string path_ = test::unique_temp_path("evd_checkpoint_test.evdm");
   void TearDown() override { std::remove(path_.c_str()); }
 
   events::ShapeDatasetConfig dataset_config_ = [] {

@@ -16,7 +16,7 @@ TEST(ReLU, ClampsNegativesAndReportsSparsity) {
   const Tensor y = relu.forward(x, false);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
-  EXPECT_DOUBLE_EQ(relu.last_sparsity(), 0.75);
+  EXPECT_DOUBLE_EQ(y.zero_fraction(), 0.75);
 }
 
 TEST(ReLU, BackwardMasksGradient) {

@@ -1,22 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "cnn/dense_model.hpp"
 #include "nn/linear.hpp"
 #include "nn/model_io.hpp"
 #include "snn/snn_model.hpp"
+#include "test_util.hpp"
 
 namespace evd::nn {
 namespace {
 
 class ModelIoTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "evd_model_io_test.evdm")
-                          .string();
+  std::string path_ = test::unique_temp_path("evd_model_io_test.evdm");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

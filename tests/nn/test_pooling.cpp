@@ -32,6 +32,30 @@ TEST(MaxPool2d, BackwardRoutesToArgmaxOnly) {
   EXPECT_FLOAT_EQ(gx.at3(0, 1, 1), 0.0f);
 }
 
+TEST(MaxPool2d, InferenceForwardBetweenTrainingForwardAndBackward) {
+  // An inference forward of another input (same shape, different maxima)
+  // must not move the gradient routing of the training forward before it.
+  Tensor a({1, 2, 4});
+  a.at3(0, 0, 1) = 4.0f;
+  a.at3(0, 1, 2) = 3.0f;
+  Tensor b({1, 2, 4});
+  b.at3(0, 1, 0) = 7.0f;
+  b.at3(0, 0, 3) = 6.0f;
+  Tensor g({1, 1, 2});
+  g.vec() = {5.0f, -2.0f};
+
+  MaxPool2d alone(2);
+  alone.forward(a, true);
+  const Tensor expected = alone.backward(g);
+
+  MaxPool2d interleaved(2);
+  interleaved.forward(a, true);
+  interleaved.forward(b, false);
+  EXPECT_EQ(interleaved.backward(g).vec(), expected.vec());
+  EXPECT_FLOAT_EQ(expected.at3(0, 0, 1), 5.0f);
+  EXPECT_FLOAT_EQ(expected.at3(0, 1, 2), -2.0f);
+}
+
 TEST(MaxPool2d, GradCheck) {
   Rng rng(1);
   MaxPool2d pool(2);

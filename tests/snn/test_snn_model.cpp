@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/softmax.hpp"
 #include "snn/snn_model.hpp"
 #include "test_util.hpp"
@@ -132,6 +134,52 @@ TEST(SpikingNet, StreamingStepMatchesBatchForward) {
   for (Index i = 0; i < 3; ++i) {
     EXPECT_NEAR(streaming_logits[i], batch_logits[i], 1e-4f);
   }
+}
+
+/// Every streaming step's logits, then the final membranes, concatenated.
+std::vector<float> step_trace(const SpikingNet& net, const SpikeTrain& train) {
+  SnnState state = net.make_state();
+  std::vector<float> trace;
+  for (Index t = 0; t < train.steps; ++t) {
+    const nn::Tensor logits =
+        net.step(state, train.active[static_cast<size_t>(t)]);
+    trace.insert(trace.end(), logits.vec().begin(), logits.vec().end());
+  }
+  for (const auto& v : state.membrane) {
+    trace.insert(trace.end(), v.begin(), v.end());
+  }
+  return trace;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(SpikingNet, WeightHandleThawsSoEditedWeightsAreServed) {
+  const auto train = random_train(10, 6, 0.4, 8);
+  Rng rng(21);
+  SpikingNet net(small_config(), rng);
+  EXPECT_FALSE(net.frozen());
+  net.freeze();
+  ASSERT_TRUE(net.frozen());
+  const std::vector<float> before = step_trace(net, train);
+
+  nn::Param& w0 = net.weight(0);
+  EXPECT_FALSE(net.frozen());
+  for (Index i = 0; i < w0.value.numel(); ++i) w0.value[i] += 0.5f;
+
+  Rng fresh_rng(21);
+  SpikingNet fresh(small_config(), fresh_rng);
+  fresh.weight(0).value = w0.value;
+  fresh.freeze();
+  const std::vector<float> expected = step_trace(fresh, train);
+  EXPECT_FALSE(bitwise_equal(before, expected));
+
+  // Thawed (gather fallback), then re-frozen from the edited weights.
+  EXPECT_TRUE(bitwise_equal(step_trace(net, train), expected));
+  net.freeze();
+  EXPECT_TRUE(bitwise_equal(step_trace(net, train), expected));
 }
 
 TEST(SpikingNet, SpikeActivityReported) {

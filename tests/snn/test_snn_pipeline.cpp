@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "common/parallel.hpp"
+
+#include "sched/planner.hpp"
 #include "snn/snn_pipeline.hpp"
 
 namespace evd::snn {
@@ -64,6 +67,41 @@ TEST(SnnPipeline, SessionDecisionsAtTimestepGranularity) {
     EXPECT_GE(d.label, 0);
     EXPECT_GT(d.confidence, 0.0);
   }
+}
+
+TEST(SnnPipeline, OpensSessionsFromPoolWorkersAtOnce) {
+  // A fresh pipeline's model is frozen already, so sessions opened from
+  // several workers at once only read it, and each stream equals the one
+  // a session opened alone produces.
+  SnnPipeline pipeline(tiny_pipeline());
+  auto serve = [&pipeline] {
+    auto session = pipeline.open_session(16, 16);
+    for (TimeUs t = 0; t < 50000; t += 1000) {
+      session->feed({static_cast<std::int16_t>(2 + t / 4000), 4,
+                     Polarity::On, t});
+    }
+    session->advance_to(50000);
+    return session->decisions();
+  };
+  const Index previous = par::thread_count();
+  par::set_thread_count(4);
+  std::vector<std::vector<core::Decision>> streams(4);
+  par::parallel_for(0, 4, 1, [&](Index b, Index e) {
+    for (Index i = b; i < e; ++i) streams[static_cast<size_t>(i)] = serve();
+  });
+  par::set_thread_count(previous);
+  const std::vector<core::Decision> expected = serve();
+  ASSERT_FALSE(expected.empty());
+  for (const auto& stream : streams) EXPECT_EQ(stream, expected);
+}
+
+TEST(SnnPipeline, PlanningKeepsTheServedModelFrozen) {
+  SnnPipeline pipeline(tiny_pipeline());
+  auto session = pipeline.open_session(16, 16);
+  ASSERT_TRUE(pipeline.net().frozen());
+  (void)sched::profile_for(pipeline, "snn", 4);
+  EXPECT_GT(pipeline.param_count(), 0);
+  EXPECT_TRUE(pipeline.net().frozen());
 }
 
 TEST(SnnPipeline, GeometryMismatchThrows) {

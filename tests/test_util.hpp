@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -55,6 +60,19 @@ inline std::uint64_t test_seed(std::uint64_t fallback = 7) {
     return std::strtoull(env, nullptr, 0);
   }
   return fallback;
+}
+
+/// A temp-file path unique to the running test case and process:
+/// `<suite>.<test>.<pid>.<name>` under the temp directory. ctest runs every
+/// case as its own process, in parallel, so a fixed file name races.
+inline std::string unique_temp_path(const std::string& name) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string file = info != nullptr ? std::string(info->test_suite_name()) +
+                                           "." + info->name() + "."
+                                     : std::string();
+  file += std::to_string(::getpid()) + "." + name;
+  std::replace(file.begin(), file.end(), '/', '_');  // parameterized names
+  return (std::filesystem::temp_directory_path() / file).string();
 }
 
 /// Sentinel default for make_stream: "use test_seed()".
