@@ -109,12 +109,9 @@ int main() {
   std::int64_t async_macs = 0;
   Index inserted = 0;
   for (const auto& e : onset.stream.events) {
-    auto result = builder.insert(e);
-    gnn::GraphNode node;
-    node.position = gnn::embed(e, inc_config.time_scale);
-    node.polarity_sign = static_cast<std::int8_t>(polarity_sign(e.polarity));
-    node.t = e.t;
-    async_macs += async.insert(node, result.neighbors).macs;
+    const auto result = builder.insert(e);
+    async_macs +=
+        async.insert(builder.node(result.node_id), result.neighbors).macs;
     ++inserted;
   }
   std::printf("events inserted            : %lld\n", (long long)inserted);

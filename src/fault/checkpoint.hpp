@@ -26,7 +26,12 @@
 namespace evd::fault {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x45564443;  // "EVDC"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
+
+/// Throws Error(CheckpointCorrupt, what) unless a decoded value is valid.
+inline void expect_valid(bool ok, const char* what) {
+  if (!ok) throw Error(ErrorCode::CheckpointCorrupt, what);
+}
 
 class CheckpointWriter {
  public:
@@ -56,8 +61,14 @@ class CheckpointWriter {
   /// Length-prefixed span of trivially copyable elements.
   template <typename T>
   void pod_span(std::span<const T> values) {
-    static_assert(std::is_trivially_copyable_v<T>);
     i64(static_cast<std::int64_t>(values.size()));
+    pod_run(values);
+  }
+
+  /// Unprefixed elements: one piece of a span whose count the caller wrote.
+  template <typename T>
+  void pod_run(std::span<const T> values) {
+    static_assert(std::is_trivially_copyable_v<T>);
     raw(values.data(), values.size_bytes());
   }
 
@@ -122,13 +133,23 @@ class CheckpointReader {
   Index pod_span_into(std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::size_t n = length();
-    if (n > out.size()) {
-      throw Error(ErrorCode::CheckpointCorrupt,
-                  "stored span larger than its target buffer");
-    }
-    check_available(n * sizeof(T));
+    expect_valid(n <= out.size(), "stored span larger than its target buffer");
     raw(out.data(), n * sizeof(T));
     return static_cast<Index>(n);
+  }
+
+  /// pod_span_into whose stored count must fill `out` exactly.
+  template <typename T>
+  void pod_span_exact(std::span<T> out) {
+    expect_valid(static_cast<std::size_t>(pod_span_into(out)) == out.size(),
+                 "stored span shorter than its target buffer");
+  }
+
+  /// Reads `out.size()` unprefixed elements (CheckpointWriter::pod_run).
+  template <typename T>
+  void pod_run(std::span<T> out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    raw(out.data(), out.size_bytes());
   }
 
   std::size_t remaining() const noexcept { return bytes_.size() - cursor_; }
@@ -154,16 +175,13 @@ class CheckpointReader {
   /// counts can never drive a huge allocation or an out-of-bounds read.
   std::size_t length() {
     const std::int64_t n = i64();
-    if (n < 0 || static_cast<std::size_t>(n) > remaining()) {
-      throw Error(ErrorCode::CheckpointCorrupt, "invalid length prefix");
-    }
+    expect_valid(n >= 0 && static_cast<std::size_t>(n) <= remaining(),
+                 "invalid length prefix");
     return static_cast<std::size_t>(n);
   }
 
   void check_available(std::size_t n) const {
-    if (n > remaining()) {
-      throw Error(ErrorCode::CheckpointCorrupt, "truncated checkpoint");
-    }
+    expect_valid(n <= remaining(), "truncated checkpoint");
   }
 
   void raw(void* data, std::size_t n) {

@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_set>
 
 namespace evd::gnn {
+
+namespace {
+/// Layer-0 input rows: [1, 0] for ON, [0, 1] for OFF.
+constexpr float kPolarityOneHot[2][EventGraph::kInputFeatures] = {{1, 0},
+                                                                  {0, 1}};
+using fault::expect_valid;
+}  // namespace
 
 AsyncEventGnn::AsyncEventGnn(const EventGnn& model, bool bidirectional)
     : model_(model), bidirectional_(bidirectional) {
@@ -15,58 +23,68 @@ AsyncEventGnn::AsyncEventGnn(const EventGnn& model, bool bidirectional)
   pooled_scratch_ = nn::Tensor({2 * model_.config().hidden});
 }
 
-void AsyncEventGnn::clear() {
-  count_ = 0;
-  nodes_.clear();
-  adj_.clear();
-  out_adj_.clear();
-  input_.clear();
-  for (auto& layer : features_) layer.clear();
-  std::fill(pooled_sum_.begin(), pooled_sum_.end(), 0.0);
-  std::fill(pooled_max_.begin(), pooled_max_.end(), 0.0f);
-}
-
 void AsyncEventGnn::reset() {
-  // Slots keep their storage; stale feature values are zeroed lazily as
-  // slots are reused by insert().
+  // Rows keep their storage; insert() rewrites a row before it is read.
   count_ = 0;
   std::fill(pooled_sum_.begin(), pooled_sum_.end(), 0.0);
   std::fill(pooled_max_.begin(), pooled_max_.end(), 0.0f);
 }
 
 void AsyncEventGnn::reserve(Index max_nodes, Index max_degree) {
-  const auto n = static_cast<size_t>(max_nodes < 0 ? 0 : max_nodes);
-  if (nodes_.size() < n) nodes_.resize(n);
-  if (adj_.size() < n) adj_.resize(n);
-  if (out_adj_.size() < n) out_adj_.resize(n);
-  if (input_.size() < n) input_.resize(n);
-  for (auto& a : adj_) a.reserve(static_cast<size_t>(max_degree));
-  for (auto& in : input_) in.resize(2);
-  for (Index l = 0; l < model_.conv_count(); ++l) {
-    auto& layer = features_[static_cast<size_t>(l)];
-    const auto out = static_cast<size_t>(model_.conv(l).out_features());
-    if (layer.size() < n) layer.resize(n);
-    for (auto& slot : layer) slot.resize(out);
+  const auto rows = std::max(max_nodes, static_cast<Index>(nodes_.size()));
+  if (max_degree > stride_) {
+    const Index stride = std::max(max_degree, 2 * stride_);
+    std::vector<Index> wider(static_cast<size_t>(rows * stride));
+    for (Index v = 0; v < count_; ++v) {
+      std::copy_n(adj_row(v), degree_[static_cast<size_t>(v)],
+                  wider.data() + v * stride);
+    }
+    adj_.swap(wider);
+    stride_ = stride;
+    refs_.reserve(static_cast<size_t>(stride));
   }
-  refs_.reserve(static_cast<size_t>(max_degree));
+  if (rows > static_cast<Index>(nodes_.size())) {
+    const auto n = static_cast<size_t>(rows);
+    nodes_.resize(n);
+    degree_.resize(n);
+    adj_.resize(n * static_cast<size_t>(stride_));
+    for (Index l = 0; l < model_.conv_count(); ++l) {
+      features_[static_cast<size_t>(l)].resize(
+          n * static_cast<size_t>(model_.conv(l).out_features()));
+    }
+  }
+}
+
+const float* AsyncEventGnn::layer_in(Index layer, Index v) const {
+  if (layer == 0) {
+    const bool on = nodes_[static_cast<size_t>(v)].polarity_sign > 0;
+    return kPolarityOneHot[on ? 0 : 1];
+  }
+  return features_[static_cast<size_t>(layer - 1)].data() +
+         v * model_.conv(layer - 1).out_features();
 }
 
 void AsyncEventGnn::save(fault::CheckpointWriter& w) const {
   if (bidirectional_) {
     throw Error(ErrorCode::CheckpointUnsupported,
-                "AsyncEventGnn: bidirectional graphs cannot checkpoint "
-                "(stale pooled-max envelope would diverge on restore)");
+                "AsyncEventGnn: bidirectional graphs cannot checkpoint");
   }
+  // Live prefixes only: rows beyond count_ are reserve()/reset() residue
+  // that insert() rewrites before use.
+  const auto n = static_cast<size_t>(count_);
   w.i64(count_);
   w.i64(model_.conv_count());
-  // Live prefixes only: slots beyond count_ are reserve()/reset() residue
-  // that insert() re-zeroes before use.
-  const auto n = static_cast<size_t>(count_);
   w.pod_span(std::span<const GraphNode>(nodes_.data(), n));
-  for (size_t v = 0; v < n; ++v) w.pod_vector(adj_[v]);
-  for (size_t v = 0; v < n; ++v) w.pod_vector(input_[v]);
-  for (const auto& layer : features_) {
-    for (size_t v = 0; v < n; ++v) w.pod_vector(layer[v]);
+  w.pod_span(std::span<const Index>(degree_.data(), n));
+  w.i64(std::accumulate(degree_.begin(), degree_.begin() + count_, Index{0}));
+  for (Index v = 0; v < count_; ++v) {
+    w.pod_run(std::span<const Index>(
+        adj_row(v), static_cast<size_t>(degree_[static_cast<size_t>(v)])));
+  }
+  for (Index l = 0; l < model_.conv_count(); ++l) {
+    w.pod_span(std::span<const float>(
+        features_[static_cast<size_t>(l)].data(),
+        n * static_cast<size_t>(model_.conv(l).out_features())));
   }
   w.pod_vector(pooled_sum_);
   w.pod_vector(pooled_max_);
@@ -77,6 +95,7 @@ void AsyncEventGnn::load(fault::CheckpointReader& r) {
     throw Error(ErrorCode::CheckpointUnsupported,
                 "AsyncEventGnn: bidirectional graphs cannot checkpoint");
   }
+  reset();  // count_ stays 0 until the end: a throw leaves an empty engine
   const Index count = r.i64();
   if (const Index convs = r.i64(); convs != model_.conv_count()) {
     throw Error(ErrorCode::CheckpointMismatch,
@@ -84,67 +103,67 @@ void AsyncEventGnn::load(fault::CheckpointReader& r) {
                     " conv layers, model has " +
                     std::to_string(model_.conv_count()));
   }
-  if (count < 0) {
-    throw Error(ErrorCode::CheckpointCorrupt,
-                "AsyncEventGnn: negative node count");
-  }
+  // Bound every count by the bytes present before sizing anything by it.
+  expect_valid(count >= 0 && static_cast<size_t>(count) <=
+                                   r.remaining() / sizeof(GraphNode),
+               "AsyncEventGnn: node count out of range");
+  reserve(count, 0);
   const auto n = static_cast<size_t>(count);
-  if (nodes_.size() < n) nodes_.resize(n);
-  if (adj_.size() < n) adj_.resize(n);
-  if (out_adj_.size() < n) out_adj_.resize(n);
-  if (input_.size() < n) input_.resize(n);
-  for (auto& layer : features_) {
-    if (layer.size() < n) layer.resize(n);
+  r.pod_span_exact(std::span<GraphNode>(nodes_.data(), n));
+  r.pod_span_exact(std::span<Index>(degree_.data(), n));
+  const auto id_budget = static_cast<Index>(r.remaining() / sizeof(Index));
+  Index packed = 0;
+  Index widest = 0;
+  for (const Index degree : std::span<const Index>(degree_.data(), n)) {
+    expect_valid(degree >= 0 && degree <= id_budget - packed,
+                 "AsyncEventGnn: degree out of range");
+    packed += degree;
+    widest = std::max(widest, degree);
   }
-  if (r.pod_span_into(std::span<GraphNode>(nodes_.data(), n)) !=
-      static_cast<Index>(n)) {
-    throw Error(ErrorCode::CheckpointCorrupt,
-                "AsyncEventGnn: node store truncated");
+  expect_valid(r.i64() == packed,
+               "AsyncEventGnn: degrees do not sum to the adjacency length");
+  reserve(count, widest);
+  for (Index v = 0; v < count; ++v) {
+    const std::span<Index> row(
+        adj_row(v), static_cast<size_t>(degree_[static_cast<size_t>(v)]));
+    r.pod_run(row);
+    for (const Index j : row) {
+      expect_valid(j >= 0 && j < v, "AsyncEventGnn: neighbour id not earlier");
+    }
   }
-  for (size_t v = 0; v < n; ++v) r.pod_vector(adj_[v]);
-  for (size_t v = 0; v < n; ++v) r.pod_vector(input_[v]);
-  for (auto& layer : features_) {
-    for (size_t v = 0; v < n; ++v) r.pod_vector(layer[v]);
+  for (Index l = 0; l < model_.conv_count(); ++l) {
+    r.pod_span_exact(std::span<float>(
+        features_[static_cast<size_t>(l)].data(),
+        n * static_cast<size_t>(model_.conv(l).out_features())));
   }
-  r.pod_vector(pooled_sum_);
-  r.pod_vector(pooled_max_);
-  if (static_cast<Index>(pooled_sum_.size()) != model_.config().hidden ||
-      pooled_max_.size() != pooled_sum_.size()) {
-    throw Error(ErrorCode::CheckpointMismatch,
-                "AsyncEventGnn: pooled width " +
-                    std::to_string(pooled_sum_.size()) + " vs model hidden " +
-                    std::to_string(model_.config().hidden));
-  }
+  r.pod_span_exact(std::span<double>(pooled_sum_));
+  r.pod_span_exact(std::span<float>(pooled_max_));
   count_ = count;
 }
 
 bool AsyncEventGnn::recompute(Index layer, Index v, AsyncGnnStats& stats) {
   const GraphConv& conv = model_.conv(layer);
-  const auto& neighbors = adj_[static_cast<size_t>(v)];
+  const Index degree = degree_[static_cast<size_t>(v)];
+  const Index* neighbors = adj_row(v);
   const auto& pv = nodes_[static_cast<size_t>(v)].position;
 
-  // Gather neighbour references from the previous layer's storage (member
+  // Gather neighbour references from the previous layer's rows (member
   // scratch: no allocation once capacity has warmed up).
   refs_.clear();
-  for (const Index j : neighbors) {
+  for (Index k = 0; k < degree; ++k) {
+    const Index j = neighbors[k];
     const auto& pj = nodes_[static_cast<size_t>(j)].position;
-    const float* feat =
-        layer == 0 ? input_[static_cast<size_t>(j)].data()
-                   : features_[static_cast<size_t>(layer - 1)]
-                             [static_cast<size_t>(j)].data();
-    refs_.push_back({feat, pj.x - pv.x, pj.y - pv.y, pj.z - pv.z});
+    refs_.push_back(
+        {layer_in(layer, j), pj.x - pv.x, pj.y - pv.y, pj.z - pv.z});
   }
-  const float* self =
-      layer == 0 ? input_[static_cast<size_t>(v)].data()
-                 : features_[static_cast<size_t>(layer - 1)]
-                           [static_cast<size_t>(v)].data();
 
-  fresh_.resize(static_cast<size_t>(conv.out_features()));
-  conv.apply_node(self, refs_, fresh_.data());
-  stats.macs += conv.node_macs(static_cast<Index>(neighbors.size()));
+  const Index out = conv.out_features();
+  fresh_.resize(static_cast<size_t>(out));
+  conv.apply_node(layer_in(layer, v), refs_, fresh_.data());
+  stats.macs += conv.node_macs(degree);
   ++stats.node_layer_recomputes;
 
-  auto& stored = features_[static_cast<size_t>(layer)][static_cast<size_t>(v)];
+  float* stored = features_[static_cast<size_t>(layer)].data() + v * out;
   bool changed = false;
   const bool last_layer = (layer + 1 == model_.conv_count());
   for (size_t f = 0; f < fresh_.size(); ++f) {
@@ -156,50 +175,35 @@ bool AsyncEventGnn::recompute(Index layer, Index v, AsyncGnnStats& stats) {
       pooled_max_[f] = std::max(pooled_max_[f], fresh_[f]);
     }
   }
-  if (changed) std::copy(fresh_.begin(), fresh_.end(), stored.begin());
+  if (changed) std::copy(fresh_.begin(), fresh_.end(), stored);
   return changed;
 }
 
 Index AsyncEventGnn::insert_structural(const GraphNode& node,
                                        std::span<const Index> neighbors) {
   const Index id = count_;
-  const auto sid = static_cast<size_t>(id);
-  if (sid < nodes_.size()) {
-    // Reuse a slot prepared by reserve() (or left behind by reset()):
-    // assignment into retained storage, no allocation while the neighbour
-    // list fits the slot's warmed-up capacity.
-    nodes_[sid] = node;
-    adj_[sid].assign(neighbors.begin(), neighbors.end());
-    out_adj_[sid].clear();
-    if (input_[sid].size() != 2) input_[sid].resize(2);
-    for (Index l = 0; l < model_.conv_count(); ++l) {
-      auto& slot = features_[static_cast<size_t>(l)][sid];
-      const auto out = static_cast<size_t>(model_.conv(l).out_features());
-      if (slot.size() != out) slot.resize(out);
-      std::fill(slot.begin(), slot.end(), 0.0f);
-    }
-  } else {
-    nodes_.push_back(node);
-    adj_.emplace_back(neighbors.begin(), neighbors.end());
-    out_adj_.emplace_back();
-    input_.emplace_back(2);
-    for (Index l = 0; l < model_.conv_count(); ++l) {
-      features_[static_cast<size_t>(l)].emplace_back(
-          static_cast<size_t>(model_.conv(l).out_features()), 0.0f);
-    }
-  }
-  input_[sid][0] = node.polarity_sign > 0 ? 1.0f : 0.0f;
-  input_[sid][1] = node.polarity_sign > 0 ? 0.0f : 1.0f;
-  ++count_;
-
   for (const Index j : neighbors) {
     if (j < 0 || j >= id) {
       throw std::invalid_argument("AsyncEventGnn::insert: bad neighbour id");
     }
-    if (bidirectional_) {
-      out_adj_[static_cast<size_t>(j)].push_back(id);
-      adj_[static_cast<size_t>(j)].push_back(id);
-      out_adj_[sid].push_back(j);
+  }
+  const auto degree = static_cast<Index>(neighbors.size());
+  reserve(id + 1, degree);
+  nodes_[static_cast<size_t>(id)] = node;
+  degree_[static_cast<size_t>(id)] = degree;
+  std::copy(neighbors.begin(), neighbors.end(), adj_row(id));
+  for (Index l = 0; l < model_.conv_count(); ++l) {
+    const Index out = model_.conv(l).out_features();
+    std::fill_n(features_[static_cast<size_t>(l)].data() + id * out, out,
+                0.0f);
+  }
+  ++count_;
+
+  if (bidirectional_) {
+    for (const Index j : neighbors) {
+      const auto sj = static_cast<size_t>(j);
+      if (degree_[sj] == stride_) reserve(count_, stride_ + 1);
+      adj_row(j)[degree_[sj]++] = id;
     }
   }
   return id;
@@ -239,7 +243,10 @@ AsyncGnnStats AsyncEventGnn::insert(const GraphNode& node,
     std::unordered_set<Index> next;
     for (const Index v : changed) {
       next.insert(v);
-      for (const Index w : out_adj_[static_cast<size_t>(v)]) next.insert(w);
+      const Index* row = adj_row(v);
+      for (Index k = 0; k < degree_[static_cast<size_t>(v)]; ++k) {
+        next.insert(row[k]);
+      }
     }
     if (next.empty()) break;
     dirty = std::move(next);
@@ -268,8 +275,6 @@ AsyncGnnStats AsyncEventGnn::insert_batch(const GraphNode& node,
   // layer-by-layer break. A shared any-node-changed break would instead
   // drag early-converged nodes to deeper layers, where a bias-driven fresh
   // value can spuriously differ from their (never-computed) stored zeros.
-  // Net effect: identical state evolution, full-sweep stats — the O(N)-
-  // per-event cost the planner prices against the incremental path.
   active_.assign(static_cast<size_t>(count_), 1);
   for (Index l = 0; l < model_.conv_count(); ++l) {
     bool any_changed = false;
@@ -282,12 +287,6 @@ AsyncGnnStats AsyncEventGnn::insert_batch(const GraphNode& node,
     if (!any_changed) break;
   }
   return stats;
-}
-
-nn::Tensor AsyncEventGnn::logits() {
-  nn::Tensor out({model_.config().num_classes});
-  logits_into(out);
-  return out;
 }
 
 void AsyncEventGnn::logits_into(nn::Tensor& out) {
@@ -311,8 +310,7 @@ std::int64_t AsyncEventGnn::full_recompute_macs() const {
   for (Index l = 0; l < model_.conv_count(); ++l) {
     const auto& conv = model_.conv(l);
     for (Index v = 0; v < count_; ++v) {
-      macs += conv.node_macs(
-          static_cast<Index>(adj_[static_cast<size_t>(v)].size()));
+      macs += conv.node_macs(degree_[static_cast<size_t>(v)]);
     }
   }
   return macs;

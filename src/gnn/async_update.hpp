@@ -40,44 +40,34 @@ class AsyncEventGnn {
   AsyncGnnStats insert(const GraphNode& node, std::span<const Index> neighbors);
 
   /// Batch-discipline insert: the same structural insertion, but the
-  /// message pass re-evaluates the WHOLE graph layer by layer (every node,
-  /// index order) instead of only the incremental frontier, carrying each
-  /// node forward to the next layer only while its features keep changing.
-  /// In causal mode this is bitwise-identical to insert() by construction:
-  /// existing nodes' in-neighbourhoods and inputs never change, so their
-  /// layer-0 re-evaluations reproduce their stored features exactly and
-  /// drop them from the sweep — the state evolution (features, pools, and
-  /// therefore every decision) matches the incremental path bit for bit,
-  /// while the stats record the full-sweep work. That equality is what the
-  /// route.gnn_batch_vs_incremental oracle pins at ULP 0, and the modeled
-  /// cost gap (O(N) sweep vs O(degree) frontier) is what the planner
-  /// prices when routing. Bidirectional graphs fall back to insert().
+  /// message pass sweeps the WHOLE graph layer by layer instead of the
+  /// incremental frontier. In causal mode the state evolution is
+  /// bitwise-identical to insert() (route.gnn_batch_vs_incremental pins it
+  /// at ULP 0) while the stats record the O(N) sweep the planner prices.
+  /// Bidirectional graphs fall back to insert().
   AsyncGnnStats insert_batch(const GraphNode& node,
                              std::span<const Index> neighbors);
 
-  /// Current logits from the running pooled representation.
-  nn::Tensor logits();
-
-  /// Zero-allocation logits: writes into caller-owned `out` (shape
-  /// [num_classes]). Bitwise identical to logits().
+  /// Current logits from the running pooled representation, written into
+  /// caller-owned `out` (shape [num_classes]) without allocating.
   void logits_into(nn::Tensor& out);
 
-  /// Pre-size every per-node buffer for up to `max_nodes` nodes of in-degree
-  /// <= `max_degree`, so causal-mode insert() performs no heap allocation
-  /// until the graph exceeds that size. (Bidirectional mode grows neighbour
-  /// lists of *earlier* nodes and cannot be pre-sized this way.)
+  /// Grow the graph store to >= `max_nodes` node rows and an adjacency
+  /// stride >= `max_degree` (doubling the stride re-lays out every row).
+  /// The one growth path: called once up front, it leaves insert() and
+  /// reset() allocation-free until the graph outgrows it.
   void reserve(Index max_nodes, Index max_degree);
 
-  /// Logical clear that keeps all storage: with reserve(), a session
-  /// recycles its graph allocation-free when it hits its node cap.
+  /// Empty the graph, keeping every array (allocation-free recycle).
   void reset();
 
-  /// Checkpoint the live per-node state (nodes, adjacency, inputs, layer
-  /// features, running pools) into `w` / restore it from `r`. Causal mode
-  /// only: bidirectional graphs grow earlier nodes' neighbour lists, whose
-  /// stale pooled-max envelope makes a restored stream diverge, so save()
-  /// throws evd::Error(CheckpointUnsupported) there. The restoring engine
-  /// must wrap the same model (layer shapes are validated).
+  /// Checkpoint the live graph as a fixed list of spans: nodes, degrees,
+  /// packed adjacency, one [n x out_l] span per conv layer, the two pools.
+  /// Causal mode only: a bidirectional graph's stale pooled-max envelope
+  /// would diverge on restore, so save() throws CheckpointUnsupported.
+  /// load() checks structure — neighbour ids of v in [0, v), degrees summing
+  /// to the packed length, the model's widths — and on any violation throws
+  /// CheckpointCorrupt and leaves the engine empty.
   void save(fault::CheckpointWriter& w) const;
   void load(fault::CheckpointReader& r);
 
@@ -87,31 +77,34 @@ class AsyncEventGnn {
   /// the baseline against which per-event updates are compared.
   std::int64_t full_recompute_macs() const;
 
-  void clear();
-
  private:
   /// Recompute features of node v at conv layer l; returns true if changed.
   bool recompute(Index layer, Index v, AsyncGnnStats& stats);
 
-  /// Shared structural half of insert()/insert_batch(): slot fill,
-  /// adjacency + input setup, neighbour validation. Returns the new id.
+  /// Shared structural half of insert()/insert_batch(); returns the new id.
+  /// A bad neighbour id throws before anything is written.
   Index insert_structural(const GraphNode& node,
                           std::span<const Index> neighbors);
+
+  /// Node v's input to conv layer l: polarity one-hot, or layer l-1's row.
+  const float* layer_in(Index layer, Index v) const;
+
+  Index* adj_row(Index v) { return adj_.data() + v * stride_; }
+  const Index* adj_row(Index v) const { return adj_.data() + v * stride_; }
 
   static constexpr float kEps = 1e-6f;
 
   const EventGnn& model_;
   bool bidirectional_;
-  Index count_ = 0;  ///< Live nodes; storage below may be larger (reserve()).
+  Index count_ = 0;   ///< Live nodes; the arrays below may be longer.
+  Index stride_ = 0;  ///< Adjacency slots per node row.
+  // Node-major graph store: nodes_[v], degree_[v], in-neighbours at
+  // adj_[v * stride_ ...] (symmetric in bidirectional mode), and conv layer
+  // l's output row v at features_[l][v * out_l ...].
   std::vector<GraphNode> nodes_;
-  std::vector<std::vector<Index>> adj_;      ///< In-neighbours per node.
-  std::vector<std::vector<Index>> out_adj_;  ///< Nodes that list v as neighbour
-                                             ///< (maintained only when
-                                             ///< bidirectional — causal
-                                             ///< propagation never reads it).
-  std::vector<std::vector<float>> input_;    ///< [node] -> [2] polarity onehot.
-  /// features_[l][node] = output of conv layer l.
-  std::vector<std::vector<std::vector<float>>> features_;
+  std::vector<Index> degree_;
+  std::vector<Index> adj_;
+  std::vector<std::vector<float>> features_;
   std::vector<double> pooled_sum_;
   /// Running max per feature. Exact under causal insertion (node features
   /// are immutable once computed, and ReLU outputs are >= 0, the pool's

@@ -1,7 +1,6 @@
 #include "gnn/gnn_pipeline.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "nn/softmax.hpp"
 #include "obs/trace.hpp"
@@ -134,9 +133,7 @@ double GnnPipeline::computation_sparsity(const events::EventStream& probe) {
   std::int64_t async_macs = 0;
   std::int64_t full_macs = 0;
   for (Index i = 0; i < graph.node_count(); ++i) {
-    std::vector<Index> neighbors(graph.neighbors(i).begin(),
-                                 graph.neighbors(i).end());
-    const auto stats = async.insert(graph.node(i), neighbors);
+    const auto stats = async.insert(graph.node(i), graph.neighbors(i));
     async_macs += stats.macs;
     full_macs += async.full_recompute_macs();
   }
@@ -191,15 +188,12 @@ class GnnStreamSession : public runtime::SessionBase {
       builder_.clear();
       async_.reset();
     }
-    GraphNode node;
+    Index id;
     {
       obs::Span span("gnn.graph_update");
-      builder_.insert_into(event, neighbors_);
-      node.position = embed(event, pipeline_.config().graph.time_scale);
-      node.polarity_sign =
-          static_cast<std::int8_t>(polarity_sign(event.polarity));
-      node.t = event.t;
+      id = builder_.insert_into(event, neighbors_);
     }
+    const GraphNode& node = builder_.node(id);
     obs::Span span("gnn.message_pass");
     // Routed message-pass discipline: the batch path sweeps the whole graph
     // per event instead of the incremental frontier — bitwise-identical
@@ -238,6 +232,10 @@ class GnnStreamSession : public runtime::SessionBase {
     stride_counter_ = r.i64();
     builder_.load(r);
     async_.load(r);
+    const Index n = builder_.node_count();
+    fault::expect_valid(
+        n == async_.node_count() && n <= pipeline_.config().stream_max_nodes,
+        "GnnStreamSession: builder and engine node counts disagree");
   }
 
   GnnPipeline& pipeline_;

@@ -18,10 +18,10 @@ IncrementalGraphBuilder::IncrementalGraphBuilder(Index width, Index height,
                                          static_cast<double>(cell_size_)));
   grid_h_ = static_cast<Index>(std::ceil(static_cast<double>(height) /
                                          static_cast<double>(cell_size_)));
-  cells_.resize(static_cast<size_t>(grid_w_ * grid_h_));
-  for (auto& cell : cells_) {
-    cell.ids.assign(static_cast<size_t>(config_.cell_capacity), -1);
-  }
+  const auto cells = static_cast<size_t>(grid_w_ * grid_h_);
+  ring_.assign(cells * static_cast<size_t>(config_.cell_capacity), -1);
+  ring_cursor_.assign(cells, 0);
+  ring_count_.assign(cells, 0);
   // A neighbour at distance <= radius in embedded space can be at most
   // radius/time_scale microseconds in the past.
   horizon_us_ = static_cast<TimeUs>(
@@ -30,11 +30,9 @@ IncrementalGraphBuilder::IncrementalGraphBuilder(Index width, Index height,
 }
 
 void IncrementalGraphBuilder::clear() {
-  for (auto& cell : cells_) {
-    std::fill(cell.ids.begin(), cell.ids.end(), -1);
-    cell.cursor = 0;
-    cell.count = 0;
-  }
+  std::fill(ring_.begin(), ring_.end(), -1);
+  std::fill(ring_cursor_.begin(), ring_cursor_.end(), 0);
+  std::fill(ring_count_.begin(), ring_count_.end(), 0);
   nodes_.clear();
 }
 
@@ -43,11 +41,9 @@ void IncrementalGraphBuilder::save(fault::CheckpointWriter& w) const {
   w.i64(grid_h_);
   w.i64(config_.cell_capacity);
   w.pod_vector(nodes_);
-  for (const Cell& cell : cells_) {
-    w.pod_vector(cell.ids);
-    w.i64(cell.cursor);
-    w.i64(cell.count);
-  }
+  w.pod_vector(ring_);
+  w.pod_vector(ring_cursor_);
+  w.pod_vector(ring_count_);
 }
 
 void IncrementalGraphBuilder::load(fault::CheckpointReader& r) {
@@ -62,19 +58,28 @@ void IncrementalGraphBuilder::load(fault::CheckpointReader& r) {
                     std::to_string(grid_w_) + "x" + std::to_string(grid_h_) +
                     "/" + std::to_string(config_.cell_capacity));
   }
-  r.pod_vector(nodes_);
-  for (Cell& cell : cells_) {
-    r.pod_vector(cell.ids);
-    cell.cursor = r.i64();
-    cell.count = r.i64();
+  try {
+    r.pod_vector(nodes_);
+    r.pod_span_exact(std::span<Index>(ring_));
+    r.pod_span_exact(std::span<Index>(ring_cursor_));
+    r.pod_span_exact(std::span<Index>(ring_count_));
+    auto all_in = [](const std::vector<Index>& xs, Index lo, Index end) {
+      return std::all_of(xs.begin(), xs.end(),
+                         [=](Index x) { return x >= lo && x < end; });
+    };
+    fault::expect_valid(all_in(ring_cursor_, 0, cap) &&
+                            all_in(ring_count_, 0, cap + 1) &&
+                            all_in(ring_, -1, node_count()),
+                        "IncrementalGraphBuilder: ring state out of range");
+  } catch (...) {
+    clear();
+    throw;
   }
 }
 
 Index IncrementalGraphBuilder::state_bytes() const noexcept {
-  return static_cast<Index>(cells_.size() *
-                            (static_cast<size_t>(config_.cell_capacity) *
-                                 sizeof(Index) +
-                             2 * sizeof(Index)) +
+  return static_cast<Index>((ring_.size() + 2 * ring_count_.size()) *
+                                sizeof(Index) +
                             nodes_.size() * sizeof(GraphNode));
 }
 
@@ -107,18 +112,19 @@ Index IncrementalGraphBuilder::insert_into(const events::Event& event,
     for (Index dx = -1; dx <= 1; ++dx) {
       const Index nx = cx + dx;
       if (nx < 0 || nx >= grid_w_) continue;
-      const Cell& cell = cell_at(nx, ny);
-      for (Index k = 0; k < cell.count; ++k) {
-        const Index id =
-            cell.ids[static_cast<size_t>((cell.cursor - 1 - k +
-                                          2 * config_.cell_capacity) %
-                                         config_.cell_capacity)];
+      const Index cell = cell_index(nx, ny);
+      const Index* ids = ring_.data() + cell * config_.cell_capacity;
+      const Index cursor = ring_cursor_[static_cast<size_t>(cell)];
+      for (Index k = 0; k < ring_count_[static_cast<size_t>(cell)]; ++k) {
+        const Index id = ids[(cursor - 1 - k + 2 * config_.cell_capacity) %
+                             config_.cell_capacity];
         if (id < 0) continue;
         const auto& candidate = nodes_[static_cast<size_t>(id)];
         ++scanned;
         // Candidates are scanned newest-first; once one is beyond the time
-        // horizon, everything older in this cell is too.
-        if (event.t - candidate.t > horizon_us_) break;
+        // horizon (tested without subtracting a restored t, which could
+        // overflow), everything older in this cell is too.
+        if (candidate.t < event.t - horizon_us_) break;
         const float d2 = squared_distance(candidate.position, p);
         if (d2 <= r2) within_.emplace_back(d2, id);
       }
@@ -139,10 +145,12 @@ Index IncrementalGraphBuilder::insert_into(const events::Event& event,
   const Index node_id = static_cast<Index>(nodes_.size());
   nodes_.push_back(node);
 
-  Cell& home = cell_at(std::min(cx, grid_w_ - 1), std::min(cy, grid_h_ - 1));
-  home.ids[static_cast<size_t>(home.cursor)] = node_id;
-  home.cursor = (home.cursor + 1) % config_.cell_capacity;
-  home.count = std::min(home.count + 1, config_.cell_capacity);
+  const auto home = static_cast<size_t>(
+      cell_index(std::min(cx, grid_w_ - 1), std::min(cy, grid_h_ - 1)));
+  ring_[home * static_cast<size_t>(config_.cell_capacity) +
+        static_cast<size_t>(ring_cursor_[home])] = node_id;
+  ring_cursor_[home] = (ring_cursor_[home] + 1) % config_.cell_capacity;
+  ring_count_[home] = std::min(ring_count_[home] + 1, config_.cell_capacity);
   if (candidates_scanned != nullptr) *candidates_scanned = scanned;
   return node_id;
 }
@@ -157,11 +165,7 @@ EventGraph build_graph_incremental(const events::EventStream& stream,
   EventGraph graph;
   for (const auto& e : sampled) {
     auto result = builder.insert(e);
-    GraphNode node;
-    node.position = embed(e, config.time_scale);
-    node.polarity_sign = static_cast<std::int8_t>(polarity_sign(e.polarity));
-    node.t = e.t;
-    graph.add_node(node, std::move(result.neighbors));
+    graph.add_node(builder.node(result.node_id), std::move(result.neighbors));
   }
   return graph;
 }

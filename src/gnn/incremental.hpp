@@ -69,11 +69,11 @@ class IncrementalGraphBuilder {
   /// Reset all state (nodes and grid).
   void clear();
 
-  /// Checkpoint the mutable state (node store + grid rings) into `w` /
-  /// restore it from `r`. The restoring builder must have the same geometry
-  /// and config (grid dimensions are validated; a mismatch throws
-  /// evd::Error(CheckpointMismatch)). Storage reserved by reserve_nodes()
-  /// survives a load.
+  /// Checkpoint the mutable state as a fixed list of spans: nodes, ring,
+  /// cursors, counts. The restoring builder must have the same geometry and
+  /// config (else CheckpointMismatch). load() also checks that cursors,
+  /// counts and ring ids are in range; a violation throws CheckpointCorrupt
+  /// and leaves the builder cleared. reserve_nodes() storage survives it.
   void save(fault::CheckpointWriter& w) const;
   void load(fault::CheckpointReader& r);
 
@@ -81,20 +81,17 @@ class IncrementalGraphBuilder {
   Index state_bytes() const noexcept;
 
  private:
-  struct Cell {
-    std::vector<Index> ids;  ///< Ring buffer, newest at cursor-1.
-    Index cursor = 0;
-    Index count = 0;
-  };
-
-  Cell& cell_at(Index cx, Index cy) {
-    return cells_[static_cast<size_t>(cy * grid_w_ + cx)];
-  }
+  Index cell_index(Index cx, Index cy) const { return cy * grid_w_ + cx; }
 
   IncrementalConfig config_;
   Index grid_w_, grid_h_;
   float cell_size_;
-  std::vector<Cell> cells_;
+  // Grid rings, one array each: cell c's ring buffer is
+  // ring_[c * cell_capacity, (c + 1) * cell_capacity), newest id at
+  // ring_cursor_[c] - 1, ring_count_[c] slots filled; -1 marks an empty slot.
+  std::vector<Index> ring_;
+  std::vector<Index> ring_cursor_;
+  std::vector<Index> ring_count_;
   std::vector<GraphNode> nodes_;
   TimeUs horizon_us_;
   /// Scratch for insert_into (candidates from <= 9 cells); reserved once.

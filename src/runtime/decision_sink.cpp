@@ -49,14 +49,12 @@ void DecisionSink::load(fault::CheckpointReader& r) {
                     " vs checkpointed " + std::to_string(retain));
   }
   r.pod_vector(buffer_);
-  if (static_cast<Index>(buffer_.size()) > retain_ * 2) {
-    throw Error(ErrorCode::CheckpointCorrupt,
-                "DecisionSink buffer exceeds its 2*retain bound");
-  }
+  fault::expect_valid(static_cast<Index>(buffer_.size()) <= retain_ * 2,
+                      "DecisionSink buffer exceeds its 2*retain bound");
   drain_cursor_ = r.i64();
-  if (drain_cursor_ < 0 || drain_cursor_ > static_cast<Index>(buffer_.size())) {
-    throw Error(ErrorCode::CheckpointCorrupt, "DecisionSink cursor out of range");
-  }
+  fault::expect_valid(
+      drain_cursor_ >= 0 && drain_cursor_ <= static_cast<Index>(buffer_.size()),
+      "DecisionSink cursor out of range");
   total_ = r.i64();
   dropped_ = r.i64();
   evicted_ = r.i64();

@@ -47,14 +47,15 @@ void SessionBase::note_activity(const events::Event& event) {
   if (act_window_start_ == std::numeric_limits<TimeUs>::min()) {
     act_window_start_ = event.t;  // windows are anchored to the first event
   }
-  if (event.t - act_window_start_ >= act_window_us_) {
+  // Never subtract the (restored, untrusted) window start: it can overflow.
+  if (act_window_start_ <= event.t - act_window_us_) {
     const double occupancy =
         static_cast<double>(act_touched_count_) /
         static_cast<double>(act_width_ * act_height_);
     act_ewma_ = 0.5 * act_ewma_ + 0.5 * occupancy;
     // A long silent gap is sparse evidence in itself: decay once more so a
     // stream that went quiet does not keep its old dense estimate.
-    if (event.t - act_window_start_ >= 2 * act_window_us_) act_ewma_ *= 0.5;
+    if (act_window_start_ <= event.t - 2 * act_window_us_) act_ewma_ *= 0.5;
     std::fill(act_touched_.begin(), act_touched_.end(), std::uint8_t{0});
     act_touched_count_ = 0;
     act_window_start_ = event.t;
@@ -98,9 +99,8 @@ bool SessionBase::save_state(std::vector<std::uint8_t>& out) const {
 bool SessionBase::load_state(std::span<const std::uint8_t> bytes) {
   if (!checkpoint_supported()) return false;
   fault::CheckpointReader r(bytes);
-  if (r.u32() != fault::kCheckpointMagic) {
-    throw Error(ErrorCode::CheckpointCorrupt, "bad checkpoint magic");
-  }
+  fault::expect_valid(r.u32() == fault::kCheckpointMagic,
+                      "bad checkpoint magic");
   if (const auto version = r.u32(); version != fault::kCheckpointVersion) {
     throw Error(ErrorCode::CheckpointMismatch,
                 "checkpoint version " + std::to_string(version) +

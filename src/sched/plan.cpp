@@ -158,28 +158,22 @@ Plan Plan::deserialize(std::span<const std::uint8_t> bytes) {
   // per session, so a corrupt count must die here as a typed error, not as
   // a multi-terabyte allocation. A 1 MiB frame cannot describe more
   // sessions than it has session-id bytes.
-  if (plan.session_count < 0 ||
-      plan.session_count >
-          static_cast<Index>(kPlanMaxBytes / sizeof(Index))) {
-    throw Error(ErrorCode::CheckpointCorrupt,
-                "Plan::deserialize: implausible session count");
-  }
+  fault::expect_valid(plan.session_count >= 0 &&
+                          plan.session_count <=
+                              static_cast<Index>(kPlanMaxBytes / sizeof(Index)),
+                      "Plan::deserialize: implausible session count");
   plan.burst = r.i64();
   plan.modeled_cost_us = r.f64();
   const std::int64_t nregions = r.i64();
-  if (nregions < 0 || nregions > plan.session_count) {
-    throw Error(ErrorCode::CheckpointCorrupt,
-                "Plan::deserialize: implausible region count");
-  }
+  fault::expect_valid(nregions >= 0 && nregions <= plan.session_count,
+                      "Plan::deserialize: implausible region count");
   plan.regions.resize(static_cast<size_t>(nregions));
   for (PlanRegion& region : plan.regions) {
     r.pod_vector(region.sessions);
   }
   const std::int64_t nplacements = r.i64();
-  if (nplacements < 0 || nplacements > 64) {
-    throw Error(ErrorCode::CheckpointCorrupt,
-                "Plan::deserialize: implausible placement count");
-  }
+  fault::expect_valid(nplacements >= 0 && nplacements <= 64,
+                      "Plan::deserialize: implausible placement count");
   plan.placements.resize(static_cast<size_t>(nplacements));
   for (ParadigmPlacement& p : plan.placements) {
     p.paradigm = r.str();

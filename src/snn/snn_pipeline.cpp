@@ -257,10 +257,8 @@ class SnnStreamSession : public runtime::SessionBase {
     std::fill(seen_.begin(), seen_.end(), 0);
     r.pod_vector(pending_);
     for (const Index i : pending_) {
-      if (i < 0 || i >= static_cast<Index>(seen_.size())) {
-        throw Error(ErrorCode::CheckpointCorrupt,
-                    "SnnStreamSession: pending spike index out of range");
-      }
+      fault::expect_valid(i >= 0 && i < static_cast<Index>(seen_.size()),
+                          "SnnStreamSession: pending spike index out of range");
       seen_[static_cast<size_t>(i)] = 1;
     }
   }

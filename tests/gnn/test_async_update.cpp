@@ -36,7 +36,8 @@ TEST(AsyncEventGnn, CausalLogitsMatchBatchForward) {
   }
   ASSERT_EQ(async.node_count(), graph.node_count());
 
-  const nn::Tensor incremental = async.logits();
+  nn::Tensor incremental({model.config().num_classes});
+  async.logits_into(incremental);
   const nn::Tensor batch = model.forward(graph, false);
   ASSERT_EQ(incremental.numel(), batch.numel());
   for (Index i = 0; i < batch.numel(); ++i) {
@@ -109,7 +110,7 @@ TEST(AsyncEventGnn, ClearResetsEverything) {
   EventGnn model(tiny_config());
   AsyncEventGnn async(model, false);
   async.insert({{1, 1, 0}, 1, 0}, {});
-  async.clear();
+  async.reset();
   EXPECT_EQ(async.node_count(), 0);
   EXPECT_EQ(async.full_recompute_macs(), 0);
 }
@@ -119,6 +120,8 @@ TEST(AsyncEventGnn, BadNeighborIdThrows) {
   AsyncEventGnn async(model, false);
   EXPECT_THROW(async.insert({{0, 0, 0}, 1, 0}, std::vector<Index>{5}),
                std::invalid_argument);
+  // The rejected insert leaves no trace.
+  EXPECT_EQ(async.node_count(), 0);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // documented. Scope of the claim, per paradigm:
 //   * GNN  — the ENTIRE per-event path (graph insert, incremental inference,
 //            softmax, decision emit, and the graph-recycle restart) is
-//            allocation-free after session construction;
+//            allocation-free after session construction, and construction
+//            itself makes a fixed number of allocations at any node cap;
 //   * CNN  — per-event ingest is allocation-free; the dense forward at a
 //            frame close may allocate (bounded by the frame clock);
 //   * SNN  — per-event binning is allocation-free; net().step() at a
@@ -85,6 +86,27 @@ TEST(ZeroAlloc, GnnFullPerEventPathIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0) << "GNN steady-state feed() must not touch the heap";
   EXPECT_EQ(session->stats().decisions_emitted, 500);
+}
+
+TEST(ZeroAlloc, GnnSessionOpenCostIsIndependentOfTheNodeCap) {
+  // A session's graph store is a fixed set of arrays sized by the node cap,
+  // not a few heap blocks per node: opening one costs the same number of
+  // allocations at any cap.
+  auto allocations_per_open = [](Index max_nodes) {
+    gnn::GnnPipelineConfig config;
+    config.width = 16;
+    config.height = 16;
+    config.num_classes = 2;
+    config.model.hidden = 8;
+    config.model.layers = 2;
+    config.stream_stride = 4;
+    config.stream_max_nodes = max_nodes;
+    config.decision_retain = 256;
+    gnn::GnnPipeline pipeline(config);
+    (void)pipeline.open_session(16, 16);  // first open freezes the model
+    return allocations_during([&] { (void)pipeline.open_session(16, 16); });
+  };
+  EXPECT_EQ(allocations_per_open(64), allocations_per_open(4096));
 }
 
 TEST(ZeroAlloc, CnnIntraFrameFeedIsAllocationFree) {
