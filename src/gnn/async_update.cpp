@@ -31,6 +31,11 @@ void AsyncEventGnn::reset() {
 }
 
 void AsyncEventGnn::reserve(Index max_nodes, Index max_degree) {
+  max_degree_ = std::max(max_degree_, max_degree);
+  grow(max_nodes, max_degree);
+}
+
+void AsyncEventGnn::grow(Index max_nodes, Index max_degree) {
   const auto rows = std::max(max_nodes, static_cast<Index>(nodes_.size()));
   if (max_degree > stride_) {
     const Index stride = std::max(max_degree, 2 * stride_);
@@ -107,22 +112,25 @@ void AsyncEventGnn::load(fault::CheckpointReader& r) {
   expect_valid(count >= 0 && static_cast<size_t>(count) <=
                                    r.remaining() / sizeof(GraphNode),
                "AsyncEventGnn: node count out of range");
-  reserve(count, 0);
+  grow(count, 0);
   const auto n = static_cast<size_t>(count);
   r.pod_span_exact(std::span<GraphNode>(nodes_.data(), n));
   r.pod_span_exact(std::span<Index>(degree_.data(), n));
+  // A declared degree bound caps the stride sized below, so a crafted frame
+  // cannot make it allocate count x widest slots past the bound.
   const auto id_budget = static_cast<Index>(r.remaining() / sizeof(Index));
   Index packed = 0;
   Index widest = 0;
   for (const Index degree : std::span<const Index>(degree_.data(), n)) {
-    expect_valid(degree >= 0 && degree <= id_budget - packed,
+    expect_valid(degree >= 0 && degree <= id_budget - packed &&
+                     (max_degree_ == 0 || degree <= max_degree_),
                  "AsyncEventGnn: degree out of range");
     packed += degree;
     widest = std::max(widest, degree);
   }
   expect_valid(r.i64() == packed,
                "AsyncEventGnn: degrees do not sum to the adjacency length");
-  reserve(count, widest);
+  grow(count, widest);
   for (Index v = 0; v < count; ++v) {
     const std::span<Index> row(
         adj_row(v), static_cast<size_t>(degree_[static_cast<size_t>(v)]));
@@ -188,7 +196,7 @@ Index AsyncEventGnn::insert_structural(const GraphNode& node,
     }
   }
   const auto degree = static_cast<Index>(neighbors.size());
-  reserve(id + 1, degree);
+  grow(id + 1, degree);
   nodes_[static_cast<size_t>(id)] = node;
   degree_[static_cast<size_t>(id)] = degree;
   std::copy(neighbors.begin(), neighbors.end(), adj_row(id));
@@ -202,7 +210,7 @@ Index AsyncEventGnn::insert_structural(const GraphNode& node,
   if (bidirectional_) {
     for (const Index j : neighbors) {
       const auto sj = static_cast<size_t>(j);
-      if (degree_[sj] == stride_) reserve(count_, stride_ + 1);
+      if (degree_[sj] == stride_) grow(count_, stride_ + 1);
       adj_row(j)[degree_[sj]++] = id;
     }
   }

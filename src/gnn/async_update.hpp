@@ -53,9 +53,9 @@ class AsyncEventGnn {
   void logits_into(nn::Tensor& out);
 
   /// Grow the graph store to >= `max_nodes` node rows and an adjacency
-  /// stride >= `max_degree` (doubling the stride re-lays out every row).
-  /// The one growth path: called once up front, it leaves insert() and
-  /// reset() allocation-free until the graph outgrows it.
+  /// stride >= `max_degree`, and declare `max_degree` (when > 0) as the
+  /// widest degree load() accepts. Called once up front, it leaves insert()
+  /// and reset() allocation-free until the graph outgrows it.
   void reserve(Index max_nodes, Index max_degree);
 
   /// Empty the graph, keeping every array (allocation-free recycle).
@@ -66,8 +66,9 @@ class AsyncEventGnn {
   /// Causal mode only: a bidirectional graph's stale pooled-max envelope
   /// would diverge on restore, so save() throws CheckpointUnsupported.
   /// load() checks structure — neighbour ids of v in [0, v), degrees summing
-  /// to the packed length, the model's widths — and on any violation throws
-  /// CheckpointCorrupt and leaves the engine empty.
+  /// to the packed length and within the degree reserve() declared, the
+  /// model's widths — and on any violation throws CheckpointCorrupt and
+  /// leaves the engine empty.
   void save(fault::CheckpointWriter& w) const;
   void load(fault::CheckpointReader& r);
 
@@ -78,6 +79,9 @@ class AsyncEventGnn {
   std::int64_t full_recompute_macs() const;
 
  private:
+  /// The one growth path (doubling the stride re-lays out every row).
+  void grow(Index max_nodes, Index max_degree);
+
   /// Recompute features of node v at conv layer l; returns true if changed.
   bool recompute(Index layer, Index v, AsyncGnnStats& stats);
 
@@ -98,6 +102,8 @@ class AsyncEventGnn {
   bool bidirectional_;
   Index count_ = 0;   ///< Live nodes; the arrays below may be longer.
   Index stride_ = 0;  ///< Adjacency slots per node row.
+  /// Widest degree load() accepts, declared through reserve(); 0 = none.
+  Index max_degree_ = 0;
   // Node-major graph store: nodes_[v], degree_[v], in-neighbours at
   // adj_[v * stride_ ...] (symmetric in bidirectional mode), and conv layer
   // l's output row v at features_[l][v * out_l ...].

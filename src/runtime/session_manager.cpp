@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -83,7 +84,6 @@ SessionId SessionManager::add(std::unique_ptr<core::StreamSession> session,
   }
   capacity_total_ += config.queue_capacity;
   slots_.push_back(std::move(slot));
-  processed_.push_back(0);
   sessions_gauge_.set(static_cast<double>(session_count() - retired_slots_));
   return id;
 }
@@ -326,7 +326,6 @@ Index SessionManager::pump_session(Index i, Index burst,
   // through the parallel region, so neighbors are untouched (the
   // runtime.fault_isolation oracle holds this bitwise).
   while (done < burst && s.queue.pop(op)) {
-    queued_ops_.fetch_sub(1, std::memory_order_relaxed);
     try {
       if (op.enqueue_ns > 0) {
         const std::int64_t before = s.session->stats().decisions_emitted;
@@ -437,18 +436,21 @@ Index SessionManager::pump() {
   // burst by kMaxPlanBurst, so no installed plan overflows it here.
   const auto nregions = static_cast<Index>(plan.regions.size());
   const Index burst = plan.burst * coarsen;
-  par::parallel_for(0, nregions, 1, [&](Index begin, Index end) {
-    for (Index r = begin; r < end; ++r) {
-      const sched::PlanRegion& region = plan.regions[static_cast<size_t>(r)];
-      for (const Index s : region.sessions) {
-        processed_[static_cast<size_t>(s)] =
-            pump_session(s, burst, region.label.c_str());
-      }
-    }
-  });
+  const Index total = par::parallel_reduce(
+      0, nregions, 1, Index{0},
+      [&](Index r, Index) {
+        const sched::PlanRegion& region = plan.regions[static_cast<size_t>(r)];
+        Index ops = 0;
+        for (const Index s : region.sessions) {
+          ops += pump_session(s, burst, region.label.c_str());
+        }
+        return ops;
+      },
+      std::plus<Index>());
+  // pump_session counts every op it popped, the faulting one included, so
+  // one subtraction on this thread settles the round's occupancy ledger.
+  queued_ops_.fetch_sub(total, std::memory_order_relaxed);
   if (planned) planned_rounds_.add(1);
-  Index total = 0;
-  for (Index i = 0; i < n; ++i) total += processed_[static_cast<size_t>(i)];
   ops_processed_.add(total);
   pump_rounds_.add(1);
   return total;

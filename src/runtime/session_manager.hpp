@@ -3,12 +3,15 @@
 // The SessionManager owns N (session, ingress-queue) pairs and pumps them
 // through an execution plan (sched/plan.hpp):
 //
-//   pump() round:  parallel_for over plan regions, grain 1 — region r is
-//                  one chunk, so every session in it runs on exactly one
+//   pump() round:  parallel_reduce over plan regions, grain 1 — region r
+//                  is one chunk, so every session in it runs on exactly one
 //                  worker per round. Each visit processes up to the plan's
 //                  burst of queued ops, in FIFO order, then yields. With no
 //                  installed plan the manager pumps Plan::round_robin over
 //                  the pool (worker w gets sessions w, w+W, ... at `burst`).
+//                  Each region returns the ops it popped and the caller
+//                  settles the occupancy ledger once per round: no worker
+//                  writes memory shared with another worker per op.
 //
 // Determinism argument (the multiplexed-vs-sequential oracle in evd::check
 // enforces this bitwise):
@@ -358,7 +361,8 @@ class SessionManager {
   bool take_checkpoint(Slot& s);
 
   /// One session's slice of a pump round: up to `burst` queued ops under
-  /// the named obs span.
+  /// the named obs span. Returns the ops it popped, the faulting one
+  /// included, which pump() settles against queued_ops_.
   Index pump_session(Index i, Index burst, const char* span_name);
   /// The round-robin plan pump() runs when no plan is installed, dealt
   /// over the pool (one region when already inside a parallel region) and
@@ -380,7 +384,6 @@ class SessionManager {
   sched::Plan default_plan_;  ///< Cached default_plan() result.
   Index default_plan_workers_ = 0;  ///< Worker count default_plan_ deals.
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<Index> processed_;  ///< Per-session scratch for pump().
   fault::AdmissionConfig admission_;
   // Online re-planning state (all touched only by the pumping thread).
   ReplanHook replan_hook_;

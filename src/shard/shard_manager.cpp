@@ -1,5 +1,6 @@
 #include "shard/shard_manager.hpp"
 
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -45,10 +46,7 @@ ShardManager::ShardManager(ShardManagerConfig config)
     }
     shards_.push_back(std::move(state));
   }
-  if (n > 1) {
-    migrations_counter_ = obs::counter("evd_shard_migrations_total");
-    round_ops_.assign(static_cast<size_t>(n), 0);
-  }
+  if (n > 1) migrations_counter_ = obs::counter("evd_shard_migrations_total");
 }
 
 ShardManager::Entry& ShardManager::entry(SessionId id) {
@@ -166,18 +164,15 @@ Index ShardManager::pump() {
   // Grain 1 over shards: shard s is chunk s, so one worker owns a shard's
   // entire drain + inner pump per round (static chunk assignment, the same
   // single-owner argument the SessionManager makes per session). The inner
-  // pump's own parallel_for nests inside a region and therefore runs
+  // pump's own parallel_reduce nests inside a region and therefore runs
   // inline on this worker — per-shard pumps stay strictly serial per shard.
-  par::parallel_for(0, n, 1, [&](Index begin, Index end) {
-    for (Index s = begin; s < end; ++s) {
-      const Index drained = drain_ring(s);
-      const Index processed = shards_[static_cast<size_t>(s)]->manager.pump();
-      round_ops_[static_cast<size_t>(s)] = drained + processed;
-    }
-  });
-  Index total = 0;
-  for (const Index ops : round_ops_) total += ops;
-  return total;
+  return par::parallel_reduce(
+      0, n, 1, Index{0},
+      [&](Index s, Index) {
+        const Index drained = drain_ring(s);
+        return drained + shards_[static_cast<size_t>(s)]->manager.pump();
+      },
+      std::plus<Index>());
 }
 
 void ShardManager::pump_all() {

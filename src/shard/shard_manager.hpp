@@ -225,7 +225,6 @@ class ShardManager {
   HashRing ring_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::vector<Entry> entries_;
-  std::vector<Index> round_ops_;  ///< Per-shard scratch for pump().
   std::int64_t migrations_ = 0;
   obs::Counter migrations_counter_;  ///< evd_shard_migrations_total
   /// Sum of retired (migrated-out) slots' ledgers, folded into stats() so

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,33 @@ std::vector<std::uint8_t> engine_frame(const EventGnn& model, Index neighbour,
   for (Index l = 0; l < model.conv_count(); ++l) {
     const Index len = l == 0 ? layer0_len : 2 * model.conv(l).out_features();
     w.pod_vector(std::vector<float>(static_cast<size_t>(len), 0.5f));
+  }
+  w.pod_vector(std::vector<double>(static_cast<size_t>(model.config().hidden)));
+  w.pod_vector(std::vector<float>(static_cast<size_t>(model.config().hidden)));
+  return bytes;
+}
+
+/// An engine frame of `leaves` isolated nodes plus one hub that lists them
+/// all, so its degree is `leaves`.
+std::vector<std::uint8_t> star_frame(const EventGnn& model, Index leaves) {
+  const Index count = leaves + 1;
+  std::vector<GraphNode> nodes(static_cast<size_t>(count),
+                               GraphNode{{1, 1, 0.0f}, 1, 0});
+  std::vector<Index> degrees(static_cast<size_t>(count), 0);
+  degrees.back() = leaves;
+  std::vector<Index> hub(static_cast<size_t>(leaves));
+  std::iota(hub.begin(), hub.end(), Index{0});
+  std::vector<std::uint8_t> bytes;
+  fault::CheckpointWriter w(bytes, 1 << 20);
+  w.i64(count);
+  w.i64(model.conv_count());
+  w.pod_span(std::span<const GraphNode>(nodes));
+  w.pod_span(std::span<const Index>(degrees));
+  w.i64(leaves);
+  w.pod_run(std::span<const Index>(hub));
+  for (Index l = 0; l < model.conv_count(); ++l) {
+    w.pod_vector(std::vector<float>(
+        static_cast<size_t>(count * model.conv(l).out_features()), 0.5f));
   }
   w.pod_vector(std::vector<double>(static_cast<size_t>(model.config().hidden)));
   w.pod_vector(std::vector<float>(static_cast<size_t>(model.config().hidden)));
@@ -169,6 +197,27 @@ TEST_F(GnnCheckpointFrames, ShortFeatureRowRaisesCheckpointCorrupt) {
   EXPECT_EQ(load_error(engine, engine_frame(model, 0, 1)),
             ErrorCode::CheckpointCorrupt);
   EXPECT_EQ(engine.node_count(), 0);
+}
+
+// A degree past the stride the owner reserved would size the adjacency at
+// count x degree slots; load rejects it before sizing anything.
+TEST_F(GnnCheckpointFrames, DegreePastTheReservedStrideRaisesCheckpointCorrupt) {
+  EventGnn model(engine_config());
+  const auto bytes = star_frame(model, 5);
+
+  AsyncEventGnn wide(model, false);
+  wide.reserve(8, 5);
+  fault::CheckpointReader r(bytes);
+  wide.load(r);
+  r.expect_end();
+  EXPECT_EQ(wide.node_count(), 6);
+
+  AsyncEventGnn narrow(model, false);
+  narrow.reserve(8, 4);
+  EXPECT_EQ(load_error(narrow, bytes), ErrorCode::CheckpointCorrupt);
+  EXPECT_EQ(narrow.node_count(), 0);
+  narrow.insert({{1, 1, 0.0f}, 1, 0}, {});
+  EXPECT_EQ(narrow.node_count(), 1);
 }
 
 TEST_F(GnnCheckpointFrames, RingIdPastTheNodesRaisesCheckpointCorrupt) {

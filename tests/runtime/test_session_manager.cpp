@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/session_manager.hpp"
 
@@ -25,7 +26,8 @@ events::Event event_at(TimeUs t) {
   return e;
 }
 
-/// Records the op stream it sees and decides on every advance.
+/// Records the op stream it sees and decides on every advance; the record
+/// is its checkpoint state.
 class RecordingSession final : public SessionBase {
  public:
   RecordingSession() : SessionBase(SessionBaseConfig{64, 16}) {}
@@ -43,6 +45,11 @@ class RecordingSession final : public SessionBase {
     d.confidence = 1.0;
     emit(d);
   }
+  bool checkpoint_supported() const override { return true; }
+  void on_save(fault::CheckpointWriter& w) const override {
+    w.pod_vector(seen);
+  }
+  void on_load(fault::CheckpointReader& r) override { r.pod_vector(seen); }
 };
 
 TEST(SessionManager, PreservesPerSessionFifoOrder) {
@@ -320,6 +327,100 @@ TEST(SessionManager, RejectsNonPositiveQueueCapacity) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
   }
+}
+
+// The pool pops ops without touching the aggregate ledger; pump() settles
+// it once per round. Overflow on both policies, a recovered fault, a
+// quarantine that drains a backlog and a retire must all leave it exact.
+TEST(SessionManager, OccupancyLedgerIsExactAfterEveryPump) {
+  const Index previous = par::thread_count();
+  par::set_thread_count(4);
+  fault::Injector::instance().reset();
+  SessionManager manager(/*burst=*/2);
+  std::vector<Index> capacity;
+  const auto add = [&](Index cap, OverflowPolicy overflow, Index every) {
+    ManagedSessionConfig config;
+    config.queue_capacity = cap;
+    config.overflow = overflow;
+    config.checkpoint_every = every;
+    capacity.push_back(cap);
+    return manager.add(std::make_unique<RecordingSession>(), config);
+  };
+  const SessionId oldest = add(3, OverflowPolicy::DropOldest, 0);
+  const SessionId newest = add(3, OverflowPolicy::DropNewest, 0);
+  const SessionId restored = add(16, OverflowPolicy::DropNewest, 2);
+  const SessionId quarantined = add(16, OverflowPolicy::DropNewest, 0);
+  const SessionId retired = add(16, OverflowPolicy::DropNewest, 0);
+  const SessionId steady = add(16, OverflowPolicy::DropNewest, 0);
+
+  const auto expect_exact = [&] {
+    Index queued = 0;
+    Index live = 0;
+    for (SessionId id = 0; id < manager.session_count(); ++id) {
+      queued += manager.queued(id);
+      if (manager.state(id) != SessionState::Retired) {
+        live += capacity[static_cast<size_t>(id)];
+      }
+    }
+    EXPECT_DOUBLE_EQ(manager.occupancy(), static_cast<double>(queued) /
+                                              static_cast<double>(live));
+  };
+  TimeUs t = 0;
+  const auto submit_all = [&](Index ops) {
+    for (Index k = 0; k < ops; ++k, ++t) {
+      for (SessionId id = 0; id < manager.session_count(); ++id) {
+        manager.submit(id, event_at(t));
+      }
+    }
+    expect_exact();
+  };
+  const auto pump_checked = [&](Index rounds) {
+    for (Index r = 0; r < rounds; ++r) {
+      manager.pump();
+      expect_exact();
+    }
+  };
+
+  submit_all(5);  // overflows both 3-slot queues
+  pump_checked(1);
+  {
+    fault::FaultPlan plan;
+    plan.kind = fault::FaultKind::SessionThrow;
+    plan.target = restored;
+    plan.after = 3;
+    fault::ScopedInjection injection("runtime.pump.op_fault", plan);
+    submit_all(4);
+    pump_checked(3);
+  }
+  EXPECT_EQ(manager.state(restored), SessionState::Active);
+  {
+    fault::FaultPlan plan;
+    plan.kind = fault::FaultKind::SessionThrow;
+    plan.target = quarantined;
+    fault::ScopedInjection injection("runtime.pump.op_fault", plan);
+    submit_all(6);
+    pump_checked(1);
+  }
+  EXPECT_EQ(manager.state(quarantined), SessionState::Faulted);
+  EXPECT_EQ(manager.queued(quarantined), 0);
+  ASSERT_GT(manager.queued(retired), 0);
+  manager.retire(retired);
+  expect_exact();
+  submit_all(3);
+  Index rounds = 0;
+  for (; manager.pump() > 0; ++rounds) expect_exact();
+  expect_exact();
+  EXPECT_GT(rounds, 0);
+  EXPECT_EQ(manager.occupancy(), 0.0);
+
+  const SessionManager::AggregateStats agg = manager.stats();
+  EXPECT_EQ(agg.faults.faults, 2);
+  EXPECT_EQ(agg.faults.restores, 1);
+  EXPECT_EQ(agg.faults.quarantined_sessions, 1);
+  EXPECT_GT(manager.queue_stats(oldest).dropped, 0);
+  EXPECT_GT(manager.queue_stats(newest).dropped, 0);
+  EXPECT_EQ(manager.queue_stats(steady).dropped, 0);
+  par::set_thread_count(previous);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/session_base.hpp"
 #include "shard/shard_manager.hpp"
@@ -220,6 +221,34 @@ TEST(ShardManager, IngressLedgersAccountAcceptsAndFullRingRejections) {
   s = manager.stats();
   EXPECT_EQ(s.totals.events_fed, 4);
   EXPECT_EQ(s.queues.pushed, 4);  // drained ops entered the inner queue
+}
+
+// A round reports every op it moved: ring ops drained into the shards'
+// queues plus queued ops applied, summed over the shards' workers.
+TEST(ShardManager, PumpReturnsOpsDrainedPlusOpsProcessed) {
+  const Index previous = par::thread_count();
+  par::set_thread_count(4);
+  ShardManagerConfig cfg;
+  cfg.shards = 4;
+  cfg.burst = 2;
+  ShardManager manager(cfg);
+  constexpr int kSessions = 8;
+  constexpr int kOps = 5;
+  std::vector<ShardManager::SessionId> ids;
+  for (int s = 0; s < kSessions; ++s) {
+    ids.push_back(manager.add(recording_factory()));
+  }
+  for (int i = 0; i < kOps; ++i) {
+    for (const auto id : ids) ASSERT_TRUE(manager.submit(id, event_at(i)));
+  }
+  // Round 1 drains all 40 ring ops and applies 2 per session; rounds 2 and 3
+  // apply the remaining 2 and 1 per session.
+  EXPECT_EQ(manager.pump(), kSessions * kOps + kSessions * 2);
+  EXPECT_EQ(manager.pump(), kSessions * 2);
+  EXPECT_EQ(manager.pump(), kSessions * 1);
+  EXPECT_EQ(manager.pump(), 0);
+  EXPECT_EQ(manager.stats().totals.events_fed, kSessions * kOps);
+  par::set_thread_count(previous);
 }
 
 // Each shard's queue losses land in its own labelled series, so a scrape
