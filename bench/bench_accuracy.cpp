@@ -62,10 +62,10 @@ Row measure(core::EventPipeline& pipeline,
                                          test[0].stream.height);
     for (const auto& e : test[0].stream.events) session->feed(e);
     session->advance_to(test[0].stream.events.back().t + 1);
-    const auto decisions = session->decisions().size();
+    std::vector<core::Decision> out;
+    const Index decisions = session->drain(out);
     if (decisions > 0) {
-      row.stream_ops_per_decision =
-          stream_counter.total_ops() / static_cast<Index>(decisions);
+      row.stream_ops_per_decision = stream_counter.total_ops() / decisions;
     }
   }
   return row;

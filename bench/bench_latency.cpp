@@ -44,8 +44,10 @@ LatencyResult measure_latency(core::EventPipeline& pipeline,
     for (const auto& e : onset.stream.events) session->feed(e);
     session->advance_to(100000);
 
+    std::vector<core::Decision> decisions;
+    session->drain(decisions);
     double first_us = NAN, correct_us = NAN;
-    for (const auto& d : session->decisions()) {
+    for (const auto& d : decisions) {
       if (d.t <= onset.onset_us || d.label < 0) continue;
       if (std::isnan(first_us)) {
         first_us = static_cast<double>(d.t - onset.onset_us);

@@ -66,8 +66,9 @@ int main() {
   gnn_session->advance_to(100000);
   cnn_session->advance_to(100000);
 
-  const auto& gnn_decisions = gnn_session->decisions();
-  const auto& cnn_decisions = cnn_session->decisions();
+  std::vector<core::Decision> gnn_decisions, cnn_decisions;
+  gnn_session->drain(gnn_decisions);
+  cnn_session->drain(cnn_decisions);
 
   std::printf("-- GNN belief evolution (every ~40th decision) --\n");
   Table table({"t [us]", "since onset [us]", "predicted", "confidence"});

@@ -709,6 +709,13 @@ void apply_op(core::StreamSession& session, const SessionOp& op) {
   }
 }
 
+/// Every decision `session` holds undrained, oldest first.
+std::vector<core::Decision> drained(core::StreamSession& session) {
+  std::vector<core::Decision> out;
+  session.drain(out);
+  return out;
+}
+
 /// The shared diff body: `pipeline` opens one session per schedule entry.
 /// Sequential reference first (feed each session's ops directly, one session
 /// at a time), then the same ops through a SessionManager pumped at
@@ -723,7 +730,7 @@ std::optional<std::string> diff_multiplex(Pipeline& pipeline,
   for (const auto& ops : c.sessions) {
     const auto session = pipeline.open_session(c.width, c.height);
     for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(session->decisions());
+    reference.push_back(drained(*session));
   }
   return with_thread_count(
       kThreadedCount, [&]() -> std::optional<std::string> {
@@ -754,7 +761,7 @@ std::optional<std::string> diff_multiplex(Pipeline& pipeline,
         }
         manager.pump_all();
         for (size_t s = 0; s < c.sessions.size(); ++s) {
-          const auto& mux = manager.session(ids[s]).decisions();
+          const auto mux = drained(manager.session(ids[s]));
           const auto& ref = reference[s];
           if (mux.size() != ref.size()) {
             return "session " + std::to_string(s) + ": " +
@@ -875,7 +882,7 @@ std::vector<std::vector<core::Decision>> serve_with_obs(
     std::vector<std::vector<core::Decision>> streams;
     streams.reserve(ids.size());
     for (const auto id : ids) {
-      streams.push_back(manager.session(id).decisions());
+      streams.push_back(drained(manager.session(id)));
     }
     return streams;
   });
@@ -934,8 +941,10 @@ gnn::GnnPipelineConfig fault_oracle_pipeline_config() {
 
 /// Serve `sessions` op lists through a manager at kThreadedCount workers
 /// (round-robin submit, pump every 5th cursor — the multiplex shape) and
-/// return each session's decision stream. `config` applies to every session.
-/// Pass `storage` (a fresh manager) to inspect fault state after the run.
+/// return each session's decision stream, drained after every pump as a
+/// serving consumer does, so restores land between drains. `config`
+/// applies to every session. Pass `storage` (a fresh manager) to inspect
+/// fault state after the run.
 std::vector<std::vector<core::Decision>> serve_sessions(
     gnn::GnnPipeline& pipeline, Index width, Index height,
     const std::vector<std::vector<SessionOp>>& sessions,
@@ -950,6 +959,10 @@ std::vector<std::vector<core::Decision>> serve_sessions(
     for (size_t s = 0; s < sessions.size(); ++s) {
       ids.push_back(manager.add(pipeline.open_session(width, height), config));
     }
+    std::vector<std::vector<core::Decision>> streams(ids.size());
+    const auto drain_all = [&] {
+      for (size_t s = 0; s < ids.size(); ++s) manager.drain(ids[s], streams[s]);
+    };
     size_t cursor = 0;
     bool more = true;
     while (more) {
@@ -965,14 +978,13 @@ std::vector<std::vector<core::Decision>> serve_sessions(
         }
       }
       ++cursor;
-      if (cursor % 5 == 0) manager.pump();
+      if (cursor % 5 == 0) {
+        manager.pump();
+        drain_all();
+      }
     }
     manager.pump_all();
-    std::vector<std::vector<core::Decision>> streams;
-    streams.reserve(ids.size());
-    for (const auto id : ids) {
-      streams.push_back(manager.session(id).decisions());
-    }
+    drain_all();
     return streams;
   });
 }
@@ -1059,19 +1071,22 @@ std::optional<std::string> diff_checkpoint_replay(
   for (const auto& ops : c.sessions) {
     const auto session = pipeline.open_session(c.width, c.height);
     for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(session->decisions());
+    reference.push_back(drained(*session));
   }
 
   // Served run: periodic checkpoints, restore-on-fault, and a one-shot
   // injected fault on session 0 mid-stream. The restore must land exactly
   // where the fault struck: checkpoint load + replay + retry, bitwise.
+  // Session 0's op 5..8 faults, picked by its length: with 3 ops a pump
+  // and a checkpoint every 4, some restores replay ops whose decisions
+  // were drained after an earlier pump and some replay none.
   runtime::ManagedSessionConfig config;
   config.checkpoint_every = 4;
   config.restore_on_fault = true;
   fault::FaultPlan plan;
   plan.kind = fault::FaultKind::SessionThrow;
   plan.target = 0;
-  plan.after = 5;
+  plan.after = 5 + static_cast<Index>(c.sessions.front().size() % 4);
   plan.max_fires = 1;
   std::vector<std::vector<core::Decision>> served;
   std::int64_t fires = 0;
@@ -1147,7 +1162,7 @@ std::optional<std::string> diff_planned(Pipeline& pipeline,
   for (const auto& ops : c.sessions) {
     const auto session = pipeline.open_session(c.width, c.height);
     for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(session->decisions());
+    reference.push_back(drained(*session));
     schedule_seed = schedule_seed * 0x100000001B3ULL + ops.size();
   }
   return with_thread_count(
@@ -1181,7 +1196,7 @@ std::optional<std::string> diff_planned(Pipeline& pipeline,
         std::vector<std::vector<core::Decision>> planned;
         planned.reserve(ids.size());
         for (const auto id : ids) {
-          planned.push_back(manager.session(id).decisions());
+          planned.push_back(drained(manager.session(id)));
         }
         if (auto d = diff_decision_streams(planned, reference,
                                            c.sessions.size(), "planned",
@@ -1249,7 +1264,7 @@ std::optional<std::string> diff_route(Pipeline& pipeline, route::PathId forced,
   for (const auto& ops : c.sessions) {
     const auto session = pipeline.open_session(c.width, c.height);
     for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(session->decisions());
+    reference.push_back(drained(*session));
   }
   return with_thread_count(
       kThreadedCount, [&]() -> std::optional<std::string> {
@@ -1285,7 +1300,7 @@ std::optional<std::string> diff_route(Pipeline& pipeline, route::PathId forced,
         std::vector<std::vector<core::Decision>> routed;
         routed.reserve(ids.size());
         for (const auto id : ids) {
-          routed.push_back(manager.session(id).decisions());
+          routed.push_back(drained(manager.session(id)));
         }
         return diff_decision_streams(routed, reference, c.sessions.size(),
                                      route::path_name(forced),
@@ -1357,7 +1372,7 @@ std::optional<std::string> diff_sharded(Pipeline& pipeline,
   for (const auto& ops : c.sessions) {
     const auto session = pipeline.open_session(c.width, c.height);
     for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(session->decisions());
+    reference.push_back(drained(*session));
   }
   return with_thread_count(
       kThreadedCount, [&]() -> std::optional<std::string> {
@@ -1403,7 +1418,7 @@ std::optional<std::string> diff_sharded(Pipeline& pipeline,
         if (migrate_midway) rotate_all();
         manager.pump_all();
         for (size_t s = 0; s < c.sessions.size(); ++s) {
-          const auto& got = manager.session(ids[s]).decisions();
+          const auto got = drained(manager.session(ids[s]));
           const auto& ref = reference[s];
           if (got.size() != ref.size()) {
             return "session " + std::to_string(s) + ": " +

@@ -25,8 +25,8 @@ struct CnnPipelineConfig {
   TimeUs frame_period_us = 20000;  ///< Streaming frame period (20 ms).
   /// Streaming session sizing (runtime::SessionBase): max events buffered
   /// per open frame — arrivals beyond this within one period are dropped
-  /// (counted in SessionStats.events_dropped) — and how many decisions the
-  /// bounded sink retains for decisions().
+  /// (counted in SessionStats.events_dropped) — and the bound on undrained
+  /// decisions (runtime::DecisionSink).
   Index stream_window_capacity = 32768;
   Index decision_retain = 8192;
   std::uint64_t seed = 7;

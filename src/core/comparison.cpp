@@ -120,8 +120,10 @@ MetricSet ComparisonHarness::measure(
       for (const auto& e : onset.stream.events) session->feed(e);
       session->advance_to(streaming.duration_us);
 
+      std::vector<Decision> decisions;
+      session->drain(decisions);
       double first = NAN, first_correct = NAN;
-      for (const auto& d : session->decisions()) {
+      for (const auto& d : decisions) {
         // Strictly after onset: a decision at t == onset can only have seen
         // pre-onset data.
         if (d.t <= onset.onset_us || d.label < 0) continue;

@@ -54,7 +54,7 @@ inline bool operator!=(const Decision& a, const Decision& b) {
 struct SessionStats {
   std::int64_t events_fed = 0;
   std::int64_t decisions_emitted = 0;
-  /// Decisions evicted from bounded storage before any drain() saw them.
+  /// Decisions compacted away before any drain() took them.
   std::int64_t decisions_dropped = 0;
   /// Events the ingress queue lost to its overflow policy (managed
   /// sessions only; directly-fed sessions never drop).
@@ -64,12 +64,11 @@ struct SessionStats {
 };
 
 /// Incremental processing session. feed() pushes events in time order;
-/// decisions() returns everything decided so far.
-///
-/// Long-running consumers should prefer drain() — decisions() retains only
-/// a bounded tail (see runtime::DecisionSink), while drain() hands over
-/// every decision exactly once. runtime::SessionBase implements everything
-/// below except the paradigm itself; every session derives from it.
+/// drain() hands over every decision exactly once. Undrained decisions are
+/// bounded (see runtime::DecisionSink): a consumer that drains less often
+/// than the bound loses the oldest, counted in stats().decisions_dropped.
+/// runtime::SessionBase implements everything below except the paradigm
+/// itself; every session derives from it.
 class StreamSession {
  public:
   virtual ~StreamSession() = default;
@@ -77,10 +76,9 @@ class StreamSession {
   /// Signal that stream time has advanced to `t` with no further events
   /// before it (lets clocked pipelines tick on silence).
   virtual void advance_to(TimeUs t) = 0;
-  virtual const std::vector<Decision>& decisions() const = 0;
 
-  /// Move decisions emitted since the last drain() into `out` (appended);
-  /// returns how many.
+  /// Move decisions emitted since the last drain() into `out` (appended),
+  /// oldest first; returns how many. The session keeps none of them.
   virtual Index drain(std::vector<Decision>& out) = 0;
 
   virtual SessionStats stats() const = 0;

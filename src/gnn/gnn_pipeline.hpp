@@ -31,7 +31,7 @@ struct GnnPipelineConfig {
   /// and test streams never hit it and their decision streams are
   /// unchanged; a serving deployment tunes it to its memory budget.
   Index stream_max_nodes = 8192;
-  Index decision_retain = 8192;  ///< Bounded decision tail for streaming.
+  Index decision_retain = 8192;  ///< Bound on undrained decisions.
   std::uint64_t seed = 13;
   float default_lr = 2e-3f;   ///< Used when TrainOptions.lr <= 0.
   Index default_epochs = 30;  ///< Used when TrainOptions.epochs <= 0.

@@ -1,5 +1,7 @@
 #include "runtime/decision_sink.hpp"
 
+#include <algorithm>
+
 namespace evd::runtime {
 
 DecisionSink::DecisionSink(Index retain) : retain_(retain < 1 ? 1 : retain) {
@@ -7,38 +9,37 @@ DecisionSink::DecisionSink(Index retain) : retain_(retain < 1 ? 1 : retain) {
 }
 
 void DecisionSink::emit(const core::Decision& d) {
+  // A replay after a restore re-emits decisions that already left the sink.
+  if (total_++ < handed_ + dropped_) return;
   if (static_cast<Index>(buffer_.size()) >= retain_ * 2) {
     // Compact: keep the newest `retain_` decisions. Erasing half at a time
-    // keeps eviction amortised O(1) per emit and leaves retained() a plain
-    // contiguous vector.
+    // keeps compaction amortised O(1) per emit.
     const Index evict = static_cast<Index>(buffer_.size()) - retain_;
-    if (drain_cursor_ < evict) {
-      dropped_ += evict - drain_cursor_;
-      dropped_counter_.add(evict - drain_cursor_);
-    }
-    evicted_ += evict;
-    evicted_counter_.add(evict);
+    dropped_ += evict;
+    dropped_counter_.add(evict);
     buffer_.erase(buffer_.begin(), buffer_.begin() + evict);
-    drain_cursor_ = drain_cursor_ < evict ? 0 : drain_cursor_ - evict;
   }
   buffer_.push_back(d);
-  ++total_;
 }
 
 Index DecisionSink::drain(std::vector<core::Decision>& out) {
-  const Index n = static_cast<Index>(buffer_.size()) - drain_cursor_;
-  out.insert(out.end(), buffer_.begin() + drain_cursor_, buffer_.end());
-  drain_cursor_ = static_cast<Index>(buffer_.size());
+  const auto n = static_cast<Index>(buffer_.size());
+  out.insert(out.end(), buffer_.begin(), buffer_.end());
+  buffer_.clear();  // keeps the 2*retain reservation
+  handed_ += n;
   return n;
 }
 
 void DecisionSink::save(fault::CheckpointWriter& w) const {
+  if (total_ < handed_ + dropped_) {
+    throw Error(ErrorCode::CheckpointUnsupported,
+                "DecisionSink is replaying decisions already handed out");
+  }
   w.i64(retain_);
   w.pod_vector(buffer_);  // Decision is trivially copyable
-  w.i64(drain_cursor_);
   w.i64(total_);
   w.i64(dropped_);
-  w.i64(evicted_);
+  w.i64(handed_);
 }
 
 void DecisionSink::load(fault::CheckpointReader& r) {
@@ -48,16 +49,33 @@ void DecisionSink::load(fault::CheckpointReader& r) {
                 "DecisionSink retain " + std::to_string(retain_) +
                     " vs checkpointed " + std::to_string(retain));
   }
-  r.pod_vector(buffer_);
-  fault::expect_valid(static_cast<Index>(buffer_.size()) <= retain_ * 2,
+  std::vector<core::Decision> buffer;
+  r.pod_vector(buffer);
+  const std::int64_t total = r.i64();
+  const std::int64_t dropped = r.i64();
+  const std::int64_t handed = r.i64();
+  const auto buffered = static_cast<std::int64_t>(buffer.size());
+  fault::expect_valid(buffered <= retain_ * 2,
                       "DecisionSink buffer exceeds its 2*retain bound");
-  drain_cursor_ = r.i64();
-  fault::expect_valid(
-      drain_cursor_ >= 0 && drain_cursor_ <= static_cast<Index>(buffer_.size()),
-      "DecisionSink cursor out of range");
-  total_ = r.i64();
-  dropped_ = r.i64();
-  evicted_ = r.i64();
+  // Subtractions only: the counts are untrusted and a sum could overflow.
+  // No stream reaches 2^62 decisions; a total near 2^63 would overflow in
+  // emit().
+  fault::expect_valid(total >= 0 && total <= (std::int64_t{1} << 62) &&
+                          dropped >= 0 && handed >= 0 &&
+                          total - buffered >= handed &&
+                          total - buffered - handed == dropped,
+                      "DecisionSink counts are out of range or miss its total");
+  total_ = total;
+  // A live sink that handed out (or dropped) past the checkpoint keeps its
+  // counts: the replay that follows re-emits those decisions, and the
+  // buffered ones at or below its mark are already gone.
+  if (handed + dropped > handed_ + dropped_) {
+    handed_ = handed;
+    dropped_ = dropped;
+  }
+  const std::int64_t gone =
+      std::min(handed_ + dropped_ - (total - buffered), buffered);
+  buffer_.assign(buffer.begin() + gone, buffer.end());
 }
 
 }  // namespace evd::runtime

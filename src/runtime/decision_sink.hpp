@@ -1,25 +1,22 @@
 // Bounded decision storage for streaming sessions.
 //
-// The original StreamSession contract exposed `decisions()` as an unbounded
-// vector — fine for a bench that replays one recording, fatal for a serving
-// process that stays up: an SNN session ticking at 1 kHz accumulates
-// ~86 M decisions/day. The sink replaces that with two explicit modes of
-// consumption:
+// A serving process stays up: an SNN session ticking at 1 kHz decides
+// ~86 M times a day, so a session keeps only the decisions the consumer
+// has not taken yet. drain(out) moves them out and forgets them, so a
+// consumer that drains regularly sees every decision exactly once and
+// storage stays at O(drain interval), not O(stream length). A sink that is
+// never drained holds the newest decisions: at least the last `retain` and
+// at most 2*retain, compacted by halves so the amortised per-emit cost
+// stays O(1). Decisions compacted away before any drain saw them are
+// counted in `dropped()` — silence about data loss is the one thing a
+// bounded buffer must not do.
 //
-//   drain(out)  — move-out everything emitted since the last drain. This is
-//                 the serving API: a consumer that drains regularly sees
-//                 every decision exactly once and storage stays at O(drain
-//                 interval), not O(stream length).
-//   retained()  — the most recent decisions, kept for callers that inspect
-//                 history after the fact (the comparison harness, benches).
-//                 At least the last `retain` decisions are available, and at
-//                 most 2*retain are ever stored: eviction compacts the
-//                 buffer by halves so the amortised per-emit cost stays O(1)
-//                 without a ring's wraparound complicating span views.
-//
-// Decisions evicted before any drain saw them are counted in
-// `dropped()` — silence about data loss is the one thing a bounded buffer
-// must not do.
+// Every decision has a sequence number (its position in the emitted
+// stream); those at or below the mark handed + dropped have left the sink
+// for good. A restore rolls the session back to a checkpoint and replays,
+// re-emitting decisions the consumer may already hold, so load() keeps
+// whichever of the live and the checkpointed counts reaches the larger
+// mark and emit() discards every re-emitted decision at or below it.
 #pragma once
 
 #include <vector>
@@ -33,57 +30,44 @@ namespace evd::runtime {
 class DecisionSink {
  public:
   /// `retain` <= 0 falls back to 1. Storage is reserved to 2*retain once,
-  /// here — emit() never reallocates.
+  /// here — emit() and drain() never reallocate it.
   explicit DecisionSink(Index retain);
 
-  /// Append a decision; evicts from the front (oldest first) when the
+  /// Append a decision; compacts from the front (oldest first) when the
   /// 2*retain bound is reached. No heap allocation after construction.
   void emit(const core::Decision& d);
 
-  /// Move all not-yet-drained decisions into `out` (appended); returns how
-  /// many were moved. Drained decisions remain visible via retained() until
-  /// eviction catches up with them.
+  /// Move all undrained decisions into `out` (appended), oldest first, and
+  /// clear them; returns how many were moved.
   Index drain(std::vector<core::Decision>& out);
-
-  /// Everything currently stored, oldest first. Stable until the next
-  /// emit(). Size is in [min(total, retain), 2*retain].
-  const std::vector<core::Decision>& retained() const noexcept {
-    return buffer_;
-  }
 
   /// Total decisions ever emitted.
   std::int64_t total() const noexcept { return total_; }
-  /// Decisions evicted before any drain() consumed them.
+  /// Decisions compacted away before any drain() took them.
   std::int64_t dropped() const noexcept { return dropped_; }
-  /// Decisions evicted from the buffer at all (drained or not).
-  std::int64_t evicted() const noexcept { return evicted_; }
   Index retain_limit() const noexcept { return retain_; }
 
-  /// Mirror eviction accounting into registry counters: `evicted` counts
-  /// every decision compacted out of the buffer, `dropped` only those no
-  /// drain() had consumed — data loss, the serving-level alert signal.
-  void bind_obs(obs::Counter evicted, obs::Counter dropped) {
-    evicted_counter_ = evicted;
-    dropped_counter_ = dropped;
-  }
+  /// Mirror loss accounting into a registry counter — the serving-level
+  /// alert signal.
+  void bind_obs(obs::Counter dropped) { dropped_counter_ = dropped; }
 
-  /// Checkpoint the sink's complete state (buffer, drain cursor, counters)
-  /// so a restored session's decisions()/drain()/stats() are byte-for-byte
-  /// those of the session at checkpoint time.
+  /// Checkpoint retain, the undrained buffer and the counters. Throws
+  /// Error(CheckpointUnsupported) while a restored sink is still replaying
+  /// decisions the consumer already holds: that state has no valid frame.
   void save(fault::CheckpointWriter& w) const;
   /// Restores a checkpoint taken from a sink with the same retain limit
-  /// (Error(CheckpointMismatch) otherwise).
+  /// (Error(CheckpointMismatch) otherwise); inconsistent counts or an
+  /// oversized buffer throw Error(CheckpointCorrupt). The mark never moves
+  /// backwards, and buffered decisions at or below it are discarded.
   void load(fault::CheckpointReader& r);
 
  private:
   Index retain_;
-  std::vector<core::Decision> buffer_;
-  Index drain_cursor_ = 0;  ///< Index into buffer_ of first undrained decision.
+  std::vector<core::Decision> buffer_;  ///< Undrained, oldest first.
   std::int64_t total_ = 0;
   std::int64_t dropped_ = 0;
-  std::int64_t evicted_ = 0;
-  obs::Counter evicted_counter_;  ///< Inert until bind_obs().
-  obs::Counter dropped_counter_;
+  std::int64_t handed_ = 0;  ///< Decisions drain() has handed out.
+  obs::Counter dropped_counter_;  ///< Inert until bind_obs().
 };
 
 }  // namespace evd::runtime

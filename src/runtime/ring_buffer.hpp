@@ -1,6 +1,6 @@
 // Fixed-capacity FIFO ring. Storage is allocated once at construction and
-// never resized — the primitive under EventQueue and the DecisionSink's
-// retained tail. Single-threaded by design: the runtime's concurrency model
+// never resized — the primitive under EventQueue. Single-threaded by
+// design: the runtime's concurrency model
 // is "one thread owns a session and everything attached to it" (the
 // SessionManager hands disjoint sessions to disjoint pool workers), so the
 // ring needs no atomics and costs two index updates per op.

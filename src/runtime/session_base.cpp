@@ -33,7 +33,6 @@ SessionBase::SessionBase(const SessionBaseConfig& config)
   decisions_counter_ =
       obs::counter(labelled("evd_decisions_emitted_total", paradigm));
   sink_.bind_obs(
-      obs::counter(labelled("evd_sink_decisions_evicted_total", paradigm)),
       obs::counter(labelled("evd_sink_decisions_dropped_total", paradigm)));
 }
 

@@ -9,8 +9,8 @@
 //   * open-time geometry validation (one check_geometry, one message);
 //   * a per-session ArenaAllocator from which subclasses carve their
 //     steady-state scratch exactly once, in their constructor;
-//   * a bounded DecisionSink behind the StreamSession decisions()/drain()
-//     contract, plus stats() wired to real counters.
+//   * a bounded DecisionSink behind the StreamSession drain() contract,
+//     plus stats() wired to real counters.
 //
 // Subclasses implement only the paradigm: on_event() and on_advance().
 #pragma once
@@ -29,7 +29,7 @@ namespace evd::runtime {
 struct SessionBaseConfig {
   /// Arena capacity for this session's steady-state scratch.
   std::size_t arena_bytes = 0;
-  /// DecisionSink retention (see decision_sink.hpp for the exact bound).
+  /// Bound on undrained decisions (see decision_sink.hpp for the rule).
   Index decision_retain = 8192;
   /// Paradigm label for the session's registry counters
   /// (evd_events_fed_total{paradigm=...} etc.). Must be a string literal.
@@ -67,13 +67,6 @@ class SessionBase : public core::StreamSession {
 
   void advance_to(TimeUs t) final { on_advance(t); }
 
-  /// Compat shim: the bounded retained tail, oldest first. Complete for
-  /// streams emitting fewer than `decision_retain` decisions — exactly the
-  /// regime every existing bench and test runs in.
-  const std::vector<core::Decision>& decisions() const final {
-    return sink_.retained();
-  }
-
   Index drain(std::vector<core::Decision>& out) final {
     return sink_.drain(out);
   }
@@ -87,20 +80,18 @@ class SessionBase : public core::StreamSession {
     return s;
   }
 
-  /// Ingress-queue losses are charged by the SessionManager, which owns the
-  /// queue; the session just keeps the ledger.
-  void note_events_dropped(std::int64_t n) { events_dropped_ += n; }
-
   /// Checkpoint/restore (core::StreamSession contract). The chassis
   /// serializes the shared state — magic/version header, paradigm label,
-  /// counters, arena watermark, full DecisionSink — and delegates the
+  /// counters, arena watermark, undrained decisions — and delegates the
   /// paradigm payload to on_save/on_load. Sessions that do not override
   /// checkpoint_supported() decline (save_state returns false) rather than
   /// silently losing their paradigm state.
   bool save_state(std::vector<std::uint8_t>& out) const final;
   /// Restores into *this* session, whose arena layout and sink bound must
   /// match the checkpoint (same pipeline config): header mismatches throw
-  /// Error(CheckpointMismatch), truncation Error(CheckpointCorrupt).
+  /// Error(CheckpointMismatch), truncation Error(CheckpointCorrupt). Load
+  /// into a fresh session or the checkpoint's own continuation, whose
+  /// drained decisions then stay drained through the replay.
   bool load_state(std::span<const std::uint8_t> bytes) final;
 
   /// Windowed pixel-occupancy activity (StreamSession contract): an EWMA
@@ -150,6 +141,10 @@ class SessionBase : public core::StreamSession {
     decisions_counter_.add(1);
     sink_.emit(d);
   }
+
+  /// Events a paradigm had to discard on its own (the CNN frame window's
+  /// overflow); the session keeps the ledger stats() reports.
+  void note_events_dropped(std::int64_t n) { events_dropped_ += n; }
 
   ArenaAllocator& arena() { return arena_; }
   const ArenaAllocator& arena() const { return arena_; }

@@ -25,9 +25,9 @@ struct SnnPipelineConfig {
   LifConfig lif{0.9f, 1.0f, false, 0};
   SurrogateKind surrogate = SurrogateKind::FastSigmoid;
   TimeUs timestep_us = 5000;       ///< Streaming timestep (5 ms).
-  /// Bounded decision retention for streaming sessions (SNNs emit one
+  /// Bound on undrained decisions for streaming sessions (SNNs emit one
   /// decision per timestep, so unbounded storage grows without limit on a
-  /// live stream).
+  /// live stream that is not drained).
   Index decision_retain = 8192;
   std::uint64_t seed = 11;
   /// fit.epochs/lr are the pipeline defaults, used when TrainOptions leaves

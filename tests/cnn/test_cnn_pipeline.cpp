@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cnn/cnn_pipeline.hpp"
+#include "test_util.hpp"
 
 namespace evd::cnn {
 namespace {
@@ -55,19 +56,21 @@ TEST(CnnPipeline, SessionEmitsDecisionsPerFramePeriod) {
     session->feed({4, 4, Polarity::On, t});
   }
   session->advance_to(100000);
+  const auto decisions = test::drained(*session);
   // Frame period 20 ms -> 5 decisions.
-  EXPECT_EQ(session->decisions().size(), 5u);
+  ASSERT_EQ(decisions.size(), 5u);
   // Decision timestamps are the frame boundaries.
-  EXPECT_EQ(session->decisions().front().t, 20000);
-  EXPECT_EQ(session->decisions().back().t, 100000);
+  EXPECT_EQ(decisions.front().t, 20000);
+  EXPECT_EQ(decisions.back().t, 100000);
 }
 
 TEST(CnnPipeline, EmptyFramesStillProduceDecisionSlots) {
   CnnPipeline pipeline(tiny_pipeline());
   auto session = pipeline.open_session(16, 16);
   session->advance_to(60000);
-  ASSERT_EQ(session->decisions().size(), 3u);
-  EXPECT_EQ(session->decisions()[0].label, -1);  // nothing to classify
+  const auto decisions = test::drained(*session);
+  ASSERT_EQ(decisions.size(), 3u);
+  EXPECT_EQ(decisions[0].label, -1);  // nothing to classify
 }
 
 TEST(CnnPipeline, GeometryMismatchThrows) {

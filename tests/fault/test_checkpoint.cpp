@@ -15,6 +15,7 @@
 #include "gnn/gnn_pipeline.hpp"
 #include "runtime/session_base.hpp"
 #include "snn/snn_pipeline.hpp"
+#include "test_util.hpp"
 
 namespace evd::fault {
 namespace {
@@ -181,7 +182,7 @@ TEST(CheckpointFraming, RoundTripRestoresStateAndCounters) {
   EXPECT_EQ(b.seen, a.seen);
   EXPECT_EQ(b.stats().events_fed, 5);
   EXPECT_EQ(b.stats().decisions_emitted, 1);
-  EXPECT_EQ(b.decisions(), a.decisions());
+  EXPECT_EQ(test::drained(b), test::drained(a));
 }
 
 TEST(CheckpointFraming, TinyBoundThrowsTooLarge) {
@@ -304,8 +305,8 @@ void expect_checkpoint_transparent(Pipeline& pipeline) {
   feed_range(*restored, split, stream.events.size());
   restored->advance_to(kDuration + 10000);
 
-  const auto& want = continuous->decisions();
-  const auto& got = restored->decisions();
+  const auto want = test::drained(*continuous);
+  const auto got = test::drained(*restored);
   ASSERT_GT(want.size(), 0u);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
@@ -351,6 +352,37 @@ TEST(CheckpointParadigms, GnnSaveLoadContinueIsBitwiseTransparent) {
   config.stream_stride = 2;
   gnn::GnnPipeline pipeline(config);
   expect_checkpoint_transparent(pipeline);
+}
+
+// A checkpoint carries what the next op needs, not the decisions the
+// consumer already took: a session drained as it goes checkpoints to the
+// same size after 3 steps as after more than 2*decision_retain of them.
+TEST(CheckpointParadigms, DrainedHistoryIsNotCheckpointed) {
+  snn::SnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.hidden = 16;
+  config.encoder.spatial_factor = 2;
+  config.timestep_us = 5000;
+  config.decision_retain = 16;
+  snn::SnnPipeline pipeline(config);
+  auto session = pipeline.open_session(kGeom, kGeom);
+  std::vector<core::Decision> out;
+  std::vector<std::uint8_t> bytes;
+  const auto size_after = [&](Index steps) {
+    for (Index k = static_cast<Index>(out.size()) + 1; k <= steps; ++k) {
+      session->advance_to(k * config.timestep_us);
+      session->drain(out);
+    }
+    EXPECT_TRUE(session->save_state(bytes));
+    return bytes.size();
+  };
+  const size_t few = size_after(3);
+  const size_t many = size_after(2 * config.decision_retain + 10);
+  EXPECT_EQ(out.size(), static_cast<size_t>(2 * config.decision_retain + 10));
+  EXPECT_EQ(session->stats().decisions_dropped, 0);
+  EXPECT_EQ(many, few);
 }
 
 }  // namespace

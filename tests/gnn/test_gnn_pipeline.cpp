@@ -4,6 +4,7 @@
 
 #include "gnn/gnn_pipeline.hpp"
 #include "sched/planner.hpp"
+#include "test_util.hpp"
 
 namespace evd::gnn {
 namespace {
@@ -58,11 +59,12 @@ TEST(GnnPipeline, SessionEmitsDecisionPerInsertedEvent) {
   for (TimeUs t = 0; t < 10000; t += 1000) {
     session->feed({4, 4, Polarity::On, t});
   }
+  const auto decisions = test::drained(*session);
   // stride 2 -> every other event inserted -> 5 decisions.
-  EXPECT_EQ(session->decisions().size(), 5u);
+  ASSERT_EQ(decisions.size(), 5u);
   // Decisions carry the event's own timestamp — no frame/step quantisation.
-  EXPECT_EQ(session->decisions().front().t, 0);
-  EXPECT_EQ(session->decisions().back().t, 8000);
+  EXPECT_EQ(decisions.front().t, 0);
+  EXPECT_EQ(decisions.back().t, 8000);
 }
 
 TEST(GnnPipeline, OpensSessionsFromPoolWorkersAtOnce) {
@@ -76,7 +78,7 @@ TEST(GnnPipeline, OpensSessionsFromPoolWorkersAtOnce) {
       session->feed({static_cast<std::int16_t>(2 + t / 4000), 4,
                      Polarity::On, t});
     }
-    return session->decisions();
+    return test::drained(*session);
   };
   const Index previous = par::thread_count();
   par::set_thread_count(4);

@@ -5,6 +5,7 @@
 #include "cnn/cnn_pipeline.hpp"
 #include "gnn/gnn_pipeline.hpp"
 #include "snn/snn_pipeline.hpp"
+#include "test_util.hpp"
 
 namespace evd {
 namespace {
@@ -67,17 +68,17 @@ TEST(EdgeCases, SilentSessionsAdvanceWithoutEvents) {
   {
     auto session = cnn_pipeline.open_session(16, 16);
     session->advance_to(100000);
-    EXPECT_EQ(session->decisions().size(), 5u);  // 20 ms frames
+    EXPECT_EQ(test::drained(*session).size(), 5u);  // 20 ms frames
   }
   {
     auto session = snn_pipeline.open_session(16, 16);
     session->advance_to(100000);
-    EXPECT_EQ(session->decisions().size(), 20u);  // 5 ms steps
+    EXPECT_EQ(test::drained(*session).size(), 20u);  // 5 ms steps
   }
   {
     auto session = gnn_pipeline.open_session(16, 16);
     session->advance_to(100000);
-    EXPECT_TRUE(session->decisions().empty());  // no events, no decisions
+    EXPECT_TRUE(test::drained(*session).empty());  // no events, no decisions
   }
 }
 

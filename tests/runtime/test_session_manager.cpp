@@ -11,8 +11,10 @@
 
 #include "common/parallel.hpp"
 #include "fault/injector.hpp"
+#include "gnn/gnn_pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/session_manager.hpp"
+#include "test_util.hpp"
 
 namespace evd::runtime {
 namespace {
@@ -421,6 +423,51 @@ TEST(SessionManager, OccupancyLedgerIsExactAfterEveryPump) {
   EXPECT_GT(manager.queue_stats(newest).dropped, 0);
   EXPECT_EQ(manager.queue_stats(steady).dropped, 0);
   par::set_thread_count(previous);
+}
+
+// A restore rolls the session back to its last checkpoint and replays. The
+// consumer drained decisions after that checkpoint; the replay must not
+// hand them over a second time.
+TEST(SessionManager, RestoreAfterDrainDeliversEachDecisionOnce) {
+  gnn::GnnPipelineConfig gnn_config;
+  gnn_config.width = 16;
+  gnn_config.height = 16;
+  gnn_config.num_classes = 2;
+  gnn_config.model.hidden = 8;
+  gnn_config.model.layers = 2;
+  gnn_config.stream_stride = 1;
+  gnn::GnnPipeline pipeline(gnn_config);
+  std::vector<events::Event> events;
+  for (TimeUs k = 0; k < 64; ++k) events.push_back(event_at(k * 100));
+
+  const auto direct = pipeline.open_session(16, 16);
+  for (const auto& e : events) direct->feed(e);
+  const std::vector<core::Decision> want = test::drained(*direct);
+  ASSERT_EQ(want.size(), events.size());
+
+  fault::Injector::instance().reset();
+  SessionManager manager(/*burst=*/1);
+  ManagedSessionConfig config;
+  config.checkpoint_every = 8;
+  config.restore_on_fault = true;
+  const SessionId id = manager.add(pipeline.open_session(16, 16), config);
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::SessionThrow;
+  plan.target = id;
+  plan.after = 12;
+  plan.max_fires = 1;
+  std::vector<core::Decision> got;
+  {
+    fault::ScopedInjection injection("runtime.pump.op_fault", plan);
+    for (const auto& e : events) {
+      manager.submit(id, e);
+      manager.pump_all();
+      manager.drain(id, got);
+    }
+    EXPECT_EQ(fault::Injector::instance().fires("runtime.pump.op_fault"), 1);
+  }
+  EXPECT_EQ(manager.stats().faults.restores, 1);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

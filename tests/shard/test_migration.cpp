@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/session_base.hpp"
 #include "shard/shard_manager.hpp"
+#include "test_util.hpp"
 
 namespace evd::shard {
 namespace {
@@ -100,8 +101,8 @@ TEST(ShardMigration, PreservesStateAndDecisionStreamAcrossTheMove) {
   sharded.pump_all();
   reference.pump_all();
 
-  const auto& got = sharded.session(id).decisions();
-  const auto& want = reference.session(ref).decisions();
+  const auto got = test::drained(sharded.session(id));
+  const auto want = test::drained(reference.session(ref));
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].t, want[i].t);

@@ -16,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/session_base.hpp"
 #include "shard/shard_manager.hpp"
+#include "test_util.hpp"
 
 namespace evd::shard {
 namespace {
@@ -134,8 +135,8 @@ TEST(ShardManager, SingleShardIsTheLegacyDirectPath) {
   sharded.pump_all();
   direct.pump_all();
 
-  EXPECT_EQ(sharded.session(id).decisions().size(),
-            direct.session(ref).decisions().size());
+  EXPECT_EQ(test::drained(sharded.session(id)).size(),
+            test::drained(direct.session(ref)).size());
   const ShardManager::Stats s = sharded.stats();
   EXPECT_EQ(s.shards, 1);
   EXPECT_EQ(s.ingress_ops, 0);  // no ring exists to count anything
@@ -176,10 +177,10 @@ TEST(ShardManager, ShardedDecisionStreamsMatchOneSequentialManager) {
   sequential.pump_all();
 
   for (Index s = 0; s < kSessions; ++s) {
-    const auto& got =
-        sharded.session(ids[static_cast<size_t>(s)]).decisions();
-    const auto& want =
-        sequential.session(refs[static_cast<size_t>(s)]).decisions();
+    const auto got =
+        test::drained(sharded.session(ids[static_cast<size_t>(s)]));
+    const auto want =
+        test::drained(sequential.session(refs[static_cast<size_t>(s)]));
     ASSERT_EQ(got.size(), want.size()) << "session " << s;
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].t, want[i].t);

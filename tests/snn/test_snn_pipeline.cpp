@@ -4,6 +4,7 @@
 
 #include "sched/planner.hpp"
 #include "snn/snn_pipeline.hpp"
+#include "test_util.hpp"
 
 namespace evd::snn {
 namespace {
@@ -60,10 +61,11 @@ TEST(SnnPipeline, SessionDecisionsAtTimestepGranularity) {
     session->feed({4, 4, Polarity::On, t});
   }
   session->advance_to(50000);
+  const auto decisions = test::drained(*session);
   // Timestep 5 ms -> 10 decisions.
-  EXPECT_EQ(session->decisions().size(), 10u);
-  EXPECT_EQ(session->decisions().front().t, 5000);
-  for (const auto& d : session->decisions()) {
+  ASSERT_EQ(decisions.size(), 10u);
+  EXPECT_EQ(decisions.front().t, 5000);
+  for (const auto& d : decisions) {
     EXPECT_GE(d.label, 0);
     EXPECT_GT(d.confidence, 0.0);
   }
@@ -81,7 +83,7 @@ TEST(SnnPipeline, OpensSessionsFromPoolWorkersAtOnce) {
                      Polarity::On, t});
     }
     session->advance_to(50000);
-    return session->decisions();
+    return test::drained(*session);
   };
   const Index previous = par::thread_count();
   par::set_thread_count(4);

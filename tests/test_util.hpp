@@ -1,5 +1,5 @@
-// Shared helpers for the test suite: numeric gradient checking and small
-// stream factories.
+// Shared helpers for the test suite: numeric gradient checking, small
+// stream factories and draining a session's decisions.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/pipeline.hpp"
 #include "events/event.hpp"
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
@@ -73,6 +74,13 @@ inline std::string unique_temp_path(const std::string& name) {
   file += std::to_string(::getpid()) + "." + name;
   std::replace(file.begin(), file.end(), '/', '_');  // parameterized names
   return (std::filesystem::temp_directory_path() / file).string();
+}
+
+/// Every decision `session` holds undrained, oldest first.
+inline std::vector<core::Decision> drained(core::StreamSession& session) {
+  std::vector<core::Decision> out;
+  session.drain(out);
+  return out;
 }
 
 /// Sentinel default for make_stream: "use test_seed()".
