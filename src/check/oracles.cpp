@@ -1,8 +1,10 @@
 #include "check/oracles.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
 
 #include "check/ulp.hpp"
 #include "cnn/cnn_pipeline.hpp"
@@ -694,128 +696,31 @@ std::optional<std::string> diff_zero_skip_vs_naive(const HwCase& c) {
                      compute + memory, 1e-12);
 }
 
-// ---- runtime: multiplexed vs sequential session serving -------------------
+// ---- serving plane: one driver behind every runtime/sched/route/shard oracle
 
 namespace {
 
+using Streams = std::vector<std::vector<core::Decision>>;
+
 constexpr Index kMuxGeometry = 16;
+constexpr Index kBurst = 3;  ///< Tiny: sessions interleave across rounds.
+constexpr size_t kPumpEvery = 5;  ///< Cursors between mid-stream pumps.
+constexpr Index kShards = 3;
 
-/// Apply one scheduled op directly to a session (the sequential reference).
-void apply_op(core::StreamSession& session, const SessionOp& op) {
-  if (op.kind == SessionOp::Kind::Feed) {
-    session.feed(op.event);
-  } else {
-    session.advance_to(op.t);
-  }
-}
-
-/// Every decision `session` holds undrained, oldest first.
-std::vector<core::Decision> drained(core::StreamSession& session) {
-  std::vector<core::Decision> out;
-  session.drain(out);
-  return out;
-}
-
-/// The shared diff body: `pipeline` opens one session per schedule entry.
-/// Sequential reference first (feed each session's ops directly, one session
-/// at a time), then the same ops through a SessionManager pumped at
-/// kThreadedCount workers with a tiny burst so sessions interleave across
-/// many rounds. Decision streams must match exactly — operator== on
-/// core::Decision compares label, timestamp and confidence bit-for-bit.
-template <typename Pipeline>
-std::optional<std::string> diff_multiplex(Pipeline& pipeline,
-                                          const MultiSessionSchedule& c) {
-  std::vector<std::vector<core::Decision>> reference;
-  reference.reserve(c.sessions.size());
-  for (const auto& ops : c.sessions) {
-    const auto session = pipeline.open_session(c.width, c.height);
-    for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(drained(*session));
-  }
-  return with_thread_count(
-      kThreadedCount, [&]() -> std::optional<std::string> {
-        runtime::SessionManager manager(/*burst=*/3);
-        std::vector<runtime::SessionId> ids;
-        ids.reserve(c.sessions.size());
-        for (size_t s = 0; s < c.sessions.size(); ++s) {
-          ids.push_back(manager.add(pipeline.open_session(c.width, c.height)));
-        }
-        // Interleave submission round-robin across sessions, pumping midway,
-        // so ops arrive while other sessions are already being served.
-        size_t cursor = 0;
-        bool more = true;
-        while (more) {
-          more = false;
-          for (size_t s = 0; s < c.sessions.size(); ++s) {
-            if (cursor >= c.sessions[s].size()) continue;
-            more = true;
-            const auto& op = c.sessions[s][cursor];
-            if (op.kind == SessionOp::Kind::Feed) {
-              manager.submit(ids[s], op.event);
-            } else {
-              manager.submit_advance(ids[s], op.t);
-            }
-          }
-          ++cursor;
-          if (cursor % 5 == 0) manager.pump();
-        }
-        manager.pump_all();
-        for (size_t s = 0; s < c.sessions.size(); ++s) {
-          const auto mux = drained(manager.session(ids[s]));
-          const auto& ref = reference[s];
-          if (mux.size() != ref.size()) {
-            return "session " + std::to_string(s) + ": " +
-                   std::to_string(mux.size()) + " decisions multiplexed vs " +
-                   std::to_string(ref.size()) + " sequential";
-          }
-          for (size_t i = 0; i < ref.size(); ++i) {
-            if (!(mux[i] == ref[i])) {
-              std::ostringstream os;
-              os << "session " << s << " decision " << i << ": multiplexed {t="
-                 << mux[i].t << ", label=" << mux[i].label
-                 << ", conf=" << mux[i].confidence << "} vs sequential {t="
-                 << ref[i].t << ", label=" << ref[i].label
-                 << ", conf=" << ref[i].confidence << "}";
-              return os.str();
-            }
-          }
-        }
-        return std::nullopt;
-      });
-}
-
-}  // namespace
-
-Gen<MultiSessionSchedule> multiplex_case_gen() {
-  // Degraded-sensor regimes (leak bursts, HDR flicker) are mixed into the
-  // shared schedule generator, so every serving-plane oracle downstream of
-  // this gen — multiplex, obs, fault, plan, route, shard — is exercised on
-  // the pathological streams real DVS hardware produces, not only on
-  // uniform noise.
-  MultiScheduleGenConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.max_sessions = 4;
-  config.max_ops_per_session = 30;
-  config.duration_us = 60000;
-  config.degraded_fraction = 0.3;
-  return multi_schedule_gen(config);
-}
-
-std::optional<std::string> diff_cnn_multiplex_vs_sequential(
-    const MultiSessionSchedule& c) {
+// Tiny untrained pipelines on a 16x16 sensor: determinism, not accuracy, is
+// the property under test. GNN sessions decide on every surviving event,
+// the densest stream of the three, so any perturbation shows immediately.
+cnn::CnnPipelineConfig cnn_config() {
   cnn::CnnPipelineConfig config;
   config.width = kMuxGeometry;
   config.height = kMuxGeometry;
   config.num_classes = 2;
   config.base_filters = 2;
   config.frame_period_us = 10000;  // several frame closes per schedule
-  cnn::CnnPipeline pipeline(config);
-  return diff_multiplex(pipeline, c);
+  return config;
 }
 
-std::optional<std::string> diff_snn_multiplex_vs_sequential(
-    const MultiSessionSchedule& c) {
+snn::SnnPipelineConfig snn_config() {
   snn::SnnPipelineConfig config;
   config.width = kMuxGeometry;
   config.height = kMuxGeometry;
@@ -823,112 +728,10 @@ std::optional<std::string> diff_snn_multiplex_vs_sequential(
   config.hidden = 16;
   config.encoder.spatial_factor = 2;
   config.timestep_us = 5000;
-  snn::SnnPipeline pipeline(config);
-  return diff_multiplex(pipeline, c);
+  return config;
 }
 
-std::optional<std::string> diff_gnn_multiplex_vs_sequential(
-    const MultiSessionSchedule& c) {
-  gnn::GnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
-  return diff_multiplex(pipeline, c);
-}
-
-// ---- obs: observability must not perturb the decision stream --------------
-
-namespace {
-
-/// Serve schedule `c` through a SessionManager (GNN sessions — decisions on
-/// every surviving event, the densest stream of the three paradigms) and
-/// return each session's decisions, with observability forced to `obs_on`.
-std::vector<std::vector<core::Decision>> serve_with_obs(
-    gnn::GnnPipeline& pipeline, const MultiSessionSchedule& c, bool obs_on) {
-  struct RestoreObs {
-    bool previous;
-    ~RestoreObs() { obs::set_enabled(previous); }
-  } restore{obs::enabled()};
-  obs::set_enabled(obs_on);
-  return with_thread_count(kThreadedCount, [&] {
-    runtime::SessionManager manager(/*burst=*/3);
-    std::vector<runtime::SessionId> ids;
-    ids.reserve(c.sessions.size());
-    for (size_t s = 0; s < c.sessions.size(); ++s) {
-      ids.push_back(manager.add(pipeline.open_session(c.width, c.height)));
-    }
-    size_t cursor = 0;
-    bool more = true;
-    while (more) {
-      more = false;
-      for (size_t s = 0; s < c.sessions.size(); ++s) {
-        if (cursor >= c.sessions[s].size()) continue;
-        more = true;
-        const auto& op = c.sessions[s][cursor];
-        if (op.kind == SessionOp::Kind::Feed) {
-          manager.submit(ids[s], op.event);
-        } else {
-          manager.submit_advance(ids[s], op.t);
-        }
-      }
-      ++cursor;
-      if (cursor % 5 == 0) manager.pump();
-    }
-    manager.pump_all();
-    std::vector<std::vector<core::Decision>> streams;
-    streams.reserve(ids.size());
-    for (const auto id : ids) {
-      streams.push_back(drained(manager.session(id)));
-    }
-    return streams;
-  });
-}
-
-}  // namespace
-
-std::optional<std::string> diff_obs_on_vs_off(const MultiSessionSchedule& c) {
-  gnn::GnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
-  const auto on = serve_with_obs(pipeline, c, /*obs_on=*/true);
-  const auto off = serve_with_obs(pipeline, c, /*obs_on=*/false);
-  for (size_t s = 0; s < on.size(); ++s) {
-    if (on[s].size() != off[s].size()) {
-      return "session " + std::to_string(s) + ": " +
-             std::to_string(on[s].size()) + " decisions with obs on vs " +
-             std::to_string(off[s].size()) + " with obs off";
-    }
-    for (size_t i = 0; i < on[s].size(); ++i) {
-      if (!(on[s][i] == off[s][i])) {
-        std::ostringstream os;
-        os << "session " << s << " decision " << i << ": obs-on {t="
-           << on[s][i].t << ", label=" << on[s][i].label
-           << ", conf=" << on[s][i].confidence << "} vs obs-off {t="
-           << off[s][i].t << ", label=" << off[s][i].label
-           << ", conf=" << off[s][i].confidence << "}";
-        return os.str();
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-// ---- fault tolerance: isolation and checkpoint/restore --------------------
-
-namespace {
-
-gnn::GnnPipelineConfig fault_oracle_pipeline_config() {
-  // Same tiny GNN the obs oracle serves: a decision on every surviving
-  // event, so any perturbation of a healthy session shows immediately.
+gnn::GnnPipelineConfig gnn_config() {
   gnn::GnnPipelineConfig config;
   config.width = kMuxGeometry;
   config.height = kMuxGeometry;
@@ -939,49 +742,99 @@ gnn::GnnPipelineConfig fault_oracle_pipeline_config() {
   return config;
 }
 
-/// Serve `sessions` op lists through a manager at kThreadedCount workers
-/// (round-robin submit, pump every 5th cursor — the multiplex shape) and
-/// return each session's decision stream, drained after every pump as a
-/// serving consumer does, so restores land between drains. `config`
-/// applies to every session. Pass `storage` (a fresh manager) to inspect
-/// fault state after the run.
-std::vector<std::vector<core::Decision>> serve_sessions(
-    gnn::GnnPipeline& pipeline, Index width, Index height,
-    const std::vector<std::vector<SessionOp>>& sessions,
-    const runtime::ManagedSessionConfig& config,
-    runtime::SessionManager* storage = nullptr) {
-  return with_thread_count(kThreadedCount, [&] {
-    std::optional<runtime::SessionManager> local;
-    if (storage == nullptr) local.emplace(/*burst=*/3);
-    runtime::SessionManager& manager = storage != nullptr ? *storage : *local;
-    std::vector<runtime::SessionId> ids;
-    ids.reserve(sessions.size());
-    for (size_t s = 0; s < sessions.size(); ++s) {
-      ids.push_back(manager.add(pipeline.open_session(width, height), config));
+/// 1..4 sessions, each with its own feed/advance tape. Degraded-sensor
+/// regimes (leak bursts, HDR flicker) are mixed in, so every serving oracle
+/// runs on the pathological streams real DVS hardware produces, not only on
+/// uniform noise.
+Gen<MultiSessionSchedule> schedule_gen() {
+  MultiScheduleGenConfig config;
+  config.width = kMuxGeometry;
+  config.height = kMuxGeometry;
+  config.max_sessions = 4;
+  config.max_ops_per_session = 30;
+  config.duration_us = 60000;
+  config.degraded_fraction = 0.3;
+  return multi_schedule_gen(config);
+}
+
+/// The reference every serving oracle compares against: each session's ops
+/// fed directly, one session at a time.
+template <typename Pipeline>
+Streams serve_sequential(Pipeline& pipeline, const MultiSessionSchedule& c) {
+  Streams streams(c.sessions.size());
+  for (size_t s = 0; s < c.sessions.size(); ++s) {
+    const auto session = pipeline.open_session(c.width, c.height);
+    for (const SessionOp& op : c.sessions[s]) {
+      if (op.kind == SessionOp::Kind::Feed) {
+        session->feed(op.event);
+      } else {
+        session->advance_to(op.t);
+      }
     }
-    std::vector<std::vector<core::Decision>> streams(ids.size());
+    session->drain(streams[s]);
+  }
+  return streams;
+}
+
+/// One session per schedule entry, opened from `pipeline` on `manager`.
+template <typename Pipeline>
+std::vector<runtime::SessionId> add_sessions(
+    runtime::SessionManager& manager, Pipeline& pipeline,
+    const MultiSessionSchedule& c,
+    const runtime::ManagedSessionConfig& config = {}) {
+  std::vector<runtime::SessionId> ids;
+  for (size_t s = 0; s < c.sessions.size(); ++s) {
+    ids.push_back(
+        manager.add(pipeline.open_session(c.width, c.height), config));
+  }
+  return ids;
+}
+
+/// The serving driver (runtime::SessionManager or shard::ShardManager) at
+/// kThreadedCount workers: submit `tape[s]` to `ids[s]` round-robin, one
+/// cursor at a time, so ops arrive while other sessions are being served;
+/// pump every kPumpEvery-th cursor, then pump_all. Every session is drained
+/// after every pump, as a serving consumer does, so restores, migrations and
+/// re-plans land between drains. `on_cursor(cursor)` runs after each cursor
+/// (the last one past every tape, just before pump_all).
+template <typename Manager>
+Streams serve(Manager& manager, const std::vector<runtime::SessionId>& ids,
+              const std::vector<std::vector<SessionOp>>& tape,
+              const std::function<void(size_t)>& on_cursor = nullptr) {
+  return with_thread_count(kThreadedCount, [&] {
+    Streams streams(ids.size());
     const auto drain_all = [&] {
       for (size_t s = 0; s < ids.size(); ++s) manager.drain(ids[s], streams[s]);
     };
     size_t cursor = 0;
-    bool more = true;
-    while (more) {
+    for (bool more = true; more;) {
       more = false;
-      for (size_t s = 0; s < sessions.size(); ++s) {
-        if (cursor >= sessions[s].size()) continue;
+      for (size_t s = 0; s < tape.size(); ++s) {
+        if (cursor >= tape[s].size()) continue;
         more = true;
-        const auto& op = sessions[s][cursor];
-        if (op.kind == SessionOp::Kind::Feed) {
-          manager.submit(ids[s], op.event);
+        const SessionOp& op = tape[s][cursor];
+        const auto submit = [&] {
+          return op.kind == SessionOp::Kind::Feed
+                     ? manager.submit(ids[s], op.event)
+                     : manager.submit_advance(ids[s], op.t);
+        };
+        if constexpr (std::is_same_v<Manager, shard::ShardManager>) {
+          // Only a full ingress ring refuses here: pump and retry, since
+          // shedding would be noise in a comparison of complete streams.
+          while (!submit()) {
+            manager.pump();
+            drain_all();
+          }
         } else {
-          manager.submit_advance(ids[s], op.t);
+          submit();  // a quarantined session refuses every op, for good
         }
       }
       ++cursor;
-      if (cursor % 5 == 0) {
+      if (cursor % kPumpEvery == 0) {
         manager.pump();
         drain_all();
       }
+      if (on_cursor) on_cursor(cursor);
     }
     manager.pump_all();
     drain_all();
@@ -989,11 +842,14 @@ std::vector<std::vector<core::Decision>> serve_sessions(
   });
 }
 
-std::optional<std::string> diff_decision_streams(
-    const std::vector<std::vector<core::Decision>>& got,
-    const std::vector<std::vector<core::Decision>>& want, size_t count,
-    const char* got_name, const char* want_name) {
-  for (size_t s = 0; s < count; ++s) {
+/// Compares the first want.size() streams of `got` with `want`:
+/// operator== on core::Decision compares label, timestamp and confidence
+/// bit-for-bit (ULP 0).
+std::optional<std::string> diff_decision_streams(const Streams& got,
+                                                 const Streams& want,
+                                                 const char* got_name,
+                                                 const char* want_name) {
+  for (size_t s = 0; s < want.size(); ++s) {
     if (got[s].size() != want[s].size()) {
       return "session " + std::to_string(s) + ": " +
              std::to_string(got[s].size()) + " decisions " + got_name +
@@ -1014,35 +870,62 @@ std::optional<std::string> diff_decision_streams(
   return std::nullopt;
 }
 
-}  // namespace
+/// runtime.multiplex_vs_sequential.*: multiplexing sessions on a shared
+/// pool never changes what any of them decides.
+template <typename Pipeline>
+std::optional<std::string> diff_multiplexed(Pipeline&& pipeline,
+                                            const MultiSessionSchedule& c) {
+  const Streams want = serve_sequential(pipeline, c);
+  runtime::SessionManager manager(kBurst);
+  const auto ids = add_sessions(manager, pipeline, c);
+  return diff_decision_streams(serve(manager, ids, c.sessions), want,
+                               "multiplexed", "sequential");
+}
 
+/// runtime.obs_on_vs_off: the same schedule served with observability on
+/// (spans, counters, latency histograms all firing) and forced off — the
+/// "observers never perturb the observed" contract of evd::obs.
+std::optional<std::string> diff_obs_on_vs_off(const MultiSessionSchedule& c) {
+  gnn::GnnPipeline pipeline(gnn_config());
+  const auto served = [&](bool obs_on) {
+    struct RestoreObs {
+      bool previous;
+      ~RestoreObs() { obs::set_enabled(previous); }
+    } restore{obs::enabled()};
+    obs::set_enabled(obs_on);
+    runtime::SessionManager manager(kBurst);
+    return serve(manager, add_sessions(manager, pipeline, c), c.sessions);
+  };
+  const Streams on = served(true);
+  const Streams off = served(false);
+  return diff_decision_streams(on, off, "with obs on", "with obs off");
+}
+
+/// runtime.fault_isolation: the blast-radius contract of quarantine. The
+/// schedule is served clean, then again beside a saboteur session (a copy
+/// of session 0's ops) that takes a one-shot injected op fault with no
+/// checkpoint, so it quarantines; no healthy session may move by a bit.
 std::optional<std::string> diff_fault_isolation(const MultiSessionSchedule& c) {
-  gnn::GnnPipeline pipeline(fault_oracle_pipeline_config());
-  const runtime::ManagedSessionConfig config;  // no checkpoint: fault -> quarantine
+  gnn::GnnPipeline pipeline(gnn_config());
+  runtime::SessionManager clean_manager(kBurst);
+  const Streams clean = serve(
+      clean_manager, add_sessions(clean_manager, pipeline, c), c.sessions);
 
-  // Clean run: the schedule as generated, no injection.
-  const auto clean =
-      serve_sessions(pipeline, c.width, c.height, c.sessions, config);
-
-  // Faulted run: append a saboteur session fed a copy of session 0's ops,
-  // with a one-shot injected op fault targeted at it. No checkpoint is
-  // configured, so the saboteur quarantines; the healthy sessions must not
-  // move by a single bit.
-  auto with_saboteur = c.sessions;
-  const auto saboteur = static_cast<std::int64_t>(with_saboteur.size());
-  with_saboteur.push_back(c.sessions.front());
+  MultiSessionSchedule sabotaged = c;
+  sabotaged.sessions.push_back(c.sessions.front());
+  runtime::SessionManager manager(kBurst);
+  const auto ids = add_sessions(manager, pipeline, sabotaged);
+  const runtime::SessionId saboteur = ids.back();
   fault::FaultPlan plan;
   plan.kind = fault::FaultKind::SessionThrow;
   plan.target = saboteur;
   plan.after = 2;
   plan.max_fires = 1;
-  std::vector<std::vector<core::Decision>> faulted;
+  Streams faulted;
   std::int64_t fires = 0;
-  runtime::SessionManager manager(/*burst=*/3);
   {
     fault::ScopedInjection injection("runtime.pump.op_fault", plan);
-    faulted = serve_sessions(pipeline, c.width, c.height, with_saboteur,
-                             config, &manager);
+    faulted = serve(manager, ids, sabotaged.sessions);
     fires = fault::Injector::instance().fires("runtime.pump.op_fault");
   }
   if (fires > 0) {
@@ -1057,61 +940,49 @@ std::optional<std::string> diff_fault_isolation(const MultiSessionSchedule& c) {
              std::to_string(manager.stats().faults.quarantined_sessions);
     }
   }
-  return diff_decision_streams(faulted, clean, c.sessions.size(),
-                               "with faulted neighbor", "clean");
+  return diff_decision_streams(faulted, clean, "with faulted neighbor",
+                               "clean");
 }
 
+/// runtime.checkpoint_replay: with periodic checkpoints and restore-on-fault,
+/// a one-shot injected fault on session 0 must restore from the last
+/// checkpoint, replay, retry, and end bitwise equal to the never-faulted
+/// reference. The fault strikes session 0's op 5..8, picked by its length:
+/// with 3 ops a pump and a checkpoint every 4, some restores replay ops
+/// whose decisions were drained after an earlier pump and some replay none.
 std::optional<std::string> diff_checkpoint_replay(
     const MultiSessionSchedule& c) {
-  gnn::GnnPipeline pipeline(fault_oracle_pipeline_config());
-
-  // Never-faulted reference: each session's ops fed directly, sequentially.
-  std::vector<std::vector<core::Decision>> reference;
-  reference.reserve(c.sessions.size());
-  for (const auto& ops : c.sessions) {
-    const auto session = pipeline.open_session(c.width, c.height);
-    for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(drained(*session));
-  }
-
-  // Served run: periodic checkpoints, restore-on-fault, and a one-shot
-  // injected fault on session 0 mid-stream. The restore must land exactly
-  // where the fault struck: checkpoint load + replay + retry, bitwise.
-  // Session 0's op 5..8 faults, picked by its length: with 3 ops a pump
-  // and a checkpoint every 4, some restores replay ops whose decisions
-  // were drained after an earlier pump and some replay none.
+  gnn::GnnPipeline pipeline(gnn_config());
+  const Streams want = serve_sequential(pipeline, c);
   runtime::ManagedSessionConfig config;
   config.checkpoint_every = 4;
   config.restore_on_fault = true;
+  runtime::SessionManager manager(kBurst);
+  const auto ids = add_sessions(manager, pipeline, c, config);
   fault::FaultPlan plan;
   plan.kind = fault::FaultKind::SessionThrow;
-  plan.target = 0;
+  plan.target = ids.front();
   plan.after = 5 + static_cast<Index>(c.sessions.front().size() % 4);
   plan.max_fires = 1;
-  std::vector<std::vector<core::Decision>> served;
+  Streams served;
   std::int64_t fires = 0;
-  runtime::SessionManager manager(/*burst=*/3);
   {
     fault::ScopedInjection injection("runtime.pump.op_fault", plan);
-    served = serve_sessions(pipeline, c.width, c.height, c.sessions, config,
-                            &manager);
+    served = serve(manager, ids, c.sessions);
     fires = fault::Injector::instance().fires("runtime.pump.op_fault");
   }
   if (fires > 0) {
-    if (manager.state(0) != runtime::SessionState::Active) {
-      return "faulted session did not recover: " + manager.fault_message(0);
+    if (manager.state(ids.front()) != runtime::SessionState::Active) {
+      return "faulted session did not recover: " +
+             manager.fault_message(ids.front());
     }
     if (manager.stats().faults.restores < 1) {
       return "fault fired but no restore was counted";
     }
   }
-  return diff_decision_streams(served, reference, c.sessions.size(),
-                               "restored", "sequential reference");
+  return diff_decision_streams(served, want, "restored",
+                               "sequential reference");
 }
-
-// ---- sched: plan-driven pump vs sequential reference ----------------------
-
-namespace {
 
 /// A random valid plan for `n` sessions of `paradigm`: the ids shuffled into
 /// one or two non-empty regions, a burst in [1, 4], and the paradigm's path
@@ -1148,353 +1019,92 @@ sched::Plan random_plan(Index n, const std::string& paradigm,
   return plan;
 }
 
-/// Sequential reference, then the same ops served under a random plan. The
-/// plan is derived deterministically from the schedule (seeded by its
-/// per-session op counts), so every generated case exercises a different
-/// plan and a shrunk schedule carries a correspondingly shrunk witness plan.
+/// sched.plan_vs_sequential.*: the planner's equivalence contract. A plan
+/// may re-partition sessions across workers, reorder visits, change the
+/// burst and re-route paths, but never change a single emitted bit. The
+/// plan is seeded by the schedule's per-session op counts, so every case
+/// exercises a different plan and a shrunk schedule carries a
+/// correspondingly shrunk witness plan.
 template <typename Pipeline>
-std::optional<std::string> diff_planned(Pipeline& pipeline,
+std::optional<std::string> diff_planned(Pipeline&& pipeline,
                                         const std::string& paradigm,
                                         const MultiSessionSchedule& c) {
-  std::vector<std::vector<core::Decision>> reference;
-  reference.reserve(c.sessions.size());
+  const Streams want = serve_sequential(pipeline, c);
   std::uint64_t schedule_seed = 0x9E3779B97F4A7C15ULL;
   for (const auto& ops : c.sessions) {
-    const auto session = pipeline.open_session(c.width, c.height);
-    for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(drained(*session));
     schedule_seed = schedule_seed * 0x100000001B3ULL + ops.size();
   }
-  return with_thread_count(
-      kThreadedCount, [&]() -> std::optional<std::string> {
-        runtime::SessionManager manager(/*burst=*/3);
-        std::vector<runtime::SessionId> ids;
-        ids.reserve(c.sessions.size());
-        for (size_t s = 0; s < c.sessions.size(); ++s) {
-          ids.push_back(manager.add(pipeline.open_session(c.width, c.height)));
-        }
-        manager.set_plan(random_plan(static_cast<Index>(c.sessions.size()),
-                                     paradigm, schedule_seed));
-        size_t cursor = 0;
-        bool more = true;
-        while (more) {
-          more = false;
-          for (size_t s = 0; s < c.sessions.size(); ++s) {
-            if (cursor >= c.sessions[s].size()) continue;
-            more = true;
-            const auto& op = c.sessions[s][cursor];
-            if (op.kind == SessionOp::Kind::Feed) {
-              manager.submit(ids[s], op.event);
-            } else {
-              manager.submit_advance(ids[s], op.t);
-            }
-          }
-          ++cursor;
-          if (cursor % 5 == 0) manager.pump();
-        }
-        manager.pump_all();
-        std::vector<std::vector<core::Decision>> planned;
-        planned.reserve(ids.size());
-        for (const auto id : ids) {
-          planned.push_back(drained(manager.session(id)));
-        }
-        if (auto d = diff_decision_streams(planned, reference,
-                                           c.sessions.size(), "planned",
-                                           "sequential reference")) {
-          return "under plan " + manager.plan().describe() + "\n" + *d;
-        }
-        return std::nullopt;
-      });
+  runtime::SessionManager manager(kBurst);
+  const auto ids = add_sessions(manager, pipeline, c);
+  manager.set_plan(random_plan(static_cast<Index>(ids.size()), paradigm,
+                               schedule_seed));
+  if (auto d = diff_decision_streams(serve(manager, ids, c.sessions), want,
+                                     "planned", "sequential reference")) {
+    return "under plan " + manager.plan().describe() + "\n" + *d;
+  }
+  return std::nullopt;
 }
 
-}  // namespace
-
-std::optional<std::string> diff_cnn_plan_vs_sequential(
-    const MultiSessionSchedule& c) {
-  cnn::CnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.base_filters = 2;
-  config.frame_period_us = 10000;
-  cnn::CnnPipeline pipeline(config);
-  return diff_planned(pipeline, "cnn", c);
-}
-
-std::optional<std::string> diff_snn_plan_vs_sequential(
-    const MultiSessionSchedule& c) {
-  snn::SnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.hidden = 16;
-  config.encoder.spatial_factor = 2;
-  config.timestep_us = 5000;
-  snn::SnnPipeline pipeline(config);
-  return diff_planned(pipeline, "snn", c);
-}
-
-std::optional<std::string> diff_gnn_plan_vs_sequential(
-    const MultiSessionSchedule& c) {
-  gnn::GnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
-  return diff_planned(pipeline, "gnn", c);
-}
-
-// ---- route: forced execution paths vs the default path --------------------
-
-namespace {
-
-/// Default-path sequential reference, then the same ops through sessions
-/// pinned to `forced` (route::PathId) and served on 4 workers. This is the
-/// per-placement equivalence proof behind PathRegistry::mark_proved: a
+/// route.*: every session pinned to `forced` vs the default path. This is
+/// the per-placement equivalence proof behind PathRegistry::mark_proved: a
 /// plan may re-route a paradigm's hot stage onto this variant only because
 /// this oracle holds the decision streams bitwise identical (ULP 0).
 template <typename Pipeline>
-std::optional<std::string> diff_route(Pipeline& pipeline, route::PathId forced,
+std::optional<std::string> diff_route(Pipeline&& pipeline,
+                                      route::PathId forced,
                                       const MultiSessionSchedule& c) {
-  std::vector<std::vector<core::Decision>> reference;
-  reference.reserve(c.sessions.size());
-  for (const auto& ops : c.sessions) {
-    const auto session = pipeline.open_session(c.width, c.height);
-    for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(drained(*session));
+  const Streams want = serve_sequential(pipeline, c);
+  runtime::SessionManager manager(kBurst);
+  const auto ids = add_sessions(manager, pipeline, c);
+  for (const auto id : ids) {
+    if (!manager.session(id).set_execution_path(forced)) {
+      return std::string("session declined execution path ") +
+             route::path_name(forced);
+    }
   }
-  return with_thread_count(
-      kThreadedCount, [&]() -> std::optional<std::string> {
-        runtime::SessionManager manager(/*burst=*/3);
-        std::vector<runtime::SessionId> ids;
-        ids.reserve(c.sessions.size());
-        for (size_t s = 0; s < c.sessions.size(); ++s) {
-          auto session = pipeline.open_session(c.width, c.height);
-          if (!session->set_execution_path(forced)) {
-            return std::string("session declined execution path ") +
-                   route::path_name(forced);
-          }
-          ids.push_back(manager.add(std::move(session)));
-        }
-        size_t cursor = 0;
-        bool more = true;
-        while (more) {
-          more = false;
-          for (size_t s = 0; s < c.sessions.size(); ++s) {
-            if (cursor >= c.sessions[s].size()) continue;
-            more = true;
-            const auto& op = c.sessions[s][cursor];
-            if (op.kind == SessionOp::Kind::Feed) {
-              manager.submit(ids[s], op.event);
-            } else {
-              manager.submit_advance(ids[s], op.t);
-            }
-          }
-          ++cursor;
-          if (cursor % 5 == 0) manager.pump();
-        }
-        manager.pump_all();
-        std::vector<std::vector<core::Decision>> routed;
-        routed.reserve(ids.size());
-        for (const auto id : ids) {
-          routed.push_back(drained(manager.session(id)));
-        }
-        return diff_decision_streams(routed, reference, c.sessions.size(),
-                                     route::path_name(forced),
-                                     "default path");
-      });
+  return diff_decision_streams(serve(manager, ids, c.sessions), want,
+                               route::path_name(forced), "default path");
 }
 
-}  // namespace
-
-std::optional<std::string> diff_route_cnn_sparse_vs_dense(
-    const MultiSessionSchedule& c) {
-  cnn::CnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.base_filters = 2;
-  config.frame_period_us = 10000;
-  cnn::CnnPipeline pipeline(config);
-  return diff_route(pipeline, route::PathId::CnnSparse, c);
-}
-
-std::optional<std::string> diff_route_snn_clocked_vs_event(
-    const MultiSessionSchedule& c) {
-  snn::SnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.hidden = 16;
-  config.encoder.spatial_factor = 2;
-  config.timestep_us = 5000;
-  snn::SnnPipeline pipeline(config);
-  return diff_route(pipeline, route::PathId::SnnEventDriven, c);
-}
-
-std::optional<std::string> diff_route_gnn_batch_vs_incremental(
-    const MultiSessionSchedule& c) {
-  gnn::GnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
-  return diff_route(pipeline, route::PathId::GnnBatch, c);
-}
-
-// ---- shard: sharded serving vs the sequential reference -------------------
-
-namespace {
-
-/// The shard analogue of diff_multiplex: the same sequential reference,
-/// then the same ops served through a ShardManager — 3 shard groups, each a
-/// private SessionManager behind its lock-free ingress ring — pumped at
-/// kThreadedCount workers with a tiny per-shard burst so sessions interleave
-/// across many rounds and shards drain concurrently. Replay transparency
-/// demands the partitioning never shows in the decision streams.
+/// shard.sharded_vs_sequential.*: the replay-transparency contract of
+/// evd::shard. kShards shard groups, each a private SessionManager behind
+/// its lock-free ingress ring, drain concurrently; partitioning the serving
+/// plane may change where and when ops execute, never what they compute.
 ///
-/// With `migrate_midway`, every session is additionally checkpoint-migrated
-/// to the next shard around the ring at its schedule midpoint and once more
-/// before the final drain — decisions recorded before the move, across it
-/// and after it must still match the never-migrated reference exactly.
+/// shard.migration_replay (`migrate`): every session is also
+/// checkpoint-migrated to the next shard around the ring at its schedule
+/// midpoint and once more before the final pump_all; decisions recorded
+/// before, across and after each move must match the never-migrated
+/// reference.
 template <typename Pipeline>
-std::optional<std::string> diff_sharded(Pipeline& pipeline,
+std::optional<std::string> diff_sharded(Pipeline&& pipeline,
                                         const MultiSessionSchedule& c,
-                                        bool migrate_midway) {
-  std::vector<std::vector<core::Decision>> reference;
-  reference.reserve(c.sessions.size());
+                                        bool migrate) {
+  const Streams want = serve_sequential(pipeline, c);
+  shard::ShardManagerConfig config;
+  config.shards = kShards;
+  config.burst = kBurst;
+  shard::ShardManager manager(config);
+  std::vector<runtime::SessionId> ids;
+  size_t longest = 0;
   for (const auto& ops : c.sessions) {
-    const auto session = pipeline.open_session(c.width, c.height);
-    for (const auto& op : ops) apply_op(*session, op);
-    reference.push_back(drained(*session));
+    ids.push_back(
+        manager.add([&] { return pipeline.open_session(c.width, c.height); }));
+    longest = std::max(longest, ops.size());
   }
-  return with_thread_count(
-      kThreadedCount, [&]() -> std::optional<std::string> {
-        shard::ShardManagerConfig cfg;
-        cfg.shards = 3;
-        cfg.burst = 3;
-        shard::ShardManager manager(cfg);
-        std::vector<shard::ShardManager::SessionId> ids;
-        ids.reserve(c.sessions.size());
-        size_t longest = 0;
-        for (size_t s = 0; s < c.sessions.size(); ++s) {
-          ids.push_back(manager.add(
-              [&] { return pipeline.open_session(c.width, c.height); }));
-          longest = std::max(longest, c.sessions[s].size());
-        }
-        const auto rotate_all = [&] {
-          for (const auto id : ids) {
-            manager.migrate(
-                id, (manager.shard_of(id) + 1) % manager.shard_count());
-          }
-        };
-        // Round-robin submission with mid-stream pumps, as in the multiplex
-        // oracle. A full ingress ring pumps and retries: the oracle asserts
-        // equality of complete streams, so shedding here would be noise.
-        size_t cursor = 0;
-        bool more = true;
-        while (more) {
-          more = false;
-          for (size_t s = 0; s < c.sessions.size(); ++s) {
-            if (cursor >= c.sessions[s].size()) continue;
-            more = true;
-            const auto& op = c.sessions[s][cursor];
-            if (op.kind == SessionOp::Kind::Feed) {
-              while (!manager.submit(ids[s], op.event)) manager.pump();
-            } else {
-              while (!manager.submit_advance(ids[s], op.t)) manager.pump();
-            }
-          }
-          ++cursor;
-          if (cursor % 5 == 0) manager.pump();
-          if (migrate_midway && cursor == (longest + 1) / 2) rotate_all();
-        }
-        if (migrate_midway) rotate_all();
-        manager.pump_all();
-        for (size_t s = 0; s < c.sessions.size(); ++s) {
-          const auto got = drained(manager.session(ids[s]));
-          const auto& ref = reference[s];
-          if (got.size() != ref.size()) {
-            return "session " + std::to_string(s) + ": " +
-                   std::to_string(got.size()) + " decisions sharded vs " +
-                   std::to_string(ref.size()) + " sequential";
-          }
-          for (size_t i = 0; i < ref.size(); ++i) {
-            if (!(got[i] == ref[i])) {
-              std::ostringstream os;
-              os << "session " << s << " decision " << i << ": sharded {t="
-                 << got[i].t << ", label=" << got[i].label
-                 << ", conf=" << got[i].confidence << "} vs sequential {t="
-                 << ref[i].t << ", label=" << ref[i].label
-                 << ", conf=" << ref[i].confidence << "}";
-              return os.str();
-            }
-          }
-        }
-        return std::nullopt;
-      });
+  const auto rotate_all = [&](size_t cursor) {
+    if (cursor != (longest + 1) / 2 && cursor != longest + 1) return;
+    for (const auto id : ids) {
+      manager.migrate(id, (manager.shard_of(id) + 1) % manager.shard_count());
+    }
+  };
+  const Streams got = migrate ? serve(manager, ids, c.sessions, rotate_all)
+                              : serve(manager, ids, c.sessions);
+  return diff_decision_streams(got, want, migrate ? "migrated" : "sharded",
+                               "sequential");
 }
 
 }  // namespace
-
-std::optional<std::string> diff_cnn_sharded_vs_sequential(
-    const MultiSessionSchedule& c) {
-  cnn::CnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.base_filters = 2;
-  config.frame_period_us = 10000;
-  cnn::CnnPipeline pipeline(config);
-  return diff_sharded(pipeline, c, /*migrate_midway=*/false);
-}
-
-std::optional<std::string> diff_snn_sharded_vs_sequential(
-    const MultiSessionSchedule& c) {
-  snn::SnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.hidden = 16;
-  config.encoder.spatial_factor = 2;
-  config.timestep_us = 5000;
-  snn::SnnPipeline pipeline(config);
-  return diff_sharded(pipeline, c, /*migrate_midway=*/false);
-}
-
-std::optional<std::string> diff_gnn_sharded_vs_sequential(
-    const MultiSessionSchedule& c) {
-  gnn::GnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
-  return diff_sharded(pipeline, c, /*migrate_midway=*/false);
-}
-
-std::optional<std::string> diff_shard_migration_replay(
-    const MultiSessionSchedule& c) {
-  // GNN sessions: a decision on every surviving event, the densest stream
-  // of the three paradigms — the strictest witness for migration replay.
-  gnn::GnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
-  return diff_sharded(pipeline, c, /*migrate_midway=*/true);
-}
 
 // ---- registration ---------------------------------------------------------
 
@@ -1551,87 +1161,108 @@ void register_builtin_oracles() {
         "hw.zero_skip_vs_naive",
         "Zero-skipping model vs naive roll-up (incl. skippable > MACs clamp)",
         hw_case_gen(), diff_zero_skip_vs_naive));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "runtime.multiplex_vs_sequential.cnn",
-        "CNN sessions multiplexed on 4 workers emit the exact decision "
-        "stream of sequential feeding",
-        multiplex_case_gen(), diff_cnn_multiplex_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "runtime.multiplex_vs_sequential.snn",
-        "SNN sessions multiplexed on 4 workers emit the exact decision "
-        "stream of sequential feeding",
-        multiplex_case_gen(), diff_snn_multiplex_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "runtime.multiplex_vs_sequential.gnn",
-        "GNN sessions multiplexed on 4 workers emit the exact decision "
-        "stream of sequential feeding",
-        multiplex_case_gen(), diff_gnn_multiplex_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "runtime.obs_on_vs_off",
-        "Observability (spans, counters, latency histograms) never perturbs "
-        "the served decision streams — bitwise identical on vs off",
-        multiplex_case_gen(), diff_obs_on_vs_off));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "runtime.fault_isolation",
-        "Healthy sessions' decision streams are bitwise identical with and "
-        "without a quarantined (injected-fault) neighbor",
-        multiplex_case_gen(), diff_fault_isolation));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "runtime.checkpoint_replay",
-        "A session that faults, restores from its checkpoint and replays "
-        "emits the exact decision stream of a never-faulted run",
-        multiplex_case_gen(), diff_checkpoint_replay));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "sched.plan_vs_sequential.cnn",
-        "CNN sessions pumped under a random valid execution plan emit "
-        "the exact decision stream of sequential feeding",
-        multiplex_case_gen(), diff_cnn_plan_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "sched.plan_vs_sequential.snn",
-        "SNN sessions pumped under a random valid execution plan emit "
-        "the exact decision stream of sequential feeding",
-        multiplex_case_gen(), diff_snn_plan_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "sched.plan_vs_sequential.gnn",
-        "GNN sessions pumped under a random valid execution plan emit "
-        "the exact decision stream of sequential feeding",
-        multiplex_case_gen(), diff_gnn_plan_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "route.cnn_sparse_vs_dense",
-        "CNN sessions routed onto the zero-skipping sparse conv path emit "
-        "the exact decision stream of the default path",
-        multiplex_case_gen(), diff_route_cnn_sparse_vs_dense));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "route.snn_clocked_vs_event",
-        "SNN sessions routed onto event-driven stepping emit the exact "
-        "decision stream of the default clocked path",
-        multiplex_case_gen(), diff_route_snn_clocked_vs_event));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "route.gnn_batch_vs_incremental",
-        "GNN sessions routed onto the full-sweep batch message pass emit "
-        "the exact decision stream of the default incremental path",
-        multiplex_case_gen(), diff_route_gnn_batch_vs_incremental));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "shard.sharded_vs_sequential.cnn",
-        "CNN sessions spread over 3 shards (private managers behind "
-        "lock-free ingress rings) pumped on 4 workers emit the exact "
-        "decision stream of sequential feeding",
-        multiplex_case_gen(), diff_cnn_sharded_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "shard.sharded_vs_sequential.snn",
-        "SNN sessions spread over 3 shards pumped on 4 workers emit the "
-        "exact decision stream of sequential feeding",
-        multiplex_case_gen(), diff_snn_sharded_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "shard.sharded_vs_sequential.gnn",
-        "GNN sessions spread over 3 shards pumped on 4 workers emit the "
-        "exact decision stream of sequential feeding",
-        multiplex_case_gen(), diff_gnn_sharded_vs_sequential));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "shard.migration_replay",
-        "Sessions checkpoint-migrated between shards mid-stream emit the "
-        "exact decision stream of a never-migrated run",
-        multiplex_case_gen(), diff_shard_migration_replay));
+    using Schedule = MultiSessionSchedule;
+    const auto serving = [](const char* name, const char* description,
+                            DiffOracle<Schedule>::Property diff) {
+      registry().add(make_diff_oracle<Schedule>(name, description,
+                                                schedule_gen(),
+                                                std::move(diff)));
+    };
+    serving("runtime.multiplex_vs_sequential.cnn",
+            "CNN sessions multiplexed on 4 workers emit the exact decision "
+            "stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_multiplexed(cnn::CnnPipeline(cnn_config()), c);
+            });
+    serving("runtime.multiplex_vs_sequential.snn",
+            "SNN sessions multiplexed on 4 workers emit the exact decision "
+            "stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_multiplexed(snn::SnnPipeline(snn_config()), c);
+            });
+    serving("runtime.multiplex_vs_sequential.gnn",
+            "GNN sessions multiplexed on 4 workers emit the exact decision "
+            "stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_multiplexed(gnn::GnnPipeline(gnn_config()), c);
+            });
+    serving("runtime.obs_on_vs_off",
+            "Observability (spans, counters, latency histograms) never "
+            "perturbs the served decision streams — bitwise identical on vs "
+            "off",
+            diff_obs_on_vs_off);
+    serving("runtime.fault_isolation",
+            "Healthy sessions' decision streams are bitwise identical with "
+            "and without a quarantined (injected-fault) neighbor",
+            diff_fault_isolation);
+    serving("runtime.checkpoint_replay",
+            "A session that faults, restores from its checkpoint and replays "
+            "emits the exact decision stream of a never-faulted run",
+            diff_checkpoint_replay);
+    serving("sched.plan_vs_sequential.cnn",
+            "CNN sessions pumped under a random valid execution plan emit "
+            "the exact decision stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_planned(cnn::CnnPipeline(cnn_config()), "cnn", c);
+            });
+    serving("sched.plan_vs_sequential.snn",
+            "SNN sessions pumped under a random valid execution plan emit "
+            "the exact decision stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_planned(snn::SnnPipeline(snn_config()), "snn", c);
+            });
+    serving("sched.plan_vs_sequential.gnn",
+            "GNN sessions pumped under a random valid execution plan emit "
+            "the exact decision stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_planned(gnn::GnnPipeline(gnn_config()), "gnn", c);
+            });
+    serving("route.cnn_sparse_vs_dense",
+            "CNN sessions routed onto the zero-skipping sparse conv path emit "
+            "the exact decision stream of the default path",
+            [](const Schedule& c) {
+              return diff_route(cnn::CnnPipeline(cnn_config()),
+                                route::PathId::CnnSparse, c);
+            });
+    serving("route.snn_clocked_vs_event",
+            "SNN sessions routed onto event-driven stepping emit the exact "
+            "decision stream of the default clocked path",
+            [](const Schedule& c) {
+              return diff_route(snn::SnnPipeline(snn_config()),
+                                route::PathId::SnnEventDriven, c);
+            });
+    serving("route.gnn_batch_vs_incremental",
+            "GNN sessions routed onto the full-sweep batch message pass emit "
+            "the exact decision stream of the default incremental path",
+            [](const Schedule& c) {
+              return diff_route(gnn::GnnPipeline(gnn_config()),
+                                route::PathId::GnnBatch, c);
+            });
+    serving("shard.sharded_vs_sequential.cnn",
+            "CNN sessions spread over 3 shards (private managers behind "
+            "lock-free ingress rings) pumped on 4 workers emit the exact "
+            "decision stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_sharded(cnn::CnnPipeline(cnn_config()), c, false);
+            });
+    serving("shard.sharded_vs_sequential.snn",
+            "SNN sessions spread over 3 shards pumped on 4 workers emit the "
+            "exact decision stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_sharded(snn::SnnPipeline(snn_config()), c, false);
+            });
+    serving("shard.sharded_vs_sequential.gnn",
+            "GNN sessions spread over 3 shards pumped on 4 workers emit the "
+            "exact decision stream of sequential feeding",
+            [](const Schedule& c) {
+              return diff_sharded(gnn::GnnPipeline(gnn_config()), c, false);
+            });
+    serving("shard.migration_replay",
+            "Sessions checkpoint-migrated between shards mid-stream emit the "
+            "exact decision stream of a never-migrated run",
+            [](const Schedule& c) {
+              return diff_sharded(gnn::GnnPipeline(gnn_config()), c, true);
+            });
     // Registering the route.* oracles is what entitles the planner to
     // choose these variants: the suite runs them in CI, so the proved
     // marks below are never ahead of an actual equivalence proof.

@@ -16,46 +16,17 @@
 //                                scalar (bitwise logits/membranes/spikes)
 //   simd.gnn_accumulate_vs_scalar  gathered neighbor accumulate vs scalar
 //                                (bounded-ULP; bitwise in practice)
-//   runtime.multiplex_vs_sequential.{cnn,snn,gnn}
-//                                K sessions pumped through the
-//                                SessionManager on 4 workers vs the same op
-//                                lists fed directly, one session at a time —
-//                                decision streams must match bitwise
-//   runtime.fault_isolation      healthy sessions' decision streams with vs
-//                                without a quarantined (injected-fault)
-//                                neighbor — must match bitwise
-//   runtime.checkpoint_replay    a session that faults, restores from its
-//                                checkpoint and replays must emit the exact
-//                                decision stream of a never-faulted run
-//   sched.plan_vs_sequential.{cnn,snn,gnn}
-//                                sessions pumped under a random valid
-//                                execution plan (routed paths, a drawn
-//                                burst, shuffled worker regions) vs
-//                                direct sequential feeding — decision
-//                                streams must match bitwise (the planner's
-//                                equivalence contract)
-//   route.cnn_sparse_vs_dense    CNN sessions pinned to the sparse conv
-//                                path vs the default path — bitwise
-//   route.snn_clocked_vs_event   SNN sessions pinned to event-driven
-//                                stepping vs default clocked — bitwise
-//   route.gnn_batch_vs_incremental
-//                                GNN sessions pinned to the full-sweep
-//                                batch message pass vs default incremental
-//                                — bitwise (registration of these three is
-//                                what marks the paths proved/routable)
-//   shard.sharded_vs_sequential.{cnn,snn,gnn}
-//                                sessions spread over N shard groups (each
-//                                its own manager + lock-free ingress ring)
-//                                pumped on 4 workers vs direct sequential
-//                                feeding — decision streams must match
-//                                bitwise at any shard/thread count
-//   shard.migration_replay       sessions checkpoint-migrated between
-//                                shards mid-stream must emit the exact
-//                                decision stream of a never-migrated run
+//   runtime.*, sched.*, route.*, shard.*
+//                                serving-plane oracles: sessions served
+//                                through a SessionManager or ShardManager
+//                                vs a reference run must emit bitwise
+//                                identical decision streams (each contract
+//                                is stated at its oracle in oracles.cpp)
 //
-// Case structs and diff properties are public so the fault-injection
-// self-test can perturb one side and verify the harness catches it and
-// shrinks the counterexample.
+// The kernel-level case structs and diff properties are public so the
+// fault-injection self-test can perturb one side and verify the harness
+// catches it and shrinks the counterexample. The serving oracles are
+// reached through the registry.
 #pragma once
 
 #include <array>
@@ -167,98 +138,6 @@ struct HwCase {
 Gen<HwCase> hw_case_gen();
 std::optional<std::string> diff_systolic_vs_naive(const HwCase& c);
 std::optional<std::string> diff_zero_skip_vs_naive(const HwCase& c);
-
-// ---- runtime: multiplexed vs sequential session serving -------------------
-
-/// Generated interleavings for the SessionManager determinism contract:
-/// 1..4 sessions, each with its own feed/advance schedule on a 16x16
-/// sensor (tiny untrained pipelines — determinism, not accuracy, is the
-/// property under test).
-Gen<MultiSessionSchedule> multiplex_case_gen();
-/// Feed every session's ops directly and sequentially, then the same ops
-/// through a SessionManager pumped on 4 workers with a small burst (many
-/// interleaved rounds), and require the per-session decision streams to be
-/// identical — exact label, timestamp and bit-for-bit confidence.
-std::optional<std::string> diff_cnn_multiplex_vs_sequential(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_snn_multiplex_vs_sequential(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_gnn_multiplex_vs_sequential(
-    const MultiSessionSchedule& c);
-/// Serve the same multi-session schedule twice through a SessionManager —
-/// once with observability enabled (spans, counters, latency histograms all
-/// firing) and once with EVD_OBS forced off — and require every session's
-/// decision stream to be bitwise identical. Holds the "observers never
-/// perturb the observed" contract of evd::obs.
-std::optional<std::string> diff_obs_on_vs_off(const MultiSessionSchedule& c);
-
-// ---- fault tolerance: isolation and checkpoint/restore --------------------
-
-/// Serve the schedule twice — clean, and with an extra saboteur session that
-/// takes an injected op fault (no checkpoint, so it quarantines) — and
-/// require every healthy session's decision stream to be bitwise identical
-/// across the two runs. Holds the blast-radius contract of session
-/// quarantine: a faulted neighbor is invisible to everyone else.
-std::optional<std::string> diff_fault_isolation(const MultiSessionSchedule& c);
-/// Feed every session's ops directly (sequential reference), then serve the
-/// same schedule through a manager with periodic checkpointing and an
-/// injected one-shot op fault on session 0: the faulted session must
-/// restore from its last checkpoint, replay, retry, and end with a decision
-/// stream bitwise identical to the never-faulted reference.
-std::optional<std::string> diff_checkpoint_replay(const MultiSessionSchedule& c);
-
-// ---- sched: plan-driven pump vs sequential reference ----------------------
-
-/// Feed every session's ops directly and sequentially, then serve the same
-/// schedule through a SessionManager on 4 workers with an execution plan
-/// installed — drawn at random from the schedule itself (seeded by its op
-/// counts, so shrinking the schedule shrinks the witness plan with it) —
-/// and require bitwise-identical per-session decision streams. A plan may
-/// re-partition sessions across workers, reorder visits, change the burst
-/// and re-route paths, but must never change a single emitted bit.
-std::optional<std::string> diff_cnn_plan_vs_sequential(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_snn_plan_vs_sequential(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_gnn_plan_vs_sequential(
-    const MultiSessionSchedule& c);
-
-// ---- route: forced execution paths vs the default path --------------------
-
-/// Feed every session's ops directly on the default path (sequential
-/// reference), then serve the same schedule on 4 workers with every
-/// session pinned to the named variant via set_execution_path, and require
-/// bitwise-identical decision streams (ULP 0). These are the per-placement
-/// equivalence proofs that make a path routable: register_builtin_oracles
-/// marks CnnSparse / SnnEventDriven / GnnBatch proved exactly because it
-/// registers these oracles into the CI-run suite.
-std::optional<std::string> diff_route_cnn_sparse_vs_dense(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_route_snn_clocked_vs_event(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_route_gnn_batch_vs_incremental(
-    const MultiSessionSchedule& c);
-
-// ---- shard: sharded serving vs the sequential reference -------------------
-
-/// Feed every session's ops directly and sequentially, then serve the same
-/// schedule through a ShardManager (3 shard groups, each with its private
-/// SessionManager and MPSC ingress ring) pumped on 4 workers, and require
-/// bitwise-identical per-session decision streams — the replay-transparency
-/// contract of evd::shard: partitioning the serving plane may change *where*
-/// and *when* ops execute, never what they compute.
-std::optional<std::string> diff_cnn_sharded_vs_sequential(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_snn_sharded_vs_sequential(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_gnn_sharded_vs_sequential(
-    const MultiSessionSchedule& c);
-/// Same setup (GNN sessions — decisions on every surviving event), but every
-/// session is checkpoint-migrated to another shard midway through its
-/// schedule and again before the final drain: the moved sessions must emit
-/// the exact decision stream of a never-migrated sequential run.
-std::optional<std::string> diff_shard_migration_replay(
-    const MultiSessionSchedule& c);
 
 /// Run fn at the given pool size, restoring the previous size afterwards.
 template <typename Fn>

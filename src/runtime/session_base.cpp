@@ -1,6 +1,7 @@
 #include "runtime/session_base.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace evd::runtime {
@@ -97,6 +98,34 @@ bool SessionBase::save_state(std::vector<std::uint8_t>& out) const {
 
 bool SessionBase::load_state(std::span<const std::uint8_t> bytes) {
   if (!checkpoint_supported()) return false;
+  // All or nothing: the sink and on_load change the session before
+  // expect_end() knows the frame is whole, so a frame that throws part-way
+  // (cut short, a mismatched or out-of-range field) is undone from a copy
+  // of the sink and a snapshot of the paradigm state. The counters and the
+  // activity estimator commit only after expect_end(). The sink is copied,
+  // not saved and reloaded: its load keeps the larger handed-out mark of
+  // the live and loaded counts, and its save refuses mid-replay. The
+  // snapshot is unbounded, so a live state over checkpoint_max_bytes
+  // cannot fail a valid load.
+  const DecisionSink sink = sink_;
+  std::vector<std::uint8_t> paradigm;
+  {
+    fault::CheckpointWriter w(paradigm,
+                              std::numeric_limits<std::size_t>::max());
+    on_save(w);
+  }
+  try {
+    read_state(bytes);
+  } catch (...) {
+    sink_ = sink;
+    fault::CheckpointReader r(paradigm);
+    on_load(r);
+    throw;
+  }
+  return true;
+}
+
+void SessionBase::read_state(std::span<const std::uint8_t> bytes) {
   fault::CheckpointReader r(bytes);
   fault::expect_valid(r.u32() == fault::kCheckpointMagic,
                       "bad checkpoint magic");
@@ -152,7 +181,6 @@ bool SessionBase::load_state(std::span<const std::uint8_t> bytes) {
     act_touched_count_ = static_cast<Index>(act_touched_count);
     act_touched_ = std::move(act_touched);
   }
-  return true;
 }
 
 void SessionBase::check_geometry(const std::string& who, Index width,

@@ -89,9 +89,10 @@ class SessionBase : public core::StreamSession {
   bool save_state(std::vector<std::uint8_t>& out) const final;
   /// Restores into *this* session, whose arena layout and sink bound must
   /// match the checkpoint (same pipeline config): header mismatches throw
-  /// Error(CheckpointMismatch), truncation Error(CheckpointCorrupt). Load
-  /// into a fresh session or the checkpoint's own continuation, whose
-  /// drained decisions then stay drained through the replay.
+  /// Error(CheckpointMismatch), truncation Error(CheckpointCorrupt), and a
+  /// load that throws leaves the session exactly as it was. Load into a
+  /// fresh session or the checkpoint's own continuation, whose drained
+  /// decisions then stay drained through the replay.
   bool load_state(std::span<const std::uint8_t> bytes) final;
 
   /// Windowed pixel-occupancy activity (StreamSession contract): an EWMA
@@ -151,6 +152,9 @@ class SessionBase : public core::StreamSession {
 
  private:
   void note_activity(const events::Event& event);
+  /// Decodes a save_state frame into this session; may throw part-way,
+  /// after replacing the sink and running on_load.
+  void read_state(std::span<const std::uint8_t> bytes);
 
   ArenaAllocator arena_;
   DecisionSink sink_;

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "check/oracles.hpp"
+#include "fault/injector.hpp"
 #include "gnn/graph_builder.hpp"
 #include "gnn/incremental.hpp"
 #include "gnn/kdtree.hpp"
@@ -168,6 +169,34 @@ TEST(FaultInjectionTest, PerturbedZeroSkipMirrorIsCaughtAndShrunk) {
   EXPECT_GE(std::min(w.zero_skippable_mults, w.macs()), 1)
       << result.report.counterexample;
   EXPECT_GT(result.report.shrink_steps, 0);
+}
+
+// ---- serving plane: a session that throws on every op ---------------------
+
+// Break the serving plane itself: every op pumped for session 0 throws, and
+// with no checkpoint the session quarantines. The registered multiplex,
+// plan and shard oracles must each catch the lost decisions and shrink the
+// schedule to the one session that carries the fault (on the shard manager,
+// session 0 of each shard's inner manager).
+TEST(FaultInjectionTest, BrokenServingPlaneIsCaughtAndShrunkToOneSession) {
+  register_builtin_oracles();
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::SessionThrow;
+  plan.target = 0;
+  plan.max_fires = 0;  // unlimited
+  fault::ScopedInjection injection("runtime.pump.op_fault", plan);
+  for (const char* name :
+       {"runtime.multiplex_vs_sequential.gnn", "sched.plan_vs_sequential.gnn",
+        "shard.sharded_vs_sequential.gnn"}) {
+    const Oracle* oracle = registry().find(name);
+    ASSERT_NE(oracle, nullptr) << name;
+    const CheckResult result = oracle->run({.cases = 20});
+    EXPECT_FALSE(result.passed) << name;
+    EXPECT_EQ(result.counterexample.rfind("1 sessions ", 0), 0u)
+        << name << ": " << result.summary();
+    EXPECT_NE(result.message.find("session 0"), std::string::npos)
+        << name << ": " << result.summary();
+  }
 }
 
 }  // namespace

@@ -246,6 +246,36 @@ TEST(CheckpointFraming, HeaderGuardsRejectForeignBytes) {
   }
 }
 
+// What load_state keeps to undo a failed load must never fail a load that
+// is valid: not while the live state is over the save bound, and not
+// mid-replay, while the sink is behind what it handed out and refuses to
+// save.
+TEST(CheckpointFraming, RollbackStateNeverFailsAValidLoad) {
+  FramedSession source("test", /*max_bytes=*/256);
+  source.feed(event_at(1));
+  source.advance_to(2);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(source.save_state(bytes));
+
+  FramedSession oversized("test", /*max_bytes=*/256);
+  for (TimeUs t = 0; t < 64; ++t) oversized.feed(event_at(t));
+  std::vector<std::uint8_t> unused;
+  EXPECT_THROW(oversized.save_state(unused), Error);
+  ASSERT_TRUE(oversized.load_state(bytes));
+  EXPECT_EQ(oversized.seen, source.seen);
+
+  FramedSession replaying;
+  replaying.feed(event_at(1));
+  replaying.advance_to(2);
+  std::vector<std::uint8_t> early;
+  ASSERT_TRUE(replaying.save_state(early));
+  replaying.advance_to(3);
+  EXPECT_EQ(test::drained(replaying).size(), 2u);
+  ASSERT_TRUE(replaying.load_state(early));  // behind its handed-out mark
+  EXPECT_THROW(replaying.save_state(unused), Error);
+  EXPECT_TRUE(replaying.load_state(early));
+}
+
 // ---- paradigm sessions: save → load → continue is bitwise transparent -----
 
 constexpr Index kGeom = 16;
@@ -274,35 +304,36 @@ events::EventStream degraded_stream() {
   return sim.simulate(scene, kDuration);
 }
 
+/// Feed events [begin, end) of `stream`, advancing every 40th event.
+void feed_range(core::StreamSession& s, const events::EventStream& stream,
+                size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    s.feed(stream.events[i]);
+    if ((i + 1) % 40 == 0) s.advance_to(stream.events[i].t);
+  }
+}
+
 template <typename Pipeline>
 void expect_checkpoint_transparent(Pipeline& pipeline) {
   const events::EventStream stream = degraded_stream();
   ASSERT_GT(stream.events.size(), 20u);
   const size_t split = stream.events.size() / 2;
 
-  auto feed_range = [&stream](core::StreamSession& s, size_t begin,
-                              size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      s.feed(stream.events[i]);
-      if ((i + 1) % 40 == 0) s.advance_to(stream.events[i].t);
-    }
-  };
-
   // Reference: one uninterrupted session over the full stream.
   auto continuous = pipeline.open_session(kGeom, kGeom);
-  feed_range(*continuous, 0, stream.events.size());
+  feed_range(*continuous, stream, 0, stream.events.size());
   continuous->advance_to(kDuration + 10000);
 
   // Checkpointed: first half, save, restore into a *fresh* session, second
   // half there.
   auto first_half = pipeline.open_session(kGeom, kGeom);
-  feed_range(*first_half, 0, split);
+  feed_range(*first_half, stream, 0, split);
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(first_half->save_state(bytes));
 
   auto restored = pipeline.open_session(kGeom, kGeom);
   ASSERT_TRUE(restored->load_state(bytes));
-  feed_range(*restored, split, stream.events.size());
+  feed_range(*restored, stream, split, stream.events.size());
   restored->advance_to(kDuration + 10000);
 
   const auto want = test::drained(*continuous);
@@ -317,6 +348,58 @@ void expect_checkpoint_transparent(Pipeline& pipeline) {
                                << ", conf=" << want[i].confidence << "}";
   }
   EXPECT_EQ(restored->stats().events_fed, continuous->stats().events_fed);
+}
+
+/// A load that throws part-way is all or nothing. `session` and its twin
+/// see the same first half; `session` then fails to load another session's
+/// frame cut by one byte, and must still match the untouched twin in its
+/// undrained decisions, its counters and every decision of the second half.
+/// The other session drained further than `session` emitted, so a rollback
+/// that merged the sink's handed-out mark would lose undrained decisions.
+template <typename Pipeline>
+void expect_failed_load_leaves_session_untouched(Pipeline& pipeline) {
+  const events::EventStream stream = degraded_stream();
+  const size_t split = stream.events.size() / 2;
+  auto other = pipeline.open_session(kGeom, kGeom);
+  feed_range(*other, stream, 0, stream.events.size());
+  test::drained(*other);
+  other->advance_to(kDuration);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(other->save_state(bytes));
+  bytes.pop_back();
+
+  auto session = pipeline.open_session(kGeom, kGeom);
+  auto twin = pipeline.open_session(kGeom, kGeom);
+  for (auto* s : {session.get(), twin.get()}) {
+    feed_range(*s, stream, 0, split);
+    s->advance_to(stream.events[split].t);
+  }
+  ASSERT_NE(other->stats().decisions_emitted,
+            session->stats().decisions_emitted);
+  try {
+    session->load_state(bytes);
+    FAIL() << "a frame one byte short must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::CheckpointCorrupt);
+  }
+  EXPECT_EQ(session->stats().events_fed, twin->stats().events_fed);
+  EXPECT_EQ(session->stats().decisions_emitted,
+            twin->stats().decisions_emitted);
+  EXPECT_EQ(session->stats().decisions_dropped,
+            twin->stats().decisions_dropped);
+  EXPECT_EQ(session->activity_estimate(), twin->activity_estimate());
+  const auto undrained = test::drained(*twin);
+  ASSERT_GT(undrained.size(), 0u);
+  EXPECT_EQ(test::drained(*session), undrained);
+
+  for (auto* s : {session.get(), twin.get()}) {
+    feed_range(*s, stream, split, stream.events.size());
+    s->advance_to(kDuration + 10000);
+  }
+  const auto want = test::drained(*twin);
+  ASSERT_GT(want.size(), 0u);
+  EXPECT_EQ(test::drained(*session), want);
+  EXPECT_EQ(session->stats(), twin->stats());
 }
 
 TEST(CheckpointParadigms, CnnSaveLoadContinueIsBitwiseTransparent) {
@@ -352,6 +435,41 @@ TEST(CheckpointParadigms, GnnSaveLoadContinueIsBitwiseTransparent) {
   config.stream_stride = 2;
   gnn::GnnPipeline pipeline(config);
   expect_checkpoint_transparent(pipeline);
+}
+
+TEST(CheckpointParadigms, CnnFailedLoadLeavesSessionUntouched) {
+  cnn::CnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.base_filters = 2;
+  config.frame_period_us = 10000;
+  cnn::CnnPipeline pipeline(config);
+  expect_failed_load_leaves_session_untouched(pipeline);
+}
+
+TEST(CheckpointParadigms, SnnFailedLoadLeavesSessionUntouched) {
+  snn::SnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.hidden = 16;
+  config.encoder.spatial_factor = 2;
+  config.timestep_us = 5000;
+  snn::SnnPipeline pipeline(config);
+  expect_failed_load_leaves_session_untouched(pipeline);
+}
+
+TEST(CheckpointParadigms, GnnFailedLoadLeavesSessionUntouched) {
+  gnn::GnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.model.hidden = 8;
+  config.model.layers = 2;
+  config.stream_stride = 2;
+  gnn::GnnPipeline pipeline(config);
+  expect_failed_load_leaves_session_untouched(pipeline);
 }
 
 // A checkpoint carries what the next op needs, not the decisions the

@@ -35,6 +35,8 @@ class RecordingSession final : public SessionBase {
   RecordingSession() : SessionBase(SessionBaseConfig{64, 16}) {}
 
   std::vector<TimeUs> seen;  ///< Event times, in arrival order.
+  /// The next on_load throws after it has replaced `seen`.
+  bool fail_next_load = false;
 
  private:
   void on_event(const events::Event& event) override {
@@ -51,7 +53,13 @@ class RecordingSession final : public SessionBase {
   void on_save(fault::CheckpointWriter& w) const override {
     w.pod_vector(seen);
   }
-  void on_load(fault::CheckpointReader& r) override { r.pod_vector(seen); }
+  void on_load(fault::CheckpointReader& r) override {
+    r.pod_vector(seen);
+    if (fail_next_load) {
+      fail_next_load = false;
+      throw Error(ErrorCode::CheckpointCorrupt, "injected load failure");
+    }
+  }
 };
 
 TEST(SessionManager, PreservesPerSessionFifoOrder) {
@@ -468,6 +476,59 @@ TEST(SessionManager, RestoreAfterDrainDeliversEachDecisionOnce) {
   }
   EXPECT_EQ(manager.stats().faults.restores, 1);
   EXPECT_EQ(got, want);
+}
+
+// A manual restore whose load fails part-way leaves the session quarantined
+// and exactly as the fault left it: the next restore starts from there.
+TEST(SessionManager, FailedRestoreLeavesSessionFaultedAndUnchanged) {
+  fault::Injector::instance().reset();
+  SessionManager manager(/*burst=*/4);
+  ManagedSessionConfig config;
+  config.checkpoint_every = 4;
+  config.restore_on_fault = false;  // quarantine; restore by hand below
+  auto owned = std::make_unique<RecordingSession>();
+  RecordingSession& session = *owned;
+  const SessionId id = manager.add(std::move(owned), config);
+  for (TimeUs t = 0; t < 5; ++t) {
+    manager.submit(id, event_at(t * 100));
+    manager.submit_advance(id, t * 100 + 50);
+  }
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::SessionThrow;
+  plan.target = id;
+  plan.after = 7;  // the 8th op faults, 3 ops after the checkpoint
+  {
+    fault::ScopedInjection injection("runtime.pump.op_fault", plan);
+    manager.pump_all();
+  }
+  ASSERT_EQ(manager.state(id), SessionState::Faulted);
+  const std::string message = manager.fault_message(id);
+  const std::vector<TimeUs> seen = session.seen;
+  const core::SessionStats stats = session.stats();
+  ASSERT_EQ(seen.size(), 4u);
+  ASSERT_EQ(stats.decisions_emitted, 3);
+
+  session.fail_next_load = true;
+  try {
+    manager.restore(id);
+    FAIL() << "a failed load must throw out of restore";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::CheckpointCorrupt);
+  }
+  EXPECT_EQ(manager.state(id), SessionState::Faulted);
+  EXPECT_EQ(manager.fault_message(id), message);
+  EXPECT_EQ(manager.stats().faults.restores, 0);
+  EXPECT_EQ(session.seen, seen);
+  EXPECT_EQ(session.stats(), stats);
+  std::vector<core::Decision> undrained;
+  manager.drain(id, undrained);
+  ASSERT_EQ(undrained.size(), 3u);
+  EXPECT_EQ(undrained.back().t, 250);
+  EXPECT_EQ(undrained.back().label, 3);
+
+  EXPECT_TRUE(manager.restore(id));
+  EXPECT_EQ(manager.state(id), SessionState::Active);
+  EXPECT_EQ(session.seen, seen);
 }
 
 }  // namespace
