@@ -15,9 +15,9 @@
 //   2. Disabled gate (<1%): direct A/B of sub-1% effects drowns in run-to-
 //      run noise, so the disabled side is bounded analytically: run the
 //      exact disabled instrument sequence a served event crosses (enable
-//      checks, counters, spans, histograms — each one branch on an atomic
-//      flag) in a tight loop, and require that sequence cost to stay under
-//      1% of the measured per-event serving cost.
+//      checks, spans, histograms — each one branch on an atomic flag) in a
+//      tight loop, and require that sequence cost to stay under 1% of the
+//      measured per-event serving cost.
 //
 // Also emits obs_trace.json — a Chrome trace-event capture of a 16-session
 // serving run (load it at https://ui.perfetto.dev) — which CI uploads as a
@@ -67,7 +67,7 @@ std::vector<events::Event> session_stream(std::uint64_t seed) {
 gnn::GnnPipelineConfig pipeline_config() {
   // Every event inserts (stride 1) and runs the async message pass over a
   // hidden-32 model: a realistic per-event serving cost, against which the
-  // instrument cost (two spans + counters per event) is measured.
+  // instrument cost (two spans per event) is measured.
   gnn::GnnPipelineConfig config;
   config.width = kWidth;
   config.height = kHeight;
@@ -123,14 +123,13 @@ double min_wall_ms(bool obs_on) {
 
 /// Cost of the full disabled instrument sequence one served event crosses,
 /// nanoseconds per event: the submit-side stamp check, the pump-side burst
-/// span check, the feed + decision counters, the two pipeline spans, and
-/// the two latency histograms. All are a branch on the same process-global
-/// atomic flag, so a realistic sequence overlaps in the pipeline rather
-/// than paying each branch serially.
+/// span check, the two pipeline spans, and the two latency histograms.
+/// Sessions count fed events and decisions in their ledger, not in the
+/// registry, so no counter is on the path. All are a branch on the same
+/// process-global atomic flag, so a realistic sequence overlaps in the
+/// pipeline rather than paying each branch serially.
 double disabled_sequence_cost_ns() {
   obs::set_enabled(false);
-  obs::Counter fed = obs::counter("evd_bench_disabled_fed_total");
-  obs::Counter emitted = obs::counter("evd_bench_disabled_emitted_total");
   obs::Histogram lat_session = obs::histogram("evd_bench_disabled_us");
   obs::Histogram lat_all = obs::histogram("evd_bench_disabled_all_us");
   constexpr std::int64_t kEvents = 4000000;
@@ -139,12 +138,10 @@ double disabled_sequence_cost_ns() {
   for (std::int64_t i = 0; i < kEvents; ++i) {
     guard += obs::enabled() ? 1 : 0;  // submit-side stamp check
     guard += obs::enabled() ? 1 : 0;  // pump-side burst span check
-    fed.add(1);
     {
       obs::Span graph_update("bench.disabled_graph_update");
       obs::Span message_pass("bench.disabled_message_pass");
     }
-    emitted.add(1);
     lat_session.record(i);
     lat_all.record(i);
   }

@@ -192,8 +192,9 @@ class CnnStreamSession : public runtime::SessionBase {
   void on_save(fault::CheckpointWriter& w) const override {
     w.i64(frame_start_);
     w.i64(frame_end_);
-    w.pod_span(std::span<const events::Event>(
-        window_.data(), static_cast<size_t>(window_count_)));
+    w.padded_span(std::span<const events::Event>(
+                      window_.data(), static_cast<size_t>(window_count_)),
+                  &events::Event::polarity, &events::Event::t);
   }
 
   void on_load(fault::CheckpointReader& r) override {

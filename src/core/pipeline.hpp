@@ -60,6 +60,13 @@ struct SessionStats {
   /// sessions only; directly-fed sessions never drop).
   std::int64_t events_dropped = 0;
 
+  SessionStats& operator+=(const SessionStats& o) {
+    events_fed += o.events_fed;
+    decisions_emitted += o.decisions_emitted;
+    decisions_dropped += o.decisions_dropped;
+    events_dropped += o.events_dropped;
+    return *this;
+  }
   bool operator==(const SessionStats&) const = default;
 };
 

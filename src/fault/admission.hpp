@@ -28,12 +28,20 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 
 #include "common/types.hpp"
 #include "events/event.hpp"
 
 namespace evd::fault {
+
+/// `later - earlier` for earlier <= later, exact over the whole TimeUs range:
+/// the signed difference of two untrusted timestamps can overflow.
+inline std::uint64_t elapsed_us(TimeUs earlier, TimeUs later) noexcept {
+  return static_cast<std::uint64_t>(later) -
+         static_cast<std::uint64_t>(earlier);
+}
 
 /// Stream-time token bucket. rate <= 0 disables (always admits).
 class TokenBucket {
@@ -54,7 +62,8 @@ class TokenBucket {
       last_t_ = t;
     }
     if (t > last_t_) {
-      tokens_ += rate_per_s_ * static_cast<double>(t - last_t_) * 1e-6;
+      tokens_ +=
+          rate_per_s_ * static_cast<double>(elapsed_us(last_t_, t)) * 1e-6;
       if (tokens_ > burst_) tokens_ = burst_;
       last_t_ = t;
     }
@@ -144,7 +153,8 @@ class NoiseGate {
   }
   bool recent(Index cx, Index cy, TimeUs t, TimeUs window) const noexcept {
     const TimeUs last = last_[index(cx, cy)];
-    return last != kNever && t >= last && t - last <= window;
+    return last != kNever && t >= last && window >= 0 &&
+           elapsed_us(last, t) <= static_cast<std::uint64_t>(window);
   }
 
   std::array<TimeUs, kGrid * kGrid> last_;

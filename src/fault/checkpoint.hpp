@@ -11,7 +11,10 @@
 // strict equality — a checkpoint is a crash-recovery artifact with the
 // lifetime of one serving process, not an archival format, so there is no
 // cross-version migration: bump kVersion whenever any session's layout
-// changes and old bytes are simply rejected (CheckpointMismatch).
+// changes and old bytes are simply rejected (CheckpointMismatch). A frame
+// is a function of field values only: spans of element types with padding
+// (events::Event, gnn::GraphNode, core::Decision) are written through
+// padded_span, which zeroes the padding bytes.
 #pragma once
 
 #include <cstring>
@@ -75,6 +78,27 @@ class CheckpointWriter {
   template <typename T>
   void pod_vector(const std::vector<T>& values) {
     pod_span(std::span<const T>(values));
+  }
+
+  /// pod_span for a T whose one padding gap lies between members `before`
+  /// and `after`: one bulk copy, then the gap is zeroed in every copied
+  /// element. Padding holds whatever memory held, so without this two
+  /// field-equal states could save different frames.
+  template <typename T, typename A, typename B>
+  void padded_span(std::span<const T> values, A T::*before, B T::*after) {
+    const T probe{};
+    const auto offset = [&](const auto& member) {
+      return static_cast<std::size_t>(
+          reinterpret_cast<const std::uint8_t*>(&member) -
+          reinterpret_cast<const std::uint8_t*>(&probe));
+    };
+    const std::size_t gap = offset(probe.*before) + sizeof(A);
+    const std::size_t gap_bytes = offset(probe.*after) - gap;
+    const std::size_t at = out_.size() + sizeof(std::int64_t);
+    pod_span(values);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      std::memset(out_.data() + at + i * sizeof(T) + gap, 0, gap_bytes);
+    }
   }
 
   std::size_t bytes_written() const noexcept { return out_.size(); }

@@ -79,7 +79,8 @@ void AsyncEventGnn::save(fault::CheckpointWriter& w) const {
   const auto n = static_cast<size_t>(count_);
   w.i64(count_);
   w.i64(model_.conv_count());
-  w.pod_span(std::span<const GraphNode>(nodes_.data(), n));
+  w.padded_span(std::span<const GraphNode>(nodes_.data(), n),
+                &GraphNode::polarity_sign, &GraphNode::t);
   w.pod_span(std::span<const Index>(degree_.data(), n));
   w.i64(std::accumulate(degree_.begin(), degree_.begin() + count_, Index{0}));
   for (Index v = 0; v < count_; ++v) {

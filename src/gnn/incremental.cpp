@@ -40,7 +40,8 @@ void IncrementalGraphBuilder::save(fault::CheckpointWriter& w) const {
   w.i64(grid_w_);
   w.i64(grid_h_);
   w.i64(config_.cell_capacity);
-  w.pod_vector(nodes_);
+  w.padded_span(std::span<const GraphNode>(nodes_), &GraphNode::polarity_sign,
+                &GraphNode::t);
   w.pod_vector(ring_);
   w.pod_vector(ring_cursor_);
   w.pod_vector(ring_count_);

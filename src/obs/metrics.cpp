@@ -179,6 +179,32 @@ double HistogramSnapshot::quantile(double q) const {
       static_cast<Index>(buckets.size()) - 1));
 }
 
+namespace {
+
+template <typename V>
+void add_sorted(std::vector<std::pair<std::string, V>>& series,
+                const std::string& name, V value) {
+  auto it = std::lower_bound(
+      series.begin(), series.end(), name,
+      [](const auto& entry, const std::string& n) { return entry.first < n; });
+  if (it != series.end() && it->first == name) {
+    it->second += value;
+  } else {
+    series.emplace(it, name, value);
+  }
+}
+
+}  // namespace
+
+void MetricsSnapshot::add_counter(const std::string& name,
+                                  std::int64_t value) {
+  add_sorted(counters, name, value);
+}
+
+void MetricsSnapshot::add_gauge(const std::string& name, double value) {
+  add_sorted(gauges, name, value);
+}
+
 const std::int64_t* MetricsSnapshot::counter(const std::string& name) const {
   for (const auto& [n, v] : counters) {
     if (n == name) return &v;

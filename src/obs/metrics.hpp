@@ -162,6 +162,12 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 
+  /// Add externally held totals (a serving manager's exported ledger)
+  /// under `name`: summed into the series when present, inserted in name
+  /// order otherwise, so a sorted snapshot stays sorted.
+  void add_counter(const std::string& name, std::int64_t value);
+  void add_gauge(const std::string& name, double value);
+
   /// nullptr when absent.
   const std::int64_t* counter(const std::string& name) const;
   const double* gauge(const std::string& name) const;

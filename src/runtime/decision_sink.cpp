@@ -16,7 +16,6 @@ void DecisionSink::emit(const core::Decision& d) {
     // keeps compaction amortised O(1) per emit.
     const Index evict = static_cast<Index>(buffer_.size()) - retain_;
     dropped_ += evict;
-    dropped_counter_.add(evict);
     buffer_.erase(buffer_.begin(), buffer_.begin() + evict);
   }
   buffer_.push_back(d);
@@ -36,7 +35,8 @@ void DecisionSink::save(fault::CheckpointWriter& w) const {
                 "DecisionSink is replaying decisions already handed out");
   }
   w.i64(retain_);
-  w.pod_vector(buffer_);  // Decision is trivially copyable
+  w.padded_span(std::span<const core::Decision>(buffer_),
+                &core::Decision::label, &core::Decision::confidence);
   w.i64(total_);
   w.i64(dropped_);
   w.i64(handed_);

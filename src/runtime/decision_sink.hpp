@@ -23,7 +23,6 @@
 
 #include "core/pipeline.hpp"
 #include "fault/checkpoint.hpp"
-#include "obs/metrics.hpp"
 
 namespace evd::runtime {
 
@@ -47,10 +46,6 @@ class DecisionSink {
   std::int64_t dropped() const noexcept { return dropped_; }
   Index retain_limit() const noexcept { return retain_; }
 
-  /// Mirror loss accounting into a registry counter — the serving-level
-  /// alert signal.
-  void bind_obs(obs::Counter dropped) { dropped_counter_ = dropped; }
-
   /// Checkpoint retain, the undrained buffer and the counters. Throws
   /// Error(CheckpointUnsupported) while a restored sink is still replaying
   /// decisions the consumer already holds: that state has no valid frame.
@@ -67,7 +62,6 @@ class DecisionSink {
   std::int64_t total_ = 0;
   std::int64_t dropped_ = 0;
   std::int64_t handed_ = 0;  ///< Decisions drain() has handed out.
-  obs::Counter dropped_counter_;  ///< Inert until bind_obs().
 };
 
 }  // namespace evd::runtime

@@ -21,7 +21,6 @@
 #pragma once
 
 #include "events/event.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/ring_buffer.hpp"
 
 namespace evd::runtime {
@@ -71,7 +70,6 @@ class EventQueue {
   bool push(const StreamOp& op) {
     if (ring_.full()) {
       ++stats_.dropped;
-      dropped_counter_.add(1);
       if (policy_ == OverflowPolicy::DropNewest) return false;
       ring_.drop_front();
       ring_.push(op);
@@ -82,11 +80,6 @@ class EventQueue {
     ++stats_.pushed;
     return true;
   }
-
-  /// Route overflow losses into the metrics registry as well as the local
-  /// Stats ledger (the SessionManager binds every queue it manages to its
-  /// one evd_queue_ops_dropped_total counter).
-  void bind_obs(obs::Counter dropped) { dropped_counter_ = dropped; }
 
   bool pop(StreamOp& out) {
     if (!ring_.pop(out)) return false;
@@ -125,7 +118,6 @@ class EventQueue {
   RingBuffer<StreamOp> ring_;
   OverflowPolicy policy_;
   Stats stats_;
-  obs::Counter dropped_counter_;  ///< Inert until bind_obs().
 };
 
 }  // namespace evd::runtime

@@ -5,13 +5,6 @@
 #include <stdexcept>
 
 namespace evd::runtime {
-namespace {
-
-std::string labelled(const char* metric, const char* paradigm) {
-  return std::string(metric) + "{paradigm=\"" + paradigm + "\"}";
-}
-
-}  // namespace
 
 SessionBase::SessionBase(const SessionBaseConfig& config)
     : arena_(config.arena_bytes),
@@ -26,15 +19,6 @@ SessionBase::SessionBase(const SessionBaseConfig& config)
     act_touched_.assign(
         static_cast<size_t>((config.width * config.height + 7) / 8), 0);
   }
-  // Instrument registration is open-time work (string building, registry
-  // mutex), not hot-path work: repeated names return the same instruments.
-  const char* paradigm = paradigm_.c_str();
-  events_counter_ =
-      obs::counter(labelled("evd_events_fed_total", paradigm));
-  decisions_counter_ =
-      obs::counter(labelled("evd_decisions_emitted_total", paradigm));
-  sink_.bind_obs(
-      obs::counter(labelled("evd_sink_decisions_dropped_total", paradigm)));
 }
 
 void SessionBase::note_activity(const events::Event& event) {

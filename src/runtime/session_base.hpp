@@ -31,8 +31,8 @@ struct SessionBaseConfig {
   std::size_t arena_bytes = 0;
   /// Bound on undrained decisions (see decision_sink.hpp for the rule).
   Index decision_retain = 8192;
-  /// Paradigm label for the session's registry counters
-  /// (evd_events_fed_total{paradigm=...} etc.). Must be a string literal.
+  /// Paradigm label: the checkpoint tag, the routing key, and the label
+  /// SessionManager::export_metrics sums session counters under.
   const char* paradigm = "unknown";
   /// Upper bound on one serialized checkpoint (save_state throws
   /// Error(CheckpointTooLarge) beyond it). 4 MiB comfortably holds the
@@ -60,7 +60,6 @@ class SessionBase : public core::StreamSession {
 
   void feed(const events::Event& event) final {
     ++events_fed_;
-    events_counter_.add(1);
     if (!act_touched_.empty()) note_activity(event);
     on_event(event);
   }
@@ -138,10 +137,7 @@ class SessionBase : public core::StreamSession {
   virtual void on_save(fault::CheckpointWriter& w) const { (void)w; }
   virtual void on_load(fault::CheckpointReader& r) { (void)r; }
 
-  void emit(const core::Decision& d) {
-    decisions_counter_.add(1);
-    sink_.emit(d);
-  }
+  void emit(const core::Decision& d) { sink_.emit(d); }
 
   /// Events a paradigm had to discard on its own (the CNN frame window's
   /// overflow); the session keeps the ledger stats() reports.
@@ -171,8 +167,6 @@ class SessionBase : public core::StreamSession {
   Index act_touched_count_ = 0;
   TimeUs act_window_start_ = std::numeric_limits<TimeUs>::min();
   double act_ewma_ = 1.0;  ///< Dense until evidence says otherwise.
-  obs::Counter events_counter_;     ///< evd_events_fed_total{paradigm=...}
-  obs::Counter decisions_counter_;  ///< evd_decisions_emitted_total{...}
 };
 
 }  // namespace evd::runtime

@@ -4,6 +4,7 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -36,13 +37,8 @@ SessionManager::SessionManager(Index burst, std::string instrument_label)
   obs::init();  // wires the evd::par collector into snapshots
   const std::string& l = instrument_label_;
   latency_ = obs::histogram(labelled("evd_feed_to_decision_us", l));
-  queue_dropped_ = obs::counter(labelled("evd_queue_ops_dropped_total", l));
   ops_processed_ = obs::counter(labelled("evd_runtime_ops_processed_total", l));
   pump_rounds_ = obs::counter(labelled("evd_runtime_pump_rounds_total", l));
-  sessions_gauge_ = obs::gauge(labelled("evd_sessions_active", l));
-  faults_counter_ = obs::counter(labelled("evd_fault_session_faults_total", l));
-  restores_counter_ = obs::counter(labelled("evd_fault_restores_total", l));
-  shed_counter_ = obs::counter(labelled("evd_admission_shed_total", l));
   overload_gauge_ = obs::gauge(labelled("evd_overload_level", l));
   planned_rounds_ = obs::counter(labelled("evd_sched_planned_rounds_total", l));
   auto& injector = fault::Injector::instance();
@@ -68,7 +64,6 @@ SessionId SessionManager::add(std::unique_ptr<core::StreamSession> session,
   }
   auto slot = std::make_unique<Slot>(std::move(session), config);
   const auto id = static_cast<SessionId>(slots_.size());
-  slot->queue.bind_obs(queue_dropped_);
   slot->bucket.configure(config.rate_limit_eps, config.rate_limit_burst);
   if (config.checkpoint_every > 0) {
     // Initial checkpoint: a fault is recoverable from the very first op
@@ -84,7 +79,6 @@ SessionId SessionManager::add(std::unique_ptr<core::StreamSession> session,
   }
   capacity_total_ += config.queue_capacity;
   slots_.push_back(std::move(slot));
-  sessions_gauge_.set(static_cast<double>(session_count() - retired_slots_));
   return id;
 }
 
@@ -99,13 +93,7 @@ SessionManager::Slot& SessionManager::slot(SessionId id) {
 }
 
 const SessionManager::Slot& SessionManager::slot(SessionId id) const {
-  if (id < 0 || id >= session_count()) {
-    throw Error(ErrorCode::InvalidSessionId,
-                "SessionManager: session id " + std::to_string(id) +
-                    " out of range [0, " + std::to_string(session_count()) +
-                    ")");
-  }
-  return *slots_[static_cast<size_t>(id)];
+  return const_cast<SessionManager*>(this)->slot(id);
 }
 
 double SessionManager::occupancy() const noexcept {
@@ -138,7 +126,6 @@ bool SessionManager::admit(SessionId id, Slot& s, StreamOp op) {
     } else {
       ++s.shed.rejected_faulted;
     }
-    shed_counter_.add(1);
     return false;
   }
   const bool is_feed = op.kind == StreamOp::Kind::Feed;
@@ -159,14 +146,12 @@ bool SessionManager::admit(SessionId id, Slot& s, StreamOp op) {
   if (is_feed && s.config.rate_limit_eps > 0.0 &&
       !s.bucket.take(op.event.t)) {
     ++s.shed.rate_limited;
-    shed_counter_.add(1);
     return false;
   }
   // Global overload ladder (Nominal unless set_admission enabled it).
   const fault::DegradationLevel level = admission_level();
   if (is_feed && level == fault::DegradationLevel::RejectAdmits) {
     ++s.shed.rejected_overload;
-    shed_counter_.add(1);
     return false;  // Advances still flow: sessions can close windows.
   }
   if (is_feed && admission_.enabled) {
@@ -177,7 +162,6 @@ bool SessionManager::admit(SessionId id, Slot& s, StreamOp op) {
     if (level >= fault::DegradationLevel::DropNoise &&
         s.config.priority <= admission_.shed_priority_max && !supported) {
       ++s.shed.shed_noise;
-      shed_counter_.add(1);
       return false;
     }
   }
@@ -288,15 +272,13 @@ bool SessionManager::recover(SessionId id, Slot& s, const StreamOp& op) {
     apply_op(id, s, op);
     note_applied(s, op);
     ++s.faults.restores;
-    restores_counter_.add(1);
     return true;
   } catch (const std::exception&) {
     return false;
   }
 }
 
-void SessionManager::quarantine(SessionId id, Slot& s, const char* why) {
-  (void)id;
+void SessionManager::quarantine(Slot& s, const char* why) {
   s.state = SessionState::Faulted;
   s.fault_message = why;
   // The faulting op was already popped; its backlog follows it into loss
@@ -339,9 +321,8 @@ Index SessionManager::pump_session(Index i, Index burst,
       note_applied(s, op);
     } catch (const std::exception& e) {
       ++s.faults.faults;
-      faults_counter_.add(1);
       if (!recover(i, s, op)) {
-        quarantine(i, s, e.what());
+        quarantine(s, e.what());
         ++done;
         break;
       }
@@ -547,7 +528,6 @@ bool SessionManager::restore(SessionId id) {
   s.state = SessionState::Active;
   s.fault_message.clear();
   ++s.faults.restores;
-  restores_counter_.add(1);
   return true;
 }
 
@@ -582,17 +562,12 @@ SessionManager::AggregateStats SessionManager::retire(SessionId id) {
   // The tombstone's queue stops counting toward occupancy, so the overload
   // ladder keeps seeing real capacity.
   capacity_total_ -= s.config.queue_capacity;
-  ++retired_slots_;
-  sessions_gauge_.set(static_cast<double>(session_count() - retired_slots_));
   return ledger;
 }
 
 SessionManager::AggregateStats& SessionManager::AggregateStats::operator+=(
     const AggregateStats& o) {
-  totals.events_fed += o.totals.events_fed;
-  totals.decisions_emitted += o.totals.decisions_emitted;
-  totals.decisions_dropped += o.totals.decisions_dropped;
-  totals.events_dropped += o.totals.events_dropped;
+  totals += o.totals;
   queues.pushed += o.queues.pushed;
   queues.dropped += o.queues.dropped;
   queues.popped += o.queues.popped;
@@ -649,6 +624,43 @@ SessionManager::AggregateStats SessionManager::stats() const {
     agg += one;
   }
   return agg;
+}
+
+void SessionManager::export_metrics(obs::MetricsSnapshot& out,
+                                    const AggregateStats& retired) const {
+  AggregateStats ledger = stats();
+  ledger += retired;
+  const SheddingStats& shed = ledger.shedding;
+  const auto add = [&](const char* name, std::int64_t value) {
+    out.add_counter(labelled(name, instrument_label_), value);
+  };
+  add("evd_queue_ops_dropped_total", ledger.queues.dropped);
+  add("evd_admission_shed_total", shed.rate_limited + shed.shed_noise +
+                                      shed.rejected_overload +
+                                      shed.rejected_faulted);
+  add("evd_fault_session_faults_total", ledger.faults.faults);
+  add("evd_fault_restores_total", ledger.faults.restores);
+  out.add_gauge(labelled("evd_sessions_active", instrument_label_),
+                static_cast<double>(ledger.sessions));
+  // Session counters travel in a migrated session's checkpoint, so their
+  // sum over live sessions never drops when a session changes managers.
+  std::vector<std::pair<std::string_view, core::SessionStats>> by_paradigm;
+  for (const auto& sl : slots_) {
+    if (sl->state == SessionState::Retired) continue;
+    const std::string_view p = sl->session->paradigm();
+    auto it = std::find_if(by_paradigm.begin(), by_paradigm.end(),
+                           [&](const auto& e) { return e.first == p; });
+    if (it == by_paradigm.end()) it = by_paradigm.insert(it, {p, {}});
+    it->second += sl->session->stats();
+  }
+  for (const auto& [p, s] : by_paradigm) {
+    const std::string label = "{paradigm=\"" + std::string(p) + "\"}";
+    out.add_counter("evd_events_fed_total" + label, s.events_fed);
+    out.add_counter("evd_decisions_emitted_total" + label,
+                    s.decisions_emitted);
+    out.add_counter("evd_sink_decisions_dropped_total" + label,
+                    s.decisions_dropped);
+  }
 }
 
 }  // namespace evd::runtime

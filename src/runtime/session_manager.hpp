@@ -120,10 +120,10 @@ class SessionManager {
   /// decision stream — is unchanged.
   ///
   /// `instrument_label` is an optional obs label fragment (e.g. `shard="2"`)
-  /// spliced into every registry instrument this manager owns, so the
-  /// sharded runtime gets per-shard counter / histogram series instead of
-  /// all shards folding into one shared name. Empty (the default) keeps the
-  /// legacy unlabeled names byte-for-byte.
+  /// spliced into every registry instrument this manager owns and every
+  /// ledger series export_metrics() writes, so the sharded runtime gets
+  /// per-shard series instead of all shards folding into one shared name.
+  /// Empty (the default) keeps the unlabeled names.
   explicit SessionManager(Index burst = 256, std::string instrument_label = "");
 
   /// Take ownership of a session opened by a pipeline. Returns its id
@@ -294,6 +294,17 @@ class SessionManager {
   };
   AggregateStats stats() const;
 
+  /// Append the ledger, plus `retired` (the slots evd::shard moved out), to
+  /// `out` as series under the instrument label: queue drops, sheds, faults,
+  /// restores and the active-session gauge; and the live sessions' fed,
+  /// emitted and sink-dropped counts by paradigm. obs::snapshot() never
+  /// reads manager state: this is the control-plane call that does.
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const AggregateStats& retired) const;
+  void export_metrics(obs::MetricsSnapshot& out) const {
+    export_metrics(out, AggregateStats{});
+  }
+
   /// Tombstone the slot after its session has been checkpointed out
   /// (evd::shard migration). Any unflushed backlog is drained to the queue's
   /// loss ledger first, so nothing vanishes silently. Returns the slot's
@@ -354,7 +365,7 @@ class SessionManager {
   /// Checkpoint-restore + replay + retry after apply_op threw. True when
   /// the session recovered and the faulting op was applied.
   bool recover(SessionId id, Slot& s, const StreamOp& op);
-  void quarantine(SessionId id, Slot& s, const char* why);
+  void quarantine(Slot& s, const char* why);
   /// Log `op` against the current checkpoint; take a new checkpoint when
   /// the cadence (or the replay-log bound) says so.
   void note_applied(Slot& s, const StreamOp& op);
@@ -378,7 +389,6 @@ class SessionManager {
   Index burst_;
   std::string instrument_label_;  ///< Obs label fragment, e.g. `shard="2"`.
   std::int64_t rejected_retired_ = 0;  ///< Submits to retired (migrated) ids.
-  Index retired_slots_ = 0;  ///< Tombstones left by retire().
   std::unique_ptr<sched::Plan> plan_;   ///< Installed execution plan.
   std::vector<std::uint8_t> plan_bytes_;  ///< Serialized form of plan_.
   sched::Plan default_plan_;  ///< Cached default_plan() result.
@@ -403,15 +413,11 @@ class SessionManager {
   fault::Site site_storm_;
   fault::Site site_op_fault_;
 
-  // Registry instruments (shared names — registering twice is a no-op).
+  // Registry instruments (shared names — registering twice is a no-op):
+  // what pump workers record per round, which no ledger field holds.
   obs::Histogram latency_;        ///< Feed→decision latency, µs.
-  obs::Counter queue_dropped_;    ///< evd_queue_ops_dropped_total
   obs::Counter ops_processed_;
   obs::Counter pump_rounds_;
-  obs::Gauge sessions_gauge_;
-  obs::Counter faults_counter_;      ///< evd_fault_session_faults_total
-  obs::Counter restores_counter_;    ///< evd_fault_restores_total
-  obs::Counter shed_counter_;        ///< evd_admission_shed_total
   obs::Gauge overload_gauge_;        ///< evd_overload_level
   obs::Counter planned_rounds_;      ///< evd_sched_planned_rounds_total
 };

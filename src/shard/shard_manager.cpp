@@ -31,22 +31,17 @@ ShardManager::ShardManager(ShardManagerConfig config)
   for (Index s = 0; s < n; ++s) {
     // One shard keeps the legacy unlabeled instruments (and no ring): the
     // facade must be indistinguishable from a bare SessionManager.
-    std::string label =
-        n > 1 ? "shard=\"" + std::to_string(s) + "\"" : std::string();
-    auto state = std::make_unique<ShardState>(config_.burst, label);
+    auto state = std::make_unique<ShardState>(
+        config_.burst,
+        n > 1 ? "shard=\"" + std::to_string(s) + "\"" : std::string());
     if (n > 1) {
       state->arena = std::make_unique<runtime::ArenaAllocator>(
           MpscRing<IngressOp>::bytes_for(config_.ingress_capacity));
       state->ring = std::make_unique<MpscRing<IngressOp>>(
           config_.ingress_capacity, state->arena.get());
-      state->ingress_ops =
-          obs::counter("evd_shard_ingress_ops_total{" + label + "}");
-      state->ingress_dropped =
-          obs::counter("evd_shard_ingress_dropped_total{" + label + "}");
     }
     shards_.push_back(std::move(state));
   }
-  if (n > 1) migrations_counter_ = obs::counter("evd_shard_migrations_total");
 }
 
 ShardManager::Entry& ShardManager::entry(SessionId id) {
@@ -109,11 +104,9 @@ bool ShardManager::submit_op(SessionId id, const runtime::StreamOp& op) {
   }
   if (!st.ring->try_push(IngressOp{id, op})) {
     st.ops_dropped.fetch_add(1, std::memory_order_relaxed);
-    st.ingress_dropped.add(1);
     return false;
   }
   st.ops_accepted.fetch_add(1, std::memory_order_relaxed);
-  st.ingress_ops.add(1);
   return true;
 }
 
@@ -141,7 +134,6 @@ Index ShardManager::drain_ring(Index s) {
       ShardState& home = *shards_[static_cast<size_t>(e.shard)];
       if (home.ring && !home.ring->try_push(in)) {
         home.ops_dropped.fetch_add(1, std::memory_order_relaxed);
-        home.ingress_dropped.add(1);
       }
       ++drained;
       continue;
@@ -229,11 +221,10 @@ void ShardManager::migrate(SessionId id, Index target_shard) {
   const runtime::SessionId new_inner =
       dst.manager.add(std::move(fresh), e.config);
   dst.manager.seed_feed_watermark(new_inner, watermark);
-  retired_ += src.manager.retire(e.inner);
+  src.retired += src.manager.retire(e.inner);
   e.shard = target_shard;
   e.inner = new_inner;
   ++migrations_;
-  migrations_counter_.add(1);
 }
 
 Index ShardManager::rebalance() {
@@ -257,16 +248,32 @@ ShardManager::Stats ShardManager::stats() const {
   out.shards = shard_count();
   out.migrations = migrations_;
   for (const auto& st : shards_) {
+    // Every retired slot's ledger, summed at retire() — a migration
+    // therefore never changes any aggregate.
     out += st->manager.stats();
+    out += st->retired;
     out.ingress_ops += st->ops_accepted.load(std::memory_order_relaxed);
     out.ingress_dropped += st->ops_dropped.load(std::memory_order_relaxed);
   }
-  // Every retired slot's ledger, summed at retire() — a migration therefore
-  // never changes any aggregate.
-  out += retired_;
   // Ring rejections are losses in front of everything else.
   out.totals.events_dropped += out.ingress_dropped;
   return out;
+}
+
+void ShardManager::export_metrics(obs::MetricsSnapshot& out) const {
+  for (Index s = 0; s < shard_count(); ++s) {
+    const ShardState& st = *shards_[static_cast<size_t>(s)];
+    st.manager.export_metrics(out, st.retired);
+    if (!st.ring) continue;
+    const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
+    out.add_counter("evd_shard_ingress_ops_total" + label,
+                    st.ops_accepted.load(std::memory_order_relaxed));
+    out.add_counter("evd_shard_ingress_dropped_total" + label,
+                    st.ops_dropped.load(std::memory_order_relaxed));
+  }
+  if (shard_count() > 1) {
+    out.add_counter("evd_shard_migrations_total", migrations_);
+  }
 }
 
 }  // namespace evd::shard

@@ -95,9 +95,9 @@ class ShardManager {
                 const runtime::ManagedSessionConfig& config = {});
 
   /// Queue an op for the session, from any thread (shards > 1). False when
-  /// not admitted: a full ingress ring (accounted in stats().ingress_dropped
-  /// and the shard's evd_shard_ingress_dropped_total counter) or, on the
-  /// shards == 1 direct path, whatever the inner manager refused.
+  /// not admitted: a full ingress ring (accounted in stats().ingress_dropped)
+  /// or, on the shards == 1 direct path, whatever the inner manager
+  /// refused.
   bool submit(SessionId id, const events::Event& event);
   bool submit_advance(SessionId id, TimeUs t);
 
@@ -178,6 +178,12 @@ class ShardManager {
   };
   Stats stats() const;
 
+  /// Each shard's SessionManager::export_metrics with its migrated-out
+  /// slots folded back in (so no counter drops across migrate()), plus the
+  /// per-shard ring ledger and the migration count when shards > 1. With
+  /// one shard the output equals a bare SessionManager's.
+  void export_metrics(obs::MetricsSnapshot& out) const;
+
  private:
   /// One queued ingress op: resolved global id + the op. Admission (and its
   /// deterministic stream-time token buckets) runs at drain, in the inner
@@ -192,12 +198,13 @@ class ShardManager {
     /// Backs the ring cells: per-shard ownership of the hot ingress memory.
     std::unique_ptr<runtime::ArenaAllocator> arena;
     std::unique_ptr<MpscRing<IngressOp>> ring;  ///< Null when shards == 1.
-    obs::Counter ingress_ops;      ///< evd_shard_ingress_ops_total{shard=...}
-    obs::Counter ingress_dropped;  ///< evd_shard_ingress_dropped_total{...}
-    /// Ring ledger mirrors of the counters (stats() must not depend on the
-    /// obs kill switch). Written by producers — hence atomic.
+    /// The ring ledger. Written by producers — hence atomic.
     std::atomic<std::int64_t> ops_accepted{0};
     std::atomic<std::int64_t> ops_dropped{0};
+    /// Sum of the ledgers of slots that migrated out of this shard, folded
+    /// into stats() and export_metrics() so a migration changes no total
+    /// and lowers no shard's series.
+    runtime::SessionManager::AggregateStats retired;
     explicit ShardState(Index burst, std::string label)
         : manager(burst, std::move(label)) {}
   };
@@ -226,10 +233,6 @@ class ShardManager {
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::vector<Entry> entries_;
   std::int64_t migrations_ = 0;
-  obs::Counter migrations_counter_;  ///< evd_shard_migrations_total
-  /// Sum of retired (migrated-out) slots' ledgers, folded into stats() so
-  /// a migration conserves every total.
-  runtime::SessionManager::AggregateStats retired_;
 };
 
 }  // namespace evd::shard

@@ -2,6 +2,7 @@
 // noise gate, and the SessionManager wiring that accounts every shed.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -60,6 +61,16 @@ TEST(TokenBucket, BurstCapsTheBank) {
   EXPECT_FALSE(bucket.take(10'000'000));
 }
 
+// Timestamps are untrusted: a gap spanning the whole TimeUs range must
+// neither overflow nor read as a short one.
+TEST(TokenBucket, RefillsToTheBurstAcrossTheWholeTimeRange) {
+  TokenBucket bucket;
+  bucket.configure(1000.0, 4.0);
+  EXPECT_TRUE(bucket.take(std::numeric_limits<TimeUs>::min() + 1));
+  EXPECT_TRUE(bucket.take(std::numeric_limits<TimeUs>::max()));
+  EXPECT_EQ(bucket.tokens(), 3.0);  // refilled to 4, then one taken
+}
+
 TEST(DegradationLadder, RungsEngageAtTheirThresholds) {
   AdmissionConfig config;
   config.enabled = true;
@@ -100,6 +111,15 @@ TEST(NoiseGate, IsolatedEventsAreNoiseClusteredOnesAreSupported) {
   EXPECT_FALSE(gate.observe(event_at(3000, 200, 200), kWindow));
   // Same cell but past the window: stale activity is no support.
   EXPECT_FALSE(gate.observe(event_at(20000, 8, 8), kWindow));
+}
+
+TEST(NoiseGate, AGapAcrossTheWholeTimeRangeIsNoSupport) {
+  NoiseGate gate;
+  EXPECT_FALSE(gate.observe(event_at(std::numeric_limits<TimeUs>::min() + 1),
+                            5000));
+  // About 2^64 us later, same cell: far outside the window.
+  EXPECT_FALSE(gate.observe(event_at(std::numeric_limits<TimeUs>::max()),
+                            5000));
 }
 
 // ---- SessionManager wiring ------------------------------------------------

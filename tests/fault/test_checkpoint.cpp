@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -501,6 +502,108 @@ TEST(CheckpointParadigms, DrainedHistoryIsNotCheckpointed) {
   EXPECT_EQ(out.size(), static_cast<size_t>(2 * config.decision_retain + 10));
   EXPECT_EQ(session->stats().decisions_dropped, 0);
   EXPECT_EQ(many, few);
+}
+
+// ---- frames hold field values only ----------------------------------------
+
+/// The stream's events copied field by field into storage whose every byte
+/// started as `fill`: padding differs with `fill`, fields do not.
+std::vector<events::Event> events_in_storage(const events::EventStream& stream,
+                                             std::uint8_t fill) {
+  std::vector<events::Event> out(stream.events.size());
+  std::memset(static_cast<void*>(out.data()), fill,
+              out.size() * sizeof(events::Event));
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i].x = stream.events[i].x;
+    out[i].y = stream.events[i].y;
+    out[i].polarity = stream.events[i].polarity;
+    out[i].t = stream.events[i].t;
+  }
+  return out;
+}
+
+/// Writes `fill` over the stack the next call reuses, so the temporaries a
+/// session builds there (decisions, graph nodes) start from that byte.
+[[gnu::noinline]] void fill_stack(std::uint8_t fill) {
+  volatile std::uint8_t scratch[4096];
+  for (auto& b : scratch) b = fill;
+}
+
+/// Leaves freed heap blocks filled with `fill`, which the allocations that
+/// follow (a session's buffers) are likely to reuse.
+void fill_heap(std::uint8_t fill) {
+  std::vector<std::vector<std::uint8_t>> blocks;
+  for (std::size_t size = 64; size <= (std::size_t{1} << 17); size *= 2) {
+    for (int k = 0; k < 4; ++k) blocks.emplace_back(size, fill);
+  }
+}
+
+/// Two sessions fed the same events, one from 0x00-filled storage, stack
+/// and heap, the other from 0xAB-filled ones, reach field-equal states, so
+/// they must save byte-identical frames. The frames carry events (CNN
+/// window), graph nodes (GNN) and undrained decisions (all three).
+template <typename Pipeline>
+void expect_twins_save_identical_frames(Pipeline& pipeline) {
+  const events::EventStream stream = degraded_stream();
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<core::SessionStats> stats;
+  for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xAB}}) {
+    const std::vector<events::Event> events = events_in_storage(stream, fill);
+    fill_heap(fill);
+    auto session = pipeline.open_session(kGeom, kGeom);
+    for (size_t i = 0; i < events.size(); ++i) {
+      fill_stack(fill);
+      session->feed(events[i]);
+      if ((i + 1) % 40 == 0) {
+        fill_stack(fill);
+        session->advance_to(events[i].t);
+      }
+    }
+    stats.push_back(session->stats());
+    frames.emplace_back();
+    ASSERT_TRUE(session->save_state(frames.back()));
+  }
+  ASSERT_GT(stats[0].decisions_emitted, 0);
+  EXPECT_EQ(stats[0], stats[1]);
+  ASSERT_EQ(frames[0].size(), frames[1].size());
+  for (size_t b = 0; b < frames[0].size(); ++b) {
+    ASSERT_EQ(frames[0][b], frames[1][b]) << "frames differ at byte " << b;
+  }
+}
+
+TEST(CheckpointTwins, CnnFramesHoldFieldValuesOnly) {
+  cnn::CnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.base_filters = 2;
+  config.frame_period_us = 10000;
+  cnn::CnnPipeline pipeline(config);
+  expect_twins_save_identical_frames(pipeline);
+}
+
+TEST(CheckpointTwins, SnnFramesHoldFieldValuesOnly) {
+  snn::SnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.hidden = 16;
+  config.encoder.spatial_factor = 2;
+  config.timestep_us = 5000;
+  snn::SnnPipeline pipeline(config);
+  expect_twins_save_identical_frames(pipeline);
+}
+
+TEST(CheckpointTwins, GnnFramesHoldFieldValuesOnly) {
+  gnn::GnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.model.hidden = 8;
+  config.model.layers = 2;
+  config.stream_stride = 2;
+  gnn::GnnPipeline pipeline(config);
+  expect_twins_save_identical_frames(pipeline);
 }
 
 }  // namespace

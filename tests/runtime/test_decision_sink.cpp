@@ -42,7 +42,8 @@ std::vector<std::uint8_t> frame(Index retain, Index buffered,
   std::vector<std::uint8_t> bytes;
   fault::CheckpointWriter w(bytes, 1 << 20);
   w.i64(retain);
-  w.pod_vector(buffer);
+  w.padded_span(std::span<const core::Decision>(buffer),
+                &core::Decision::label, &core::Decision::confidence);
   w.i64(total);
   w.i64(dropped);
   w.i64(handed);

@@ -5,8 +5,10 @@
 // mechanics with a deterministic recording session.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -32,7 +34,8 @@ events::Event event_at(TimeUs t) {
 /// is its checkpoint state.
 class RecordingSession final : public SessionBase {
  public:
-  RecordingSession() : SessionBase(SessionBaseConfig{64, 16}) {}
+  explicit RecordingSession(const char* paradigm = "unknown")
+      : SessionBase(SessionBaseConfig{64, 16, paradigm}) {}
 
   std::vector<TimeUs> seen;  ///< Event times, in arrival order.
   /// The next on_load throws after it has replaced `seen`.
@@ -266,10 +269,13 @@ TEST(SessionManager, WiresLossCountersIntoTheMetricsRegistry) {
   manager.pump_all();
   manager.submit(id, event_at(11));
   manager.submit(id, event_at(12));
-  manager.submit(id, event_at(13));  // dropped -> counted in the registry
+  manager.submit(id, event_at(13));  // dropped -> counted in the ledger
   manager.pump_all();
 
-  const obs::MetricsSnapshot snap = obs::snapshot();
+  // The registry holds the per-round instruments; the loss counters and the
+  // session gauge come from the ledger export.
+  obs::MetricsSnapshot snap = obs::snapshot();
+  manager.export_metrics(snap);
   const std::int64_t* dropped = snap.counter("evd_queue_ops_dropped_total");
   ASSERT_NE(dropped, nullptr);
   EXPECT_EQ(*dropped, 1);
@@ -283,6 +289,125 @@ TEST(SessionManager, WiresLossCountersIntoTheMetricsRegistry) {
       snap.histogram("evd_feed_to_decision_us");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, 1);  // the sampled, advance-triggered decision
+}
+
+// The registry keeps only what pump workers record per round; every ledger
+// count reaches a scrape through export_metrics() instead.
+TEST(SessionManager, RegistersOnlyThePerRoundInstruments) {
+  const std::string label = "probe=\"per_round\"";
+  SessionManager manager(/*burst=*/256, label);
+  manager.add(std::make_unique<RecordingSession>());
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  std::vector<std::string> names;
+  const auto collect = [&](const auto& series) {
+    for (const auto& entry : series) {
+      if (entry.first.find(label) != std::string::npos) {
+        names.push_back(entry.first);
+      }
+    }
+  };
+  collect(snap.counters);
+  collect(snap.gauges);
+  collect(snap.histograms);
+  std::sort(names.begin(), names.end());
+  const std::string l = "{" + label + "}";
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "evd_feed_to_decision_us" + l,
+                       "evd_overload_level" + l,
+                       "evd_runtime_ops_processed_total" + l,
+                       "evd_runtime_pump_rounds_total" + l,
+                       "evd_sched_planned_rounds_total" + l}));
+}
+
+// Each exported series is its ledger field, read at export time, so the
+// obs kill switch cannot change it.
+TEST(SessionManager, ExportedSeriesEqualTheirLedgerFields) {
+  const bool was_enabled = obs::enabled();
+  for (const bool obs_on : {true, false}) {
+    SCOPED_TRACE(obs_on ? "obs on" : "obs off");
+    obs::set_enabled(obs_on);
+    fault::Injector::instance().reset();
+    SessionManager manager(/*burst=*/4);
+    ManagedSessionConfig lossy;
+    lossy.queue_capacity = 4;  // DropNewest
+    lossy.rate_limit_eps = 1000.0;
+    lossy.rate_limit_burst = 8.0;
+    lossy.checkpoint_every = 4;  // a fault restores
+    ManagedSessionConfig fragile;
+    fragile.restore_on_fault = false;  // a fault quarantines
+    const SessionId a =
+        manager.add(std::make_unique<RecordingSession>("alpha"), lossy);
+    const SessionId b = manager.add(std::make_unique<RecordingSession>("beta"));
+    const SessionId c =
+        manager.add(std::make_unique<RecordingSession>("beta"), fragile);
+
+    // a: 12 feeds at one instant — 4 rate-limited, 4 queue drops.
+    for (TimeUs t = 0; t < 12; ++t) manager.submit(a, event_at(t));
+    // b: 40 undrained decisions overflow its 2*16 sink.
+    for (TimeUs t = 0; t < 40; ++t) manager.submit_advance(b, t);
+    manager.pump_all();
+    fault::FaultPlan plan;
+    plan.kind = fault::FaultKind::SessionThrow;
+    plan.max_fires = 1;
+    for (const SessionId victim : {a, c}) {
+      plan.target = victim;
+      fault::ScopedInjection injection("runtime.pump.op_fault", plan);
+      manager.submit_advance(victim, 100);
+      manager.pump_all();
+    }
+    ASSERT_EQ(manager.state(c), SessionState::Faulted);
+    manager.submit(c, event_at(200));  // refused: quarantined
+
+    const SessionManager::AggregateStats stats = manager.stats();
+    const SessionManager::SheddingStats& shed = stats.shedding;
+    const std::int64_t shed_total = shed.rate_limited + shed.shed_noise +
+                                    shed.rejected_overload +
+                                    shed.rejected_faulted;
+    EXPECT_EQ(shed.rate_limited, 4);
+    EXPECT_EQ(shed.rejected_faulted, 1);
+    EXPECT_EQ(stats.queues.dropped, 4);
+    EXPECT_EQ(stats.faults.faults, 2);
+    EXPECT_EQ(stats.faults.restores, 1);
+
+    obs::MetricsSnapshot snap;
+    manager.export_metrics(snap);
+    const auto counter = [&](const std::string& name) {
+      const std::int64_t* v = snap.counter(name);
+      return v == nullptr ? std::int64_t{-1} : *v;
+    };
+    EXPECT_EQ(counter("evd_queue_ops_dropped_total"), stats.queues.dropped);
+    EXPECT_EQ(counter("evd_admission_shed_total"), shed_total);
+    EXPECT_EQ(counter("evd_fault_session_faults_total"), stats.faults.faults);
+    EXPECT_EQ(counter("evd_fault_restores_total"), stats.faults.restores);
+    ASSERT_NE(snap.gauge("evd_sessions_active"), nullptr);
+    EXPECT_EQ(*snap.gauge("evd_sessions_active"), 3.0);
+    const core::SessionStats alpha = manager.session(a).stats();
+    core::SessionStats beta = manager.session(b).stats();
+    beta.events_fed += manager.session(c).stats().events_fed;
+    beta.decisions_emitted += manager.session(c).stats().decisions_emitted;
+    beta.decisions_dropped += manager.session(c).stats().decisions_dropped;
+    EXPECT_GT(beta.decisions_dropped, 0);
+    for (const auto& [paradigm, want] :
+         {std::pair{"alpha", alpha}, std::pair{"beta", beta}}) {
+      const std::string l = std::string("{paradigm=\"") + paradigm + "\"}";
+      EXPECT_EQ(counter("evd_events_fed_total" + l), want.events_fed);
+      EXPECT_EQ(counter("evd_decisions_emitted_total" + l),
+                want.decisions_emitted);
+      EXPECT_EQ(counter("evd_sink_decisions_dropped_total" + l),
+                want.decisions_dropped);
+    }
+    EXPECT_EQ(alpha.events_fed + beta.events_fed, stats.totals.events_fed);
+    // Those are all the series, each kind sorted by name.
+    EXPECT_EQ(snap.counters.size(), 10u);
+    EXPECT_EQ(snap.gauges.size(), 1u);
+    EXPECT_TRUE(snap.histograms.empty());
+    const auto by_name = [](const auto& x, const auto& y) {
+      return x.first < y.first;
+    };
+    EXPECT_TRUE(
+        std::is_sorted(snap.counters.begin(), snap.counters.end(), by_name));
+  }
+  obs::set_enabled(was_enabled);
 }
 
 /// Every public id-taking API raises a *typed* evd::Error — never UB, never

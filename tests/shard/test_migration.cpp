@@ -135,8 +135,6 @@ TEST(ShardMigration, MigrationKeepsTheMonotoneGuardWatermark) {
 // field added to the ledger later.
 TEST(ShardMigration, ConservesEveryAggregateLedgerExactly) {
   using Ledger = runtime::SessionManager::AggregateStats;
-  obs::MetricsRegistry::instance().reset();
-  obs::set_enabled(true);
   ShardManagerConfig mcfg;
   mcfg.shards = 2;
   mcfg.ingress_capacity = 16;  // 20 un-pumped submits: 4 ring rejections
@@ -165,9 +163,10 @@ TEST(ShardMigration, ConservesEveryAggregateLedgerExactly) {
   EXPECT_EQ(after.ingress_dropped, before.ingress_dropped);
   EXPECT_EQ(after.migrations, before.migrations + 1);
 
-  // The move shows in each shard's active-session gauge: the tombstone
-  // left behind no longer counts.
-  const obs::MetricsSnapshot snap = obs::snapshot();
+  // The move shows in each shard's exported active-session gauge: the
+  // tombstone left behind no longer counts.
+  obs::MetricsSnapshot snap;
+  sharded.export_metrics(snap);
   const auto active = [&](Index s) {
     const double* g = snap.gauge("evd_sessions_active{shard=\"" +
                                  std::to_string(s) + "\"}");
@@ -182,6 +181,58 @@ TEST(ShardMigration, ConservesEveryAggregateLedgerExactly) {
   const ShardManager::Stats again = sharded.stats();
   EXPECT_EQ(static_cast<const Ledger&>(again),
             static_cast<const Ledger&>(before));
+}
+
+// Exported counters are totals a scrape takes rates of. A migration moves
+// the session's slot ledger into its source shard's retired ledger and its
+// session counters into the target, so no series changes, let alone drops.
+TEST(ShardMigration, NoExportedCounterDecreasesAcrossMigrations) {
+  ShardManagerConfig mcfg;
+  mcfg.shards = 2;
+  mcfg.ingress_capacity = 16;  // 20 un-pumped submits: 4 ring rejections
+  ShardManager sharded{mcfg};
+  runtime::ManagedSessionConfig cfg;
+  cfg.queue_capacity = 8;  // DropNewest: the 16-op drain sheds 8 more
+  const auto id =
+      sharded.add([] { return std::make_unique<RecordingSession>(); }, cfg);
+  const auto other =
+      sharded.add([] { return std::make_unique<RecordingSession>(); }, cfg);
+  for (TimeUs t = 0; t < 20; ++t) sharded.submit(id, event_at(t));
+  sharded.pump_all();
+  for (TimeUs t = 0; t < 4; ++t) {
+    sharded.submit_advance(id, 100 + t);
+    sharded.submit_advance(other, 100 + t);
+  }
+  sharded.pump_all();
+  const auto exported = [&] {
+    obs::MetricsSnapshot snap;
+    sharded.export_metrics(snap);
+    return snap;
+  };
+  const obs::MetricsSnapshot first = exported();
+  const std::string home =
+      "{shard=\"" + std::to_string(sharded.shard_of(id)) + "\"}";
+  ASSERT_NE(first.counter("evd_queue_ops_dropped_total" + home), nullptr);
+  EXPECT_EQ(*first.counter("evd_queue_ops_dropped_total" + home), 8);
+  EXPECT_EQ(*first.counter("evd_shard_ingress_dropped_total" + home), 4);
+
+  obs::MetricsSnapshot before = first;
+  for (int hop = 1; hop <= 2; ++hop) {
+    SCOPED_TRACE("hop " + std::to_string(hop));
+    sharded.migrate(id, 1 - sharded.shard_of(id));
+    const obs::MetricsSnapshot after = exported();
+    ASSERT_EQ(after.counters.size(), before.counters.size());
+    for (size_t i = 0; i < before.counters.size(); ++i) {
+      const auto& [name, value] = before.counters[i];
+      ASSERT_EQ(after.counters[i].first, name);
+      if (name == "evd_shard_migrations_total") {
+        EXPECT_EQ(after.counters[i].second, hop);
+      } else {
+        EXPECT_EQ(after.counters[i].second, value) << name;
+      }
+    }
+    before = after;
+  }
 }
 
 TEST(ShardMigration, QuarantinedSessionsRefuseToMigrate) {

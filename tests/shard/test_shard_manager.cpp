@@ -5,6 +5,7 @@
 // submit-concurrent-with-pump safety (a CI sanitizer target).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -255,8 +256,6 @@ TEST(ShardManager, PumpReturnsOpsDrainedPlusOpsProcessed) {
 // Each shard's queue losses land in its own labelled series, so a scrape
 // can tell which shard is shedding; nothing folds into the unlabelled name.
 TEST(ShardManager, QueueDropCounterIsLabelledPerShard) {
-  obs::MetricsRegistry::instance().reset();
-  obs::set_enabled(true);
   ShardManagerConfig cfg;
   cfg.shards = 2;
   ShardManager manager(cfg);
@@ -266,7 +265,8 @@ TEST(ShardManager, QueueDropCounterIsLabelledPerShard) {
   for (int i = 0; i < 5; ++i) manager.submit(id, event_at(i));
   manager.pump_all();
 
-  const obs::MetricsSnapshot snap = obs::snapshot();
+  obs::MetricsSnapshot snap;
+  manager.export_metrics(snap);
   const auto dropped = [&](const std::string& label) {
     const std::int64_t* c = snap.counter("evd_queue_ops_dropped_total" + label);
     return c == nullptr ? std::int64_t{-1} : *c;
@@ -274,7 +274,41 @@ TEST(ShardManager, QueueDropCounterIsLabelledPerShard) {
   const Index home = manager.shard_of(id);
   EXPECT_EQ(dropped("{shard=\"" + std::to_string(home) + "\"}"), 3);
   EXPECT_EQ(dropped("{shard=\"" + std::to_string(1 - home) + "\"}"), 0);
-  EXPECT_LE(dropped(""), 0);  // absent, or left at zero by another manager
+  EXPECT_EQ(dropped(""), -1);  // absent
+}
+
+// With one shard the facade exports exactly what a bare SessionManager
+// exports: the same unlabelled series, no shard series.
+TEST(ShardManager, OneShardExportsWhatABareSessionManagerExports) {
+  ShardManagerConfig cfg;
+  cfg.shards = 1;
+  ShardManager sharded(cfg);
+  runtime::SessionManager bare;
+  runtime::ManagedSessionConfig tight;
+  tight.queue_capacity = 2;  // DropNewest: 3 of 5 ops dropped per session
+  for (int s = 0; s < 3; ++s) {
+    const auto id = sharded.add(recording_factory(), tight);
+    const auto ref = bare.add(std::make_unique<RecordingSession>(), tight);
+    for (int i = 0; i < 5; ++i) {
+      sharded.submit(id, event_at(i));
+      bare.submit(ref, event_at(i));
+    }
+    sharded.pump_all();
+    bare.pump_all();
+    sharded.submit_advance(id, 10);
+    bare.submit_advance(ref, 10);
+  }
+  sharded.pump_all();
+  bare.pump_all();
+  obs::MetricsSnapshot got;
+  obs::MetricsSnapshot want;
+  sharded.export_metrics(got);
+  bare.export_metrics(want);
+  ASSERT_NE(want.counter("evd_queue_ops_dropped_total"), nullptr);
+  EXPECT_EQ(*want.counter("evd_queue_ops_dropped_total"), 9);
+  EXPECT_EQ(got.counters, want.counters);
+  EXPECT_EQ(got.gauges, want.gauges);
+  EXPECT_TRUE(got.histograms.empty());
 }
 
 TEST(ShardManager, InvalidIdsAndShardsAreTypedErrors) {
@@ -334,6 +368,46 @@ TEST(ShardManager, SubmitIsSafeConcurrentlyWithPump) {
             static_cast<std::int64_t>(kProducers) * kPerProducer);
   EXPECT_EQ(s.queues.dropped, 0);
   EXPECT_EQ(s.sessions, kProducers);
+}
+
+// obs::snapshot() reads the registry and never manager state, so a scraper
+// thread may call it while pump workers record into the registry.
+TEST(ObsSnapshot, ConcurrentWithShardedPumpIsRaceFree) {
+  constexpr Index kSessions = 8;
+  constexpr TimeUs kOps = 200;
+  const Index previous = par::thread_count();
+  par::set_thread_count(4);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  ShardManagerConfig cfg;
+  cfg.shards = 4;
+  ShardManager manager(cfg);
+  std::vector<ShardManager::SessionId> ids;
+  for (Index s = 0; s < kSessions; ++s) {
+    ids.push_back(manager.add(recording_factory()));
+  }
+  std::atomic<bool> done{false};
+  std::int64_t scrapes = 0;
+  std::thread scraper([&] {
+    do {
+      const obs::MetricsSnapshot snap = obs::snapshot();
+      scrapes += snap.counters.empty() ? 0 : 1;
+    } while (!done.load(std::memory_order_acquire));
+  });
+  for (TimeUs t = 0; t < kOps; ++t) {
+    for (const auto id : ids) {
+      manager.submit(id, event_at(t));
+      if (t % 10 == 9) manager.submit_advance(id, t + 1);
+    }
+    manager.pump();
+  }
+  manager.pump_all();
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_GT(scrapes, 0);
+  EXPECT_EQ(manager.stats().totals.events_fed, kSessions * kOps);
+  obs::set_enabled(was_enabled);
+  par::set_thread_count(previous);
 }
 
 }  // namespace
