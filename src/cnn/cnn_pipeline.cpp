@@ -137,13 +137,6 @@ namespace {
 
 runtime::SessionBaseConfig cnn_session_config(const CnnPipelineConfig& c) {
   runtime::SessionBaseConfig sc;
-  // Event window + two last-event-time surface maps, all arena-resident.
-  sc.arena_bytes =
-      static_cast<std::size_t>(c.stream_window_capacity) *
-          sizeof(events::Event) +
-      2 * static_cast<std::size_t>(c.width) * static_cast<std::size_t>(c.height) *
-          sizeof(TimeUs) +
-      256;  // alignment slack
   sc.decision_retain = c.decision_retain;
   sc.paradigm = "cnn";
   // Windowed activity estimator over the configured sensor plane, so the
@@ -160,14 +153,12 @@ class CnnStreamSession : public runtime::SessionBase {
         pipeline_(pipeline),
         width_(width),
         height_(height),
+        window_(static_cast<size_t>(pipeline.config().stream_window_capacity)),
+        last_on_(static_cast<size_t>(width * height)),
+        last_off_(static_cast<size_t>(width * height)),
         frame_end_(pipeline.config().frame_period_us),
         frame_({representation_channels(pipeline.config().frame.repr), height,
-                width}) {
-    window_ = arena().allocate_span<events::Event>(
-        pipeline.config().stream_window_capacity);
-    last_on_ = arena().allocate_span<TimeUs>(width * height);
-    last_off_ = arena().allocate_span<TimeUs>(width * height);
-  }
+                width}) {}
 
  private:
   void on_event(const events::Event& event) override {
@@ -183,13 +174,15 @@ class CnnStreamSession : public runtime::SessionBase {
 
   void on_advance(TimeUs t) override { maybe_close_frames(t); }
 
-  // Checkpoint payload: the open frame window and its clock. The surface
-  // maps (last_on_/last_off_) and the dense frame are pure scratch —
-  // build_frame_into re-derives both from the window on every close — so
-  // they are not serialized.
+  // Checkpoint payload: the window capacity (a session with another
+  // capacity refuses the frame), then the open frame window and its clock.
+  // The surface maps (last_on_/last_off_) and the dense frame are pure
+  // scratch — build_frame_into re-derives both from the window on every
+  // close — so they are not serialized.
   bool checkpoint_supported() const override { return true; }
 
   void on_save(fault::CheckpointWriter& w) const override {
+    w.i64(static_cast<Index>(window_.size()));
     w.i64(frame_start_);
     w.i64(frame_end_);
     w.padded_span(std::span<const events::Event>(
@@ -198,9 +191,27 @@ class CnnStreamSession : public runtime::SessionBase {
   }
 
   void on_load(fault::CheckpointReader& r) override {
+    if (const Index capacity = r.i64();
+        capacity != static_cast<Index>(window_.size())) {
+      throw Error(ErrorCode::CheckpointMismatch,
+                  "CnnStreamSession: checkpointed window capacity " +
+                      std::to_string(capacity) + ", this session's " +
+                      std::to_string(window_.size()));
+    }
     frame_start_ = r.i64();
     frame_end_ = r.i64();
-    window_count_ = r.pod_span_into(window_);
+    window_count_ = r.pod_span_into(std::span<events::Event>(window_));
+    // Checked after the reads: load_state's rollback reloads the live
+    // state through here, and a live window may already hold an event
+    // outside the sensor (fed unvalidated; the next close throws on it), so
+    // a failed check must not cut that restore short.
+    fault::expect_valid(frame_start_ < frame_end_,
+                        "CnnStreamSession: frame start not before its end");
+    for (Index i = 0; i < window_count_; ++i) {
+      const events::Event& e = window_[static_cast<size_t>(i)];
+      fault::expect_valid(e.x >= 0 && e.y >= 0 && e.x < width_ && e.y < height_,
+                          "CnnStreamSession: window event outside the sensor");
+    }
   }
 
   void maybe_close_frames(TimeUs now) {
@@ -223,7 +234,8 @@ class CnnStreamSession : public runtime::SessionBase {
     if (window_count_ > 0) {
       {
         obs::Span span("cnn.representation_build");
-        build_frame_into(window_.first(static_cast<size_t>(window_count_)),
+        build_frame_into(std::span<const events::Event>(window_).first(
+                             static_cast<size_t>(window_count_)),
                          width_, height_, frame_start_, frame_end_,
                          pipeline_.config().frame, frame_,
                          FrameScratch{last_on_, last_off_});
@@ -259,9 +271,9 @@ class CnnStreamSession : public runtime::SessionBase {
 
   CnnPipeline& pipeline_;
   Index width_, height_;
-  std::span<events::Event> window_;  ///< Arena-backed frame accumulator.
+  std::vector<events::Event> window_;  ///< Frame accumulator, sized at open.
   Index window_count_ = 0;
-  std::span<TimeUs> last_on_, last_off_;  ///< Arena-backed surface scratch.
+  std::vector<TimeUs> last_on_, last_off_;  ///< Surface scratch.
   TimeUs frame_start_ = 0;
   TimeUs frame_end_;
   nn::Tensor frame_;  ///< Reused dense frame, rebuilt in place per close.

@@ -50,8 +50,8 @@ struct FrameScratch {
 
 /// build_frame writing into a caller-owned `frame` ([C, H, W], already
 /// shaped) reusing caller-owned scratch: allocation-free and bitwise
-/// identical to build_frame. The streaming session keeps frame + scratch in
-/// its arena workspace and rebuilds in place every frame period.
+/// identical to build_frame. The streaming session owns frame + scratch,
+/// sized at open, and rebuilds in place every frame period.
 void build_frame_into(std::span<const events::Event> window, Index width,
                       Index height, TimeUs t_begin, TimeUs t_end,
                       const FrameOptions& options, nn::Tensor& frame,

@@ -105,12 +105,13 @@ struct AdmissionConfig {
   double reject_at = 0.95;
   /// Burst multiplier while CoarsenBursts (or worse) is active.
   Index coarsen_factor = 4;
-  /// DropNoise applies only to sessions with priority <= this.
-  Index shed_priority_max = 0;
-  /// Support window for the noise test: an event with no recent activity in
-  /// its own or 4-adjacent coarse cells within this window is "noise".
-  TimeUs noise_support_window_us = 5000;
 };
+
+/// DropNoise applies only to sessions with priority <= this.
+inline constexpr Index kShedPriorityMax = 0;
+/// Support window for the noise test: an event with no recent activity in
+/// its own or 4-adjacent coarse cells within this window is "noise".
+inline constexpr TimeUs kNoiseSupportWindowUs = 5000;
 
 /// Map aggregate occupancy to a ladder rung.
 DegradationLevel degradation_level(const AdmissionConfig& config,

@@ -29,7 +29,7 @@
 namespace evd::fault {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x45564443;  // "EVDC"
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Throws Error(CheckpointCorrupt, what) unless a decoded value is valid.
 inline void expect_valid(bool ok, const char* what) {

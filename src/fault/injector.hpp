@@ -2,7 +2,7 @@
 //
 // Production code declares *named injection sites* at the points where a
 // fault could plausibly enter the system (ingress corruption, op-apply
-// exceptions, arena exhaustion). A test arms a site with a FaultPlan; the
+// exceptions, allocation failure). A test arms a site with a FaultPlan; the
 // site then decides — deterministically, from (seed, visit counter) — which
 // visits fire. Everything about a firing schedule is reproducible: no wall
 // clock, no global RNG, no dependence on thread interleaving as long as the

@@ -146,9 +146,6 @@ namespace {
 
 runtime::SessionBaseConfig gnn_session_config(const GnnPipelineConfig& c) {
   runtime::SessionBaseConfig sc;
-  // The graph stores live in the builder/async engine (pre-reserved below);
-  // the arena only backs the bounded decision machinery, so a token size.
-  sc.arena_bytes = 256;
   sc.decision_retain = c.decision_retain;
   sc.paradigm = "gnn";
   // Windowed activity estimator over the configured sensor plane (feeds the

@@ -10,9 +10,10 @@
 #include "common/env.hpp"
 
 namespace evd::obs {
-namespace {
 
-std::atomic<bool> g_enabled{env_flag("EVD_OBS", true)};
+std::atomic<bool> detail::g_enabled{env_flag("EVD_OBS", true)};
+
+namespace {
 
 enum class Kind { Counter, Gauge, Histogram };
 
@@ -100,9 +101,8 @@ std::vector<CollectorEntry>& collectors() {
 
 }  // namespace
 
-bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
+  detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
 namespace detail {

@@ -41,10 +41,18 @@ namespace evd::obs {
 /// [2^(b-1), 2^b). 44 buckets cover ~2.7 hours in microseconds.
 inline constexpr Index kHistogramBuckets = 44;
 
+namespace detail {
+/// Backs enabled(); defined in metrics.cpp.
+extern std::atomic<bool> g_enabled;
+}  // namespace detail
+
 /// Process-wide enable flag. Initialised once from EVD_OBS (default on,
 /// "EVD_OBS=off" disables); set_enabled() overrides it at runtime (benches
-/// measure both sides, tests pin it).
-bool enabled() noexcept;
+/// measure both sides, tests pin it). Inline, so a disabled instrument costs
+/// one relaxed load and a branch at the call site.
+inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
 void set_enabled(bool on) noexcept;
 
 namespace detail {

@@ -2,7 +2,7 @@
 // fixed-capacity per-thread ring buffers, exported as Chrome trace-event
 // JSON (load it at https://ui.perfetto.dev or chrome://tracing).
 //
-// Hot-path discipline mirrors the runtime's zero-alloc arenas: a thread's
+// Hot-path discipline mirrors the runtime's zero-alloc sessions: a thread's
 // ring is allocated once, on that thread's first span; recording a span is
 // two raw cycle-counter reads (rdtsc / cntvct_el0 — a steady_clock read
 // costs ~30 ns through the vDSO, an order of magnitude too much for

@@ -7,8 +7,7 @@
 namespace evd::runtime {
 
 SessionBase::SessionBase(const SessionBaseConfig& config)
-    : arena_(config.arena_bytes),
-      sink_(config.decision_retain),
+    : sink_(config.decision_retain),
       paradigm_(config.paradigm != nullptr ? config.paradigm : "unknown"),
       checkpoint_max_bytes_(config.checkpoint_max_bytes) {
   if (config.width > 0 && config.height > 0 &&
@@ -61,10 +60,6 @@ bool SessionBase::save_state(std::vector<std::uint8_t>& out) const {
   w.str(paradigm_);
   w.i64(events_fed_);
   w.i64(events_dropped_);
-  // Watermark guard only: arena contents are the paradigm spans, which
-  // on_save serializes explicitly. A mismatch at load means the restoring
-  // session carved a different layout — a config mismatch, not corruption.
-  w.i64(static_cast<std::int64_t>(arena_.used()));
   sink_.save(w);
   // Activity estimator: mutable chassis state, so restore+replay re-derives
   // the exact estimate a never-faulted run would hold (replayed feeds pass
@@ -126,12 +121,6 @@ void SessionBase::read_state(std::span<const std::uint8_t> bytes) {
   }
   const std::int64_t events_fed = r.i64();
   const std::int64_t events_dropped = r.i64();
-  if (const std::int64_t used = r.i64();
-      used != static_cast<std::int64_t>(arena_.used())) {
-    throw Error(ErrorCode::CheckpointMismatch,
-                "arena watermark " + std::to_string(arena_.used()) +
-                    " vs checkpointed " + std::to_string(used));
-  }
   sink_.load(r);
   const bool ckpt_activity = r.u8() != 0;
   if (ckpt_activity != !act_touched_.empty()) {

@@ -1,18 +1,14 @@
-// Shared chassis for the three paradigm stream sessions.
-//
-// Before this refactor each of CnnStreamSession / SnnStreamSession /
-// GnnStreamSession carried its own copy of the geometry check, the decision
-// vector, and the emit-a-decision boilerplate, and none of them bounded
-// their storage or counted anything. SessionBase centralises the
-// paradigm-independent parts:
+// Shared chassis for the three paradigm stream sessions. SessionBase holds
+// the paradigm-independent parts:
 //
 //   * open-time geometry validation (one check_geometry, one message);
-//   * a per-session ArenaAllocator from which subclasses carve their
-//     steady-state scratch exactly once, in their constructor;
 //   * a bounded DecisionSink behind the StreamSession drain() contract,
-//     plus stats() wired to real counters.
+//     plus stats() wired to real counters;
+//   * the checkpoint frame header and the windowed activity estimator.
 //
-// Subclasses implement only the paradigm: on_event() and on_advance().
+// Subclasses implement only the paradigm: on_event() and on_advance(). Each
+// owns its steady-state scratch and sizes it once, in its constructor, so
+// the feed path never allocates.
 #pragma once
 
 #include <limits>
@@ -21,14 +17,11 @@
 
 #include "core/pipeline.hpp"
 #include "fault/checkpoint.hpp"
-#include "runtime/arena.hpp"
 #include "runtime/decision_sink.hpp"
 
 namespace evd::runtime {
 
 struct SessionBaseConfig {
-  /// Arena capacity for this session's steady-state scratch.
-  std::size_t arena_bytes = 0;
   /// Bound on undrained decisions (see decision_sink.hpp for the rule).
   Index decision_retain = 8192;
   /// Paradigm label: the checkpoint tag, the routing key, and the label
@@ -41,8 +34,7 @@ struct SessionBaseConfig {
   /// Sensor geometry for the windowed activity estimator (see
   /// activity_estimate()). 0 disables the estimator — the session then
   /// reports the fully-dense default. The pipelines pass their configured
-  /// geometry; the bitmap costs ceil(w*h/8) heap bytes per session, outside
-  /// the arena so exactly-sized paradigm arenas are untouched.
+  /// geometry; the bitmap costs ceil(w*h/8) heap bytes per session.
   Index width = 0;
   Index height = 0;
   /// Stream-time window over which pixel occupancy is folded into the
@@ -81,12 +73,12 @@ class SessionBase : public core::StreamSession {
 
   /// Checkpoint/restore (core::StreamSession contract). The chassis
   /// serializes the shared state — magic/version header, paradigm label,
-  /// counters, arena watermark, undrained decisions — and delegates the
+  /// counters, undrained decisions, activity estimator — and delegates the
   /// paradigm payload to on_save/on_load. Sessions that do not override
   /// checkpoint_supported() decline (save_state returns false) rather than
   /// silently losing their paradigm state.
   bool save_state(std::vector<std::uint8_t>& out) const final;
-  /// Restores into *this* session, whose arena layout and sink bound must
+  /// Restores into *this* session, whose buffer sizes and sink bound must
   /// match the checkpoint (same pipeline config): header mismatches throw
   /// Error(CheckpointMismatch), truncation Error(CheckpointCorrupt), and a
   /// load that throws leaves the session exactly as it was. Load into a
@@ -131,8 +123,9 @@ class SessionBase : public core::StreamSession {
   virtual void on_advance(TimeUs t) = 0;
 
   /// Checkpoint hooks: override all three together. on_save writes the
-  /// paradigm's complete mutable state; on_load restores it (arena-backed
-  /// spans are overwritten in place — the arena itself is never rebuilt).
+  /// paradigm's complete mutable state; on_load restores it into the
+  /// buffers the constructor sized, and throws Error(CheckpointMismatch)
+  /// when the frame was saved by a session whose buffers differ.
   virtual bool checkpoint_supported() const { return false; }
   virtual void on_save(fault::CheckpointWriter& w) const { (void)w; }
   virtual void on_load(fault::CheckpointReader& r) { (void)r; }
@@ -143,16 +136,12 @@ class SessionBase : public core::StreamSession {
   /// overflow); the session keeps the ledger stats() reports.
   void note_events_dropped(std::int64_t n) { events_dropped_ += n; }
 
-  ArenaAllocator& arena() { return arena_; }
-  const ArenaAllocator& arena() const { return arena_; }
-
  private:
   void note_activity(const events::Event& event);
   /// Decodes a save_state frame into this session; may throw part-way,
   /// after replacing the sink and running on_load.
   void read_state(std::span<const std::uint8_t> bytes);
 
-  ArenaAllocator arena_;
   DecisionSink sink_;
   std::string paradigm_;
   route::PathId path_ = route::PathId::Default;

@@ -158,9 +158,9 @@ bool SessionManager::admit(SessionId id, Slot& s, StreamOp op) {
     // The gate warms on every admitted feed so by the time the DropNoise
     // rung engages it has a live activity map to classify against.
     const bool supported =
-        s.noise_gate.observe(op.event, admission_.noise_support_window_us);
+        s.noise_gate.observe(op.event, fault::kNoiseSupportWindowUs);
     if (level >= fault::DegradationLevel::DropNoise &&
-        s.config.priority <= admission_.shed_priority_max && !supported) {
+        s.config.priority <= fault::kShedPriorityMax && !supported) {
       ++s.shed.shed_noise;
       return false;
     }

@@ -16,7 +16,7 @@
 // Determinism argument (the multiplexed-vs-sequential oracle in evd::check
 // enforces this bitwise):
 //   * Sessions share only const model parameters — every mutable byte a
-//     session touches (arena scratch, SNN state, graph buffers) lives in
+//     session touches (frame scratch, SNN state, graph buffers) lives in
 //     the session itself, and a session is only ever touched by the one
 //     worker that owns its chunk this round.
 //   * Within a session, ops apply in submission order regardless of which
@@ -107,8 +107,8 @@ struct ManagedSessionConfig {
   /// 0 disables. Advances are never rate-limited.
   double rate_limit_eps = 0.0;
   double rate_limit_burst = 256.0;
-  /// Overload-ladder priority: sessions with priority <= the ladder's
-  /// shed_priority_max shed noise-classified events first.
+  /// Overload-ladder priority: sessions with priority <=
+  /// fault::kShedPriorityMax shed noise-classified events first.
   Index priority = 0;
 };
 

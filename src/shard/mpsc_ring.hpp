@@ -25,24 +25,20 @@
 //     a full ring rejects the push — explicit back-pressure, accounted by
 //     the caller, never silent loss.
 //
-// Storage is optionally arena-backed: the sharded runtime carves each
-// shard's cells from that shard's own ArenaAllocator, so the hot
-// producer/consumer memory of different shards never shares an allocation
-// (or, given the 64-byte cell alignment, a cache line).
+// Each ring owns its cells, one 64-byte-aligned allocation, so the hot
+// producer/consumer memory of different shards never shares a cache line.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 
 #include "common/types.hpp"
-#include "runtime/arena.hpp"
 
 namespace evd::shard {
 
-/// Smallest power of two >= n (n >= 1). Ring capacities are rounded up so
-/// index masking replaces modulo on the hot path.
+/// Smallest power of two >= n (1 for n <= 1). Ring capacities are rounded
+/// up so index masking replaces modulo on the hot path.
 constexpr Index ceil_pow2(Index n) noexcept {
   Index p = 1;
   while (p < n) p <<= 1;
@@ -51,9 +47,6 @@ constexpr Index ceil_pow2(Index n) noexcept {
 
 template <typename T>
 class MpscRing {
-  static_assert(std::is_trivially_destructible_v<T>,
-                "cells may live in an arena, which never runs destructors");
-
  public:
   /// One cache line per cell: a producer publishing cell i and the consumer
   /// reading cell j never false-share, whatever i and j.
@@ -62,30 +55,13 @@ class MpscRing {
     T value{};
   };
 
-  /// Capacity is rounded up to a power of two. When `arena` is non-null the
-  /// cells are carved from it (sized via bytes_for — the arena must have
-  /// room); otherwise the ring owns heap storage.
-  explicit MpscRing(Index capacity, runtime::ArenaAllocator* arena = nullptr) {
-    const Index cap = ceil_pow2(capacity < 1 ? 1 : capacity);
-    mask_ = static_cast<std::uint64_t>(cap) - 1;
-    if (arena != nullptr) {
-      cells_ = arena->allocate_span<Cell>(cap).data();
-    } else {
-      owned_.reset(new Cell[static_cast<std::size_t>(cap)]);
-      cells_ = owned_.get();
+  /// Capacity is rounded up to a power of two.
+  explicit MpscRing(Index capacity)
+      : mask_(static_cast<std::uint64_t>(ceil_pow2(capacity)) - 1),
+        cells_(new Cell[mask_ + 1]) {
+    for (std::uint64_t i = 0; i <= mask_; ++i) {
+      cells_[i].seq.store(i, std::memory_order_relaxed);
     }
-    for (Index i = 0; i < cap; ++i) {
-      cells_[i].seq.store(static_cast<std::uint64_t>(i),
-                          std::memory_order_relaxed);
-    }
-  }
-
-  /// Arena bytes needed for a ring of `capacity` (post-rounding), including
-  /// the alignment slack the arena may burn reaching a cell boundary.
-  static std::size_t bytes_for(Index capacity) {
-    return static_cast<std::size_t>(ceil_pow2(capacity < 1 ? 1 : capacity)) *
-               sizeof(Cell) +
-           alignof(Cell);
   }
 
   /// Multi-producer enqueue. False iff the ring is full (the op is the
@@ -141,9 +117,8 @@ class MpscRing {
   bool empty_approx() const noexcept { return size_approx() == 0; }
 
  private:
-  Cell* cells_ = nullptr;
-  std::unique_ptr<Cell[]> owned_;  ///< Null when arena-backed.
-  std::uint64_t mask_ = 0;
+  std::uint64_t mask_;
+  std::unique_ptr<Cell[]> cells_;
   /// Head and tail tickets on their own cache lines: producers hammer the
   /// tail CAS, the consumer owns the head — sharing a line would put every
   /// push in the consumer's coherence traffic.

@@ -21,10 +21,7 @@ Index resolve_shard_count(Index configured) {
 
 ShardManager::ShardManager(ShardManagerConfig config)
     : config_(config),
-      ring_(resolve_shard_count(config.shards),
-            config.vnodes_per_shard < 1 ? kDefaultVnodesPerShard
-                                        : config.vnodes_per_shard,
-            config.placement_seed) {
+      ring_(resolve_shard_count(config.shards)) {
   const Index n = ring_.shards();
   config_.shards = n;
   shards_.reserve(static_cast<size_t>(n));
@@ -35,10 +32,8 @@ ShardManager::ShardManager(ShardManagerConfig config)
         config_.burst,
         n > 1 ? "shard=\"" + std::to_string(s) + "\"" : std::string());
     if (n > 1) {
-      state->arena = std::make_unique<runtime::ArenaAllocator>(
-          MpscRing<IngressOp>::bytes_for(config_.ingress_capacity));
-      state->ring = std::make_unique<MpscRing<IngressOp>>(
-          config_.ingress_capacity, state->arena.get());
+      state->ring =
+          std::make_unique<MpscRing<IngressOp>>(config_.ingress_capacity);
     }
     shards_.push_back(std::move(state));
   }

@@ -8,7 +8,7 @@
 //
 //   shard k owns   a private SessionManager (its own sessions, queues,
 //                  admission ladder, plan — obs instruments labeled
-//                  shard="k"), a private ArenaAllocator backing
+//                  shard="k"), and
 //   an ingress     a fixed-capacity lock-free MPSC ring (mpsc_ring.hpp):
 //   ring           producers try_push ops from any thread; the shard's
 //                  slice of pump() drains them into the inner manager,
@@ -16,9 +16,9 @@
 //                  exactly as they always have.
 //
 // Session → shard placement is a consistent-hash ring over virtual nodes
-// (hash_ring.hpp): deterministic in the placement seed, balanced to the
-// ring's max/mean bound, and monotone under shard-count changes — so
-// rebalance() migrates the minimal set of sessions.
+// (hash_ring.hpp, at its default seed and vnode count): deterministic,
+// balanced to the ring's max/mean bound, and monotone under shard-count
+// changes — so rebalance() migrates the minimal set of sessions.
 //
 // Migration rides the PR 6 checkpoint framing end to end: flush the source
 // shard (ring + backlog), save_state the session, retire() the source slot
@@ -60,7 +60,7 @@ namespace evd::shard {
 
 /// Recreates a session of the right pipeline/config for checkpoint
 /// restoration at a migration target. Must produce a session whose
-/// paradigm, geometry and arena layout match what save_state captured.
+/// paradigm, geometry and buffer sizes match what save_state captured.
 using SessionFactory = std::function<std::unique_ptr<core::StreamSession>()>;
 
 struct ShardManagerConfig {
@@ -70,9 +70,6 @@ struct ShardManagerConfig {
   Index burst = 256;
   /// Per-shard ingress ring capacity in ops (rounded up to a power of two).
   Index ingress_capacity = 4096;
-  /// Consistent-hash ring shape (see hash_ring.hpp).
-  Index vnodes_per_shard = kDefaultVnodesPerShard;
-  std::uint64_t placement_seed = kDefaultPlacementSeed;
 };
 
 /// EVD_SHARDS resolution: strictly positive integer, warn-and-fallback on
@@ -195,8 +192,6 @@ class ShardManager {
 
   struct ShardState {
     runtime::SessionManager manager;
-    /// Backs the ring cells: per-shard ownership of the hot ingress memory.
-    std::unique_ptr<runtime::ArenaAllocator> arena;
     std::unique_ptr<MpscRing<IngressOp>> ring;  ///< Null when shards == 1.
     /// The ring ledger. Written by producers — hence atomic.
     std::atomic<std::int64_t> ops_accepted{0};

@@ -170,10 +170,6 @@ namespace {
 
 runtime::SessionBaseConfig snn_session_config(const SnnPipelineConfig& c) {
   runtime::SessionBaseConfig sc;
-  // Dedup bitmap over the encoded input, arena-resident.
-  sc.arena_bytes =
-      static_cast<std::size_t>(encoded_size(c.width, c.height, c.encoder)) +
-      256;  // alignment slack
   sc.decision_retain = c.decision_retain;
   sc.paradigm = "snn";
   // Windowed activity estimator over the configured sensor plane, so the
@@ -191,12 +187,12 @@ class SnnStreamSession : public runtime::SessionBase {
         width_(width),
         height_(height),
         state_(pipeline.net().make_state()),
-        step_end_(pipeline.config().timestep_us) {
-    const Index n = encoded_size(width, height, pipeline.config().encoder);
-    seen_ = arena().allocate_span<char>(n);
+        step_end_(pipeline.config().timestep_us),
+        seen_(static_cast<size_t>(
+            encoded_size(width, height, pipeline.config().encoder))) {
     // Pending can never exceed the dedup'd input size, so reserving it here
     // keeps the per-event path allocation-free.
-    pending_.reserve(static_cast<size_t>(n));
+    pending_.reserve(seen_.size());
   }
 
  private:
@@ -218,13 +214,15 @@ class SnnStreamSession : public runtime::SessionBase {
 
   void on_advance(TimeUs t) override { tick_until(t); }
 
-  // Checkpoint payload: the full neuron state plus the timestep clock and
-  // the pending input spike set. The arena dedup bitmap is derived — it is
+  // Checkpoint payload: the encoded input size (a session with another
+  // encoder refuses the frame), the full neuron state, the timestep clock
+  // and the pending input spike set. The dedup bitmap is derived — it is
   // exactly "index appears in pending_" — so on_load rebuilds it instead of
   // serializing the whole (mostly zero) map.
   bool checkpoint_supported() const override { return true; }
 
   void on_save(fault::CheckpointWriter& w) const override {
+    w.i64(static_cast<Index>(seen_.size()));
     w.i64(step_end_);
     w.i64(state_.steps_seen);
     w.i64(state_.step_hidden_spikes);
@@ -235,6 +233,13 @@ class SnnStreamSession : public runtime::SessionBase {
   }
 
   void on_load(fault::CheckpointReader& r) override {
+    if (const Index inputs = r.i64();
+        inputs != static_cast<Index>(seen_.size())) {
+      throw Error(ErrorCode::CheckpointMismatch,
+                  "SnnStreamSession: checkpointed encoded input size " +
+                      std::to_string(inputs) + ", this session's " +
+                      std::to_string(seen_.size()));
+    }
     step_end_ = r.i64();
     state_.steps_seen = r.i64();
     state_.step_hidden_spikes = r.i64();
@@ -294,8 +299,8 @@ class SnnStreamSession : public runtime::SessionBase {
   Index width_, height_;
   SnnState state_;
   TimeUs step_end_;
+  std::vector<char> seen_;  ///< Dedup bitmap over the encoded input.
   std::vector<Index> pending_;
-  std::span<char> seen_;  ///< Arena-backed dedup bitmap.
 };
 
 }  // namespace

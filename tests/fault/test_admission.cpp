@@ -127,7 +127,8 @@ TEST(NoiseGate, AGapAcrossTheWholeTimeRangeIsNoSupport) {
 class CountingSession final : public runtime::SessionBase {
  public:
   CountingSession()
-      : runtime::SessionBase(runtime::SessionBaseConfig{0, 64, "test"}) {}
+      : runtime::SessionBase(runtime::SessionBaseConfig{
+            .decision_retain = 64, .paradigm = "test"}) {}
 
   std::vector<TimeUs> seen;
 

@@ -1,9 +1,11 @@
 // Checkpoint/restore: the byte-level writer/reader contract, the SessionBase
-// framing (magic / version / paradigm / watermark guards), and bitwise
+// framing (magic / version / paradigm guards), the paradigm payload guards
+// (buffer sizes, window events inside the sensor), and bitwise
 // save→load→continue transparency for all three paradigm sessions fed a
 // degraded-sensor stream (leak bursts + HDR flicker from the DvsSimulator).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -124,7 +126,9 @@ class FramedSession final : public runtime::SessionBase {
   explicit FramedSession(const char* paradigm = "test",
                          std::size_t max_bytes = std::size_t{4} << 20)
       : runtime::SessionBase(
-            runtime::SessionBaseConfig{0, 64, paradigm, max_bytes}) {}
+            runtime::SessionBaseConfig{.decision_retain = 64,
+                                       .paradigm = paradigm,
+                                       .checkpoint_max_bytes = max_bytes}) {}
 
   std::vector<TimeUs> seen;
 
@@ -148,7 +152,8 @@ class FramedSession final : public runtime::SessionBase {
 class UnsupportedSession final : public runtime::SessionBase {
  public:
   UnsupportedSession()
-      : runtime::SessionBase(runtime::SessionBaseConfig{0, 64, "test"}) {}
+      : runtime::SessionBase(runtime::SessionBaseConfig{
+            .decision_retain = 64, .paradigm = "test"}) {}
 
  private:
   void on_event(const events::Event&) override {}
@@ -305,6 +310,38 @@ events::EventStream degraded_stream() {
   return sim.simulate(scene, kDuration);
 }
 
+cnn::CnnPipelineConfig cnn_config() {
+  cnn::CnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.base_filters = 2;
+  config.frame_period_us = 10000;
+  return config;
+}
+
+snn::SnnPipelineConfig snn_config() {
+  snn::SnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.hidden = 16;
+  config.encoder.spatial_factor = 2;
+  config.timestep_us = 5000;
+  return config;
+}
+
+gnn::GnnPipelineConfig gnn_config() {
+  gnn::GnnPipelineConfig config;
+  config.width = kGeom;
+  config.height = kGeom;
+  config.num_classes = 2;
+  config.model.hidden = 8;
+  config.model.layers = 2;
+  config.stream_stride = 2;
+  return config;
+}
+
 /// Feed events [begin, end) of `stream`, advancing every 40th event.
 void feed_range(core::StreamSession& s, const events::EventStream& stream,
                 size_t begin, size_t end) {
@@ -351,10 +388,45 @@ void expect_checkpoint_transparent(Pipeline& pipeline) {
   EXPECT_EQ(restored->stats().events_fed, continuous->stats().events_fed);
 }
 
+/// `session` loads `bytes`, which must throw Error(`code`).
+void expect_load_throws(core::StreamSession& session,
+                        const std::vector<std::uint8_t>& bytes,
+                        ErrorCode code) {
+  try {
+    session.load_state(bytes);
+    FAIL() << "the load must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+  }
+}
+
+/// `session` failed a load that `twin` never saw, after both were fed
+/// `stream` up to `split`. It must still match the twin in its undrained
+/// decisions, its counters and every decision of the rest of the stream.
+void expect_matches_twin(core::StreamSession& session,
+                         core::StreamSession& twin,
+                         const events::EventStream& stream, size_t split) {
+  EXPECT_EQ(session.stats().events_fed, twin.stats().events_fed);
+  EXPECT_EQ(session.stats().decisions_emitted, twin.stats().decisions_emitted);
+  EXPECT_EQ(session.stats().decisions_dropped, twin.stats().decisions_dropped);
+  EXPECT_EQ(session.activity_estimate(), twin.activity_estimate());
+  const auto undrained = test::drained(twin);
+  ASSERT_GT(undrained.size(), 0u);
+  EXPECT_EQ(test::drained(session), undrained);
+
+  for (auto* s : {&session, &twin}) {
+    feed_range(*s, stream, split, stream.events.size());
+    s->advance_to(kDuration + 10000);
+  }
+  const auto want = test::drained(twin);
+  ASSERT_GT(want.size(), 0u);
+  EXPECT_EQ(test::drained(session), want);
+  EXPECT_EQ(session.stats(), twin.stats());
+}
+
 /// A load that throws part-way is all or nothing. `session` and its twin
 /// see the same first half; `session` then fails to load another session's
-/// frame cut by one byte, and must still match the untouched twin in its
-/// undrained decisions, its counters and every decision of the second half.
+/// frame cut by one byte, and must still match the untouched twin.
 /// The other session drained further than `session` emitted, so a rollback
 /// that merged the sink's handed-out mark would lose undrained decisions.
 template <typename Pipeline>
@@ -377,113 +449,135 @@ void expect_failed_load_leaves_session_untouched(Pipeline& pipeline) {
   }
   ASSERT_NE(other->stats().decisions_emitted,
             session->stats().decisions_emitted);
-  try {
-    session->load_state(bytes);
-    FAIL() << "a frame one byte short must throw";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::CheckpointCorrupt);
-  }
-  EXPECT_EQ(session->stats().events_fed, twin->stats().events_fed);
-  EXPECT_EQ(session->stats().decisions_emitted,
-            twin->stats().decisions_emitted);
-  EXPECT_EQ(session->stats().decisions_dropped,
-            twin->stats().decisions_dropped);
-  EXPECT_EQ(session->activity_estimate(), twin->activity_estimate());
-  const auto undrained = test::drained(*twin);
-  ASSERT_GT(undrained.size(), 0u);
-  EXPECT_EQ(test::drained(*session), undrained);
-
-  for (auto* s : {session.get(), twin.get()}) {
-    feed_range(*s, stream, split, stream.events.size());
-    s->advance_to(kDuration + 10000);
-  }
-  const auto want = test::drained(*twin);
-  ASSERT_GT(want.size(), 0u);
-  EXPECT_EQ(test::drained(*session), want);
-  EXPECT_EQ(session->stats(), twin->stats());
+  expect_load_throws(*session, bytes, ErrorCode::CheckpointCorrupt);
+  expect_matches_twin(*session, *twin, stream, split);
 }
 
 TEST(CheckpointParadigms, CnnSaveLoadContinueIsBitwiseTransparent) {
-  cnn::CnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.base_filters = 2;
-  config.frame_period_us = 10000;
-  cnn::CnnPipeline pipeline(config);
+  cnn::CnnPipeline pipeline(cnn_config());
   expect_checkpoint_transparent(pipeline);
 }
 
 TEST(CheckpointParadigms, SnnSaveLoadContinueIsBitwiseTransparent) {
-  snn::SnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.hidden = 16;
-  config.encoder.spatial_factor = 2;
-  config.timestep_us = 5000;
-  snn::SnnPipeline pipeline(config);
+  snn::SnnPipeline pipeline(snn_config());
   expect_checkpoint_transparent(pipeline);
 }
 
 TEST(CheckpointParadigms, GnnSaveLoadContinueIsBitwiseTransparent) {
-  gnn::GnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
+  gnn::GnnPipeline pipeline(gnn_config());
   expect_checkpoint_transparent(pipeline);
 }
 
 TEST(CheckpointParadigms, CnnFailedLoadLeavesSessionUntouched) {
-  cnn::CnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.base_filters = 2;
-  config.frame_period_us = 10000;
-  cnn::CnnPipeline pipeline(config);
+  cnn::CnnPipeline pipeline(cnn_config());
   expect_failed_load_leaves_session_untouched(pipeline);
 }
 
 TEST(CheckpointParadigms, SnnFailedLoadLeavesSessionUntouched) {
-  snn::SnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.hidden = 16;
-  config.encoder.spatial_factor = 2;
-  config.timestep_us = 5000;
-  snn::SnnPipeline pipeline(config);
+  snn::SnnPipeline pipeline(snn_config());
   expect_failed_load_leaves_session_untouched(pipeline);
 }
 
 TEST(CheckpointParadigms, GnnFailedLoadLeavesSessionUntouched) {
-  gnn::GnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
+  gnn::GnnPipeline pipeline(gnn_config());
   expect_failed_load_leaves_session_untouched(pipeline);
+}
+
+/// A frame saved by a session of `source`'s config, loaded into a fresh
+/// session of `target`'s, is refused as a config mismatch.
+template <typename Pipeline>
+void expect_frame_refused(Pipeline& source, Pipeline& target) {
+  const events::EventStream stream = degraded_stream();
+  auto session = source.open_session(kGeom, kGeom);
+  feed_range(*session, stream, 0, stream.events.size() / 2);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(session->save_state(bytes));
+  auto other = target.open_session(kGeom, kGeom);
+  expect_load_throws(*other, bytes, ErrorCode::CheckpointMismatch);
+  EXPECT_EQ(other->stats(), core::SessionStats{});
+}
+
+// An SNN's dedup bitmap spans its encoded input, which the encoder sizes.
+TEST(CheckpointParadigms, SnnFrameFromOtherEncoderIsRefused) {
+  snn::SnnPipelineConfig config = snn_config();
+  snn::SnnPipeline source(config);
+  config.encoder.spatial_factor = 4;
+  snn::SnnPipeline target(config);
+  expect_frame_refused(source, target);
+}
+
+TEST(CheckpointParadigms, CnnFrameFromOtherWindowCapacityIsRefused) {
+  cnn::CnnPipelineConfig config = cnn_config();
+  cnn::CnnPipeline source(config);
+  config.stream_window_capacity /= 2;
+  cnn::CnnPipeline target(config);
+  expect_frame_refused(source, target);
+}
+
+/// A CNN session saves its own frame after the first half of the stream.
+/// The frame ends with the open window: frame_start, frame_end, the event
+/// count, then the events. `patch(bytes, clock_at, last_at)` alters it
+/// (`clock_at` is frame_start's offset, `last_at` the last event's).
+/// Loading the patched frame must throw CheckpointCorrupt and leave the
+/// session equal to a twin that never saw it.
+template <typename Patch>
+void expect_patched_cnn_window_is_corrupt(Patch patch) {
+  const cnn::CnnPipelineConfig config = cnn_config();
+  cnn::CnnPipeline pipeline(config);
+  const events::EventStream stream = degraded_stream();
+  const size_t split = stream.events.size() / 2;
+  auto session = pipeline.open_session(kGeom, kGeom);
+  auto twin = pipeline.open_session(kGeom, kGeom);
+  for (auto* s : {session.get(), twin.get()}) feed_range(*s, stream, 0, split);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(session->save_state(bytes));
+
+  // The window holds the fed events of the frame the last one falls in.
+  const TimeUs frame_start = stream.events[split - 1].t /
+                             config.frame_period_us * config.frame_period_us;
+  std::int64_t count = 0;
+  for (size_t i = 0; i < split; ++i) count += stream.events[i].t >= frame_start;
+  const size_t count_at =
+      bytes.size() - static_cast<size_t>(count) * sizeof(events::Event) - 8;
+  const size_t clock_at = count_at - 16;
+  const size_t last_at = bytes.size() - sizeof(events::Event);
+  std::int64_t stored[3] = {};
+  std::memcpy(stored, bytes.data() + clock_at, sizeof stored);
+  ASSERT_EQ(stored[0], frame_start);
+  ASSERT_EQ(stored[1], frame_start + config.frame_period_us);
+  ASSERT_EQ(stored[2], count);
+  events::Event last;
+  std::memcpy(&last, bytes.data() + last_at, sizeof last);
+  ASSERT_EQ(last, stream.events[split - 1]);
+
+  patch(bytes, clock_at, last_at);
+  expect_load_throws(*session, bytes, ErrorCode::CheckpointCorrupt);
+  expect_matches_twin(*session, *twin, stream, split);
+}
+
+// Loaded as it stands, the event would throw an untyped
+// std::invalid_argument at the next frame close.
+TEST(CheckpointParadigms, CnnWindowEventOutsideGeometryIsCorrupt) {
+  expect_patched_cnn_window_is_corrupt(
+      [](std::vector<std::uint8_t>& bytes, size_t, size_t last_at) {
+        const std::int16_t x = 40;
+        std::memcpy(bytes.data() + last_at + offsetof(events::Event, x), &x,
+                    sizeof x);
+      });
+}
+
+TEST(CheckpointParadigms, CnnFrameEndNotAfterStartIsCorrupt) {
+  expect_patched_cnn_window_is_corrupt(
+      [](std::vector<std::uint8_t>& bytes, size_t clock_at, size_t) {
+        std::memcpy(bytes.data() + clock_at + 8, bytes.data() + clock_at, 8);
+      });
 }
 
 // A checkpoint carries what the next op needs, not the decisions the
 // consumer already took: a session drained as it goes checkpoints to the
 // same size after 3 steps as after more than 2*decision_retain of them.
 TEST(CheckpointParadigms, DrainedHistoryIsNotCheckpointed) {
-  snn::SnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.hidden = 16;
-  config.encoder.spatial_factor = 2;
-  config.timestep_us = 5000;
+  snn::SnnPipelineConfig config = snn_config();
   config.decision_retain = 16;
   snn::SnnPipeline pipeline(config);
   auto session = pipeline.open_session(kGeom, kGeom);
@@ -572,37 +666,17 @@ void expect_twins_save_identical_frames(Pipeline& pipeline) {
 }
 
 TEST(CheckpointTwins, CnnFramesHoldFieldValuesOnly) {
-  cnn::CnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.base_filters = 2;
-  config.frame_period_us = 10000;
-  cnn::CnnPipeline pipeline(config);
+  cnn::CnnPipeline pipeline(cnn_config());
   expect_twins_save_identical_frames(pipeline);
 }
 
 TEST(CheckpointTwins, SnnFramesHoldFieldValuesOnly) {
-  snn::SnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.hidden = 16;
-  config.encoder.spatial_factor = 2;
-  config.timestep_us = 5000;
-  snn::SnnPipeline pipeline(config);
+  snn::SnnPipeline pipeline(snn_config());
   expect_twins_save_identical_frames(pipeline);
 }
 
 TEST(CheckpointTwins, GnnFramesHoldFieldValuesOnly) {
-  gnn::GnnPipelineConfig config;
-  config.width = kGeom;
-  config.height = kGeom;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
+  gnn::GnnPipeline pipeline(gnn_config());
   expect_twins_save_identical_frames(pipeline);
 }
 

@@ -27,7 +27,9 @@ events::Event event_at(TimeUs t, Index x = 3, Index y = 3) {
 /// Minimal deterministic session; no checkpoint support.
 class PlainSession final : public SessionBase {
  public:
-  PlainSession() : SessionBase(SessionBaseConfig{0, 64, "test"}) {}
+  PlainSession()
+      : SessionBase(
+            SessionBaseConfig{.decision_retain = 64, .paradigm = "test"}) {}
 
   std::vector<TimeUs> seen;
 
@@ -47,7 +49,9 @@ class PlainSession final : public SessionBase {
 /// Same behaviour, but checkpointable: the event-time log is the state.
 class CheckpointedSession final : public SessionBase {
  public:
-  CheckpointedSession() : SessionBase(SessionBaseConfig{0, 64, "test"}) {}
+  CheckpointedSession()
+      : SessionBase(
+            SessionBaseConfig{.decision_retain = 64, .paradigm = "test"}) {}
 
   std::vector<TimeUs> seen;
 

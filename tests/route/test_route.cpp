@@ -21,7 +21,8 @@ namespace {
 class ParadigmSession final : public runtime::SessionBase {
  public:
   explicit ParadigmSession(const char* paradigm)
-      : SessionBase(runtime::SessionBaseConfig{0, 64, paradigm}) {}
+      : SessionBase(runtime::SessionBaseConfig{.decision_retain = 64,
+                                               .paradigm = paradigm}) {}
 
  private:
   void on_event(const events::Event&) override {}

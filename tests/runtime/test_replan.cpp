@@ -28,7 +28,8 @@ events::Event event_at(TimeUs t) {
 class ParadigmSession final : public SessionBase {
  public:
   explicit ParadigmSession(const char* paradigm)
-      : SessionBase(SessionBaseConfig{0, 8192, paradigm}) {}
+      : SessionBase(SessionBaseConfig{.decision_retain = 8192,
+                                      .paradigm = paradigm}) {}
 
  private:
   void on_event(const events::Event&) override {}
@@ -162,7 +163,7 @@ class ActivitySession final : public SessionBase {
 
  private:
   static SessionBaseConfig activity_config() {
-    SessionBaseConfig cfg{0, 8192, "cnn"};
+    SessionBaseConfig cfg{.decision_retain = 8192, .paradigm = "cnn"};
     cfg.width = 8;
     cfg.height = 8;
     cfg.activity_window_us = 1000;

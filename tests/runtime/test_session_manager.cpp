@@ -35,7 +35,8 @@ events::Event event_at(TimeUs t) {
 class RecordingSession final : public SessionBase {
  public:
   explicit RecordingSession(const char* paradigm = "unknown")
-      : SessionBase(SessionBaseConfig{64, 16, paradigm}) {}
+      : SessionBase(
+            SessionBaseConfig{.decision_retain = 16, .paradigm = paradigm}) {}
 
   std::vector<TimeUs> seen;  ///< Event times, in arrival order.
   /// The next on_load throws after it has replaced `seen`.

@@ -2,8 +2,8 @@
 //
 // This TU replaces the global allocation functions with counting versions
 // (which is why it builds into its own test binary, evd_alloc_tests): the
-// zero-allocation claim in src/runtime/arena.hpp is enforced here, not just
-// documented. Scope of the claim, per paradigm:
+// zero-allocation claim in src/runtime/session_base.hpp is enforced here,
+// not just documented. Scope of the claim, per paradigm:
 //   * GNN  — the ENTIRE per-event path (graph insert, incremental inference,
 //            softmax, decision emit, and the graph-recycle restart) is
 //            allocation-free after session construction, and construction

@@ -65,7 +65,9 @@ class VisitLog {
 class RecordingSession final : public SessionBase {
  public:
   explicit RecordingSession(VisitLog* visits = nullptr)
-      : SessionBase(SessionBaseConfig{64, 64, "test"}), visits_(visits) {}
+      : SessionBase(
+            SessionBaseConfig{.decision_retain = 64, .paradigm = "test"}),
+        visits_(visits) {}
 
   std::vector<TimeUs> seen;
 
@@ -88,7 +90,9 @@ class RecordingSession final : public SessionBase {
 /// RecordingSession that can checkpoint: the event-time log is the state.
 class CheckpointedRecordingSession final : public SessionBase {
  public:
-  CheckpointedRecordingSession() : SessionBase(SessionBaseConfig{0, 64, "test"}) {}
+  CheckpointedRecordingSession()
+      : SessionBase(
+            SessionBaseConfig{.decision_retain = 64, .paradigm = "test"}) {}
 
   std::vector<TimeUs> seen;
 

@@ -29,7 +29,8 @@ events::Event event_at(TimeUs t, std::int16_t x = 1) {
 class RecordingSession final : public runtime::SessionBase {
  public:
   RecordingSession()
-      : runtime::SessionBase(runtime::SessionBaseConfig{64, 32, "unknown"}) {}
+      : runtime::SessionBase(runtime::SessionBaseConfig{
+            .decision_retain = 32, .paradigm = "unknown"}) {}
 
   std::vector<TimeUs> seen;
 
@@ -55,7 +56,8 @@ class RecordingSession final : public runtime::SessionBase {
 class FaultableSession final : public runtime::SessionBase {
  public:
   FaultableSession()
-      : runtime::SessionBase(runtime::SessionBaseConfig{64, 32, "unknown"}) {}
+      : runtime::SessionBase(runtime::SessionBaseConfig{
+            .decision_retain = 32, .paradigm = "unknown"}) {}
 
  private:
   void on_event(const events::Event& event) override {

@@ -1,5 +1,5 @@
-// MpscRing: capacity shaping, FIFO order, full-ring rejection, arena
-// backing, and — the reason the type exists — multi-producer safety. The
+// MpscRing: capacity shaping, FIFO order, full-ring rejection, and — the
+// reason the type exists — multi-producer safety. The
 // concurrent tests are the ones the CI sanitizer jobs (TSAN above all) are
 // pointed at: this is the runtime's first genuinely lock-free structure.
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/arena.hpp"
 #include "shard/mpsc_ring.hpp"
 
 namespace evd::shard {
@@ -46,19 +45,6 @@ TEST(ShardMpscRing, RejectsWhenFullAndRecoversAfterPop) {
   std::vector<int> rest;
   while (ring.try_pop(out)) rest.push_back(out);
   EXPECT_EQ(rest, (std::vector<int>{1, 2, 3, 99}));
-}
-
-TEST(ShardMpscRing, ArenaBackedCellsWorkAndFitTheQuotedBytes) {
-  runtime::ArenaAllocator arena(MpscRing<std::int64_t>::bytes_for(100));
-  MpscRing<std::int64_t> ring(100, &arena);  // rounds to 128 cells
-  EXPECT_EQ(ring.capacity(), 128);
-  EXPECT_GT(arena.used(), 0u);
-  for (std::int64_t i = 0; i < 128; ++i) EXPECT_TRUE(ring.try_push(i));
-  std::int64_t out = 0;
-  for (std::int64_t i = 0; i < 128; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
 }
 
 // The lock-free claim, exercised: P producer threads push tagged values
