@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -332,11 +333,12 @@ int run_roofline() {
   table.print();
   for (const auto& row : rows) {
     std::printf(
-        "{\"bench\":\"simd_roofline\",\"span\":\"%s\",\"tier\":\"%s\","
+        "{%s,\"bench\":\"simd_roofline\",\"span\":\"%s\",\"tier\":\"%s\","
         "\"threads\":1,\"scalar_ms\":%.3f,\"vector_ms\":%.3f,"
         "\"speedup\":%.2f,\"bitwise\":%s}\n",
-        row.span, simd::tier_name(best), row.scalar_ms, row.vector_ms,
-        row.speedup(), row.identical ? "true" : "false");
+        bench::host_fields().c_str(), row.span, simd::tier_name(best),
+        row.scalar_ms, row.vector_ms, row.speedup(),
+        row.identical ? "true" : "false");
   }
   if (g_checksum_failed) {
     std::fprintf(stderr,

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "check/oracles.hpp"
 #include "cnn/cnn_pipeline.hpp"
 #include "common/parallel.hpp"
@@ -126,10 +127,10 @@ ThroughputRow serve(Pipeline& pipeline, Index session_count) {
 void print_json(const char* paradigm, Index threads,
                 const ThroughputRow& row) {
   std::printf(
-      "{\"bench\":\"stream_throughput\",\"paradigm\":\"%s\",\"threads\":%lld,"
-      "\"sessions\":%lld,\"events\":%lld,\"decisions\":%lld,"
+      "{%s,\"bench\":\"stream_throughput\",\"paradigm\":\"%s\","
+      "\"threads\":%lld,\"sessions\":%lld,\"events\":%lld,\"decisions\":%lld,"
       "\"wall_ms\":%.3f,\"events_per_s\":%.0f,\"decisions_per_s\":%.0f}\n",
-      paradigm, static_cast<long long>(threads),
+      bench::host_fields().c_str(), paradigm, static_cast<long long>(threads),
       static_cast<long long>(row.sessions),
       static_cast<long long>(row.events),
       static_cast<long long>(row.decisions), row.wall_ms, row.events_per_s(),
@@ -224,9 +225,9 @@ bool gate_fault_overhead(double serve_ns_per_event) {
       "(%.3f%%)\n",
       sequence_ns, serve_ns_per_event, 100.0 * fraction);
   std::printf(
-      "{\"bench\":\"fault_overhead\",\"sequence_ns\":%.3f,"
+      "{%s,\"bench\":\"fault_overhead\",\"sequence_ns\":%.3f,"
       "\"serve_ns_per_event\":%.1f,\"fraction\":%.5f}\n",
-      sequence_ns, serve_ns_per_event, fraction);
+      bench::host_fields().c_str(), sequence_ns, serve_ns_per_event, fraction);
   if (fraction >= 0.01) {
     std::fprintf(stderr,
                  "FATAL: disabled fault sites cost %.3f%% of serving "
@@ -322,10 +323,11 @@ bool gate_overload() {
   table.print();
   for (const auto& row : {capacity, overload}) {
     std::printf(
-        "{\"bench\":\"stream_overload\",\"offered_factor\":%.1f,"
+        "{%s,\"bench\":\"stream_overload\",\"offered_factor\":%.1f,"
         "\"offered\":%lld,\"served\":%lld,\"wall_ms\":%.3f,"
         "\"served_per_s\":%.0f}\n",
-        row.factor, static_cast<long long>(row.offered),
+        bench::host_fields().c_str(), row.factor,
+        static_cast<long long>(row.offered),
         static_cast<long long>(row.served), row.wall_ms, row.served_per_s());
   }
 
@@ -561,14 +563,14 @@ bool gate_planner() {
         cores);
   }
   std::printf(
-      "{\"bench\":\"stream_planner\",\"sessions\":8,\"threads\":4,"
-      "\"cores\":%u,\"round_robin_wall_ms\":%.3f,\"planned_wall_ms\":%.3f,"
+      "{%s,\"bench\":\"stream_planner\",\"sessions\":8,\"threads\":4,"
+      "\"round_robin_wall_ms\":%.3f,\"planned_wall_ms\":%.3f,"
       "\"speedup\":%.3f,\"modeled_round_robin_us\":%.1f,"
       "\"modeled_plan_us\":%.1f,\"modeled_speedup\":%.3f,"
       "\"wall_gated\":%s,\"streams_identical\":%s}\n",
-      cores, round_robin.wall_ms, planned.wall_ms, speedup, legacy_modeled_us,
-      plan.modeled_cost_us, modeled_speedup, wall_gated ? "true" : "false",
-      identical ? "true" : "false");
+      bench::host_fields().c_str(), round_robin.wall_ms, planned.wall_ms,
+      speedup, legacy_modeled_us, plan.modeled_cost_us, modeled_speedup,
+      wall_gated ? "true" : "false", identical ? "true" : "false");
 
   if (!identical) {
     std::fprintf(stderr,
@@ -799,15 +801,16 @@ bool gate_routing() {
   std::printf("   decision streams bitwise identical: %s\n",
               identical ? "yes" : "NO");
   std::printf(
-      "{\"bench\":\"stream_routing\",\"sessions\":8,\"threads\":4,"
-      "\"cores\":%u,\"activity\":%.4f,\"cnn_path\":\"%s\","
+      "{%s,\"bench\":\"stream_routing\",\"sessions\":8,\"threads\":4,"
+      "\"activity\":%.4f,\"cnn_path\":\"%s\","
       "\"snn_path\":\"%s\",\"default_wall_ms\":%.3f,\"routed_wall_ms\":%.3f,"
       "\"speedup\":%.3f,\"modeled_default_us\":%.1f,"
       "\"modeled_routed_us\":%.1f,\"modeled_speedup\":%.3f,"
       "\"wall_gated\":%s,\"streams_identical\":%s}\n",
-      cores, population.activity, route::path_name(cnn_path),
-      route::path_name(snn_path), default_paths.wall_ms, routed.wall_ms,
-      speedup, unrouted_modeled_us, routed_modeled_us, modeled_speedup,
+      bench::host_fields().c_str(), population.activity,
+      route::path_name(cnn_path), route::path_name(snn_path),
+      default_paths.wall_ms, routed.wall_ms, speedup, unrouted_modeled_us,
+      routed_modeled_us, modeled_speedup,
       wall_gated ? "true" : "false", identical ? "true" : "false");
 
   if (cnn_path != route::PathId::CnnSparse ||
@@ -996,10 +999,10 @@ ShardRow serve_tape_sharded(gnn::GnnPipeline& pipeline,
 
 void print_sharded_json(const ShardRow& row) {
   std::printf(
-      "{\"bench\":\"stream_sharded\",\"sessions\":%lld,\"shards\":%lld,"
+      "{%s,\"bench\":\"stream_sharded\",\"sessions\":%lld,\"shards\":%lld,"
       "\"events\":%lld,\"decisions\":%lld,\"dropped\":%lld,"
       "\"wall_ms\":%.3f,\"events_per_s\":%.0f}\n",
-      static_cast<long long>(kShardSessions),
+      bench::host_fields().c_str(), static_cast<long long>(kShardSessions),
       static_cast<long long>(row.shards), static_cast<long long>(row.events),
       static_cast<long long>(row.decisions),
       static_cast<long long>(row.dropped), row.wall_ms, row.events_per_s());
@@ -1089,11 +1092,11 @@ bool gate_sharding() {
   print_sharded_json(unsharded);
   print_sharded_json(sharded);
   std::printf(
-      "{\"bench\":\"stream_sharded_gate\",\"sessions\":%lld,"
-      "\"shards\":%lld,\"cores\":%u,\"speedup\":%.3f,\"wall_gated\":%s,"
+      "{%s,\"bench\":\"stream_sharded_gate\",\"sessions\":%lld,"
+      "\"shards\":%lld,\"speedup\":%.3f,\"wall_gated\":%s,"
       "\"streams_identical\":%s,\"p50_us\":%.1f,\"p99_us\":%.1f}\n",
-      static_cast<long long>(kShardSessions),
-      static_cast<long long>(kShardCount), cores, speedup,
+      bench::host_fields().c_str(), static_cast<long long>(kShardSessions),
+      static_cast<long long>(kShardCount), speedup,
       wall_gated ? "true" : "false", identical ? "true" : "false", p50, p99);
 
   if (unsharded.dropped != 0 || sharded.dropped != 0) {
@@ -1157,9 +1160,10 @@ bool report_latency(const char* paradigm, Pipeline& pipeline) {
       paradigm, p50, p99, latency->mean(),
       static_cast<long long>(latency->count));
   std::printf(
-      "{\"bench\":\"stream_latency\",\"paradigm\":\"%s\",\"sessions\":8,"
+      "{%s,\"bench\":\"stream_latency\",\"paradigm\":\"%s\",\"sessions\":8,"
       "\"samples\":%lld,\"p50_us\":%.1f,\"p99_us\":%.1f,\"mean_us\":%.1f}\n",
-      paradigm, static_cast<long long>(latency->count), p50, p99,
+      bench::host_fields().c_str(), paradigm,
+      static_cast<long long>(latency->count), p50, p99,
       latency->mean());
   return true;
 }

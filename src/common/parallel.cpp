@@ -52,7 +52,7 @@ class Pool {
   /// Execute worker_fn(w) for w in [0, nworkers): the caller runs w = 0,
   /// pool threads run the rest. worker_fn must not throw. Top-level calls
   /// from distinct threads serialise on job_mutex_.
-  void run(Index nworkers, const std::function<void(Index)>& worker_fn) {
+  void run(Index nworkers, const detail::ChunkFn& worker_fn) {
     std::lock_guard<std::mutex> top(job_mutex_);
     const std::int64_t busy_before =
         busy_ns_.load(std::memory_order_relaxed);
@@ -138,7 +138,7 @@ class Pool {
   void worker_loop(Index id) {
     std::uint64_t seen = 0;
     for (;;) {
-      const std::function<void(Index)>* job = nullptr;
+      const detail::ChunkFn* job = nullptr;
       bool participate = false;
       {
         std::unique_lock<std::mutex> lk(state_mutex_);
@@ -165,7 +165,7 @@ class Pool {
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::vector<std::thread> threads_;
-  const std::function<void(Index)>* job_ = nullptr;
+  const detail::ChunkFn* job_ = nullptr;
   Index configured_ = 1;
   Index job_workers_ = 0;
   Index active_ = 0;
@@ -200,8 +200,7 @@ bool in_parallel_region() noexcept { return t_in_region; }
 
 namespace detail {
 
-void for_each_chunk(Index nchunks,
-                    const std::function<void(Index)>& chunk_fn) {
+void for_each_chunk(Index nchunks, ChunkFn chunk_fn) {
   if (nchunks <= 0) return;
   if (nchunks == 1 || t_in_region) {
     for (Index c = 0; c < nchunks; ++c) chunk_fn(c);
@@ -216,9 +215,10 @@ void for_each_chunk(Index nchunks,
   const Index workers = pool_size < nchunks ? pool_size : nchunks;
   // Static assignment: worker w owns chunks w, w+W, w+2W, ... Chunk
   // boundaries never depend on the worker count, so outputs do not either.
-  pool.run(workers, [&](Index w) {
+  auto worker = [&](Index w) {
     for (Index c = w; c < nchunks; c += workers) chunk_fn(c);
-  });
+  };
+  pool.run(workers, worker);
 }
 
 }  // namespace detail

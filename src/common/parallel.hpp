@@ -18,10 +18,18 @@
 // own chunk) executes serially inline — no deadlock, same results. Worker
 // exceptions are captured per chunk and the lowest-index one is rethrown on
 // the calling thread after the region completes.
+//
+// A region that does not throw allocates nothing: the pool runs the chunk
+// loop through a non-owning ChunkFn, the error slot is one exception_ptr,
+// and a reduce over at most kInlinePartials chunks keeps its partials on
+// the stack. The serving pump runs one region per round on this path.
 #pragma once
 
+#include <array>
 #include <exception>
-#include <functional>
+#include <memory>
+#include <mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -68,9 +76,26 @@ inline Index chunk_count(Index begin, Index end, Index grain) noexcept {
 }
 
 namespace detail {
+/// Non-owning reference to a `void(Index)` callable that outlives the call:
+/// what the pool runs. Unlike std::function it never allocates.
+class ChunkFn {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::remove_cv_t<F>, ChunkFn>>>
+  ChunkFn(F& fn) noexcept  // implicit: call sites pass the lambda itself
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, Index i) { (*static_cast<F*>(obj))(i); }) {}
+
+  void operator()(Index i) const { call_(obj_, i); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, Index);
+};
+
 /// Run chunk_fn(c) for c in [0, nchunks) across the pool. chunk_fn must not
 /// throw (template wrappers below capture exceptions per chunk).
-void for_each_chunk(Index nchunks, const std::function<void(Index)>& chunk_fn);
+void for_each_chunk(Index nchunks, ChunkFn chunk_fn);
 }  // namespace detail
 
 /// Chunked loop: fn(chunk_begin, chunk_end) over disjoint sub-ranges of
@@ -81,24 +106,30 @@ void parallel_for(Index begin, Index end, Index grain, Fn&& fn) {
   if (end <= begin) return;
   if (grain < 1) grain = 1;
   const Index nchunks = chunk_count(begin, end, grain);
-  std::vector<std::exception_ptr> errors;
-  if (nchunks > 1) errors.resize(static_cast<size_t>(nchunks));
-  detail::for_each_chunk(nchunks, [&](Index c) {
+  // Only a throwing chunk touches these: it keeps its exception when its
+  // index is the lowest seen so far.
+  std::mutex error_mutex;
+  Index error_chunk = nchunks;
+  std::exception_ptr error;
+  auto chunk = [&](Index c) {
     const Index b = begin + c * grain;
     const Index e = b + grain < end ? b + grain : end;
-    if (errors.empty()) {
+    if (nchunks == 1) {
       fn(b, e);  // single chunk: runs on the caller, throws directly
     } else {
       try {
         fn(b, e);
       } catch (...) {
-        errors[static_cast<size_t>(c)] = std::current_exception();
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (c < error_chunk) {
+          error_chunk = c;
+          error = std::current_exception();
+        }
       }
     }
-  });
-  for (const auto& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
+  };
+  detail::for_each_chunk(nchunks, chunk);
+  if (error) std::rethrow_exception(error);
 }
 
 /// Like parallel_for, but fn also receives the chunk index:
@@ -112,6 +143,10 @@ void parallel_for_chunks(Index begin, Index end, Index grain, Fn&& fn) {
                });
 }
 
+/// Chunk count up to which parallel_reduce keeps small trivially copyable
+/// partials on the stack instead of the heap.
+inline constexpr Index kInlinePartials = 64;
+
 /// Chunked reduction: partials[c] = map(chunk_begin, chunk_end) computed in
 /// parallel, then folded with combine(acc, partial) in ascending chunk order
 /// on the calling thread — bitwise identical for any thread count.
@@ -121,13 +156,25 @@ T parallel_reduce(Index begin, Index end, Index grain, T identity, Map&& map,
   if (end <= begin) return identity;
   if (grain < 1) grain = 1;
   const Index nchunks = chunk_count(begin, end, grain);
+  const auto reduce_into = [&](T* partials) {
+    parallel_for_chunks(begin, end, grain, [&](Index c, Index b, Index e) {
+      partials[c] = map(b, e);
+    });
+    T acc = std::move(identity);
+    for (Index c = 0; c < nchunks; ++c) {
+      acc = combine(std::move(acc), std::move(partials[c]));
+    }
+    return acc;
+  };
+  if constexpr (std::is_trivially_copyable_v<T> &&
+                std::is_default_constructible_v<T> && sizeof(T) <= 16) {
+    if (nchunks <= kInlinePartials) {
+      std::array<T, kInlinePartials> partials;
+      return reduce_into(partials.data());
+    }
+  }
   std::vector<T> partials(static_cast<size_t>(nchunks), identity);
-  parallel_for_chunks(begin, end, grain, [&](Index c, Index b, Index e) {
-    partials[static_cast<size_t>(c)] = map(b, e);
-  });
-  T acc = std::move(identity);
-  for (auto& partial : partials) acc = combine(std::move(acc), std::move(partial));
-  return acc;
+  return reduce_into(partials.data());
 }
 
 }  // namespace evd::par

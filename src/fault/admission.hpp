@@ -125,6 +125,11 @@ DegradationLevel degradation_level(const AdmissionConfig& config,
 /// so it can run per-submit in front of the queue. Every observed event
 /// warms the table whether or not shedding is active, so the classifier is
 /// not cold when overload hits.
+///
+/// The table is 32 KiB and the constructor writes all of it, so a
+/// SessionManager slot carries a gate only once admission has been enabled
+/// (made in set_admission() or add(), never on submit) and keeps it across
+/// a disable, warm for the next enable.
 class NoiseGate {
  public:
   NoiseGate() { last_.fill(kNever); }

@@ -27,20 +27,39 @@ namespace evd::runtime {
 
 enum class OverflowPolicy { DropNewest, DropOldest };
 
-/// One queued session operation: an event, or a time advance.
+/// One queued session operation: an event, or a time advance. 24 bytes,
+/// laid out flat: the event's address and polarity share the first 8 bytes
+/// with the kind tag (in what is padding in events::Event), then one
+/// timestamp that is the event time for a Feed and the target for an
+/// Advance, then the latency stamp. A 512-op queue is 12 KiB per session.
 struct StreamOp {
   enum class Kind : std::uint8_t { Feed, Advance };
+  std::int16_t x = 0;
+  std::int16_t y = 0;
+  Polarity polarity = Polarity::On;
   Kind kind = Kind::Feed;
-  events::Event event{};  ///< Valid when kind == Feed.
-  TimeUs t = 0;           ///< Advance target when kind == Advance.
+  TimeUs t = 0;  ///< Event time (Feed) or advance target (Advance).
   /// Observability stamp (ns, tracer clock) taken at submit time; 0 when
   /// metrics were disabled at enqueue. Feeds the feed→decision histograms.
   std::int64_t enqueue_ns = 0;
 
+  /// The Feed's event, rebuilt from the flat fields.
+  events::Event event() const noexcept {
+    events::Event e;
+    e.x = x;
+    e.y = y;
+    e.polarity = polarity;
+    e.t = t;
+    return e;
+  }
+
   static StreamOp feed(const events::Event& e) {
     StreamOp op;
     op.kind = Kind::Feed;
-    op.event = e;
+    op.x = e.x;
+    op.y = e.y;
+    op.polarity = e.polarity;
+    op.t = e.t;
     return op;
   }
   static StreamOp advance(TimeUs t) {
@@ -50,6 +69,7 @@ struct StreamOp {
     return op;
   }
 };
+static_assert(sizeof(StreamOp) == 24, "StreamOp is three words");
 
 class EventQueue {
  public:

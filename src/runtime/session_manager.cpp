@@ -65,6 +65,9 @@ SessionId SessionManager::add(std::unique_ptr<core::StreamSession> session,
   auto slot = std::make_unique<Slot>(std::move(session), config);
   const auto id = static_cast<SessionId>(slots_.size());
   slot->bucket.configure(config.rate_limit_eps, config.rate_limit_burst);
+  if (admission_.enabled) {
+    slot->noise_gate = std::make_unique<fault::NoiseGate>();
+  }
   if (config.checkpoint_every > 0) {
     // Initial checkpoint: a fault is recoverable from the very first op
     // (worst case, back to the fresh-session state). Sessions that decline
@@ -94,6 +97,18 @@ SessionManager::Slot& SessionManager::slot(SessionId id) {
 
 const SessionManager::Slot& SessionManager::slot(SessionId id) const {
   return const_cast<SessionManager*>(this)->slot(id);
+}
+
+void SessionManager::set_admission(const fault::AdmissionConfig& config) {
+  admission_ = config;
+  if (!admission_.enabled) return;
+  // Gates are made here and in add(), never on submit, so admit() stays
+  // allocation-free.
+  for (const auto& sl : slots_) {
+    if (sl->state != SessionState::Retired && !sl->noise_gate) {
+      sl->noise_gate = std::make_unique<fault::NoiseGate>();
+    }
+  }
 }
 
 double SessionManager::occupancy() const noexcept {
@@ -133,18 +148,16 @@ bool SessionManager::admit(SessionId id, Slot& s, StreamOp op) {
   // mutating the op before any admission logic sees it.
   if (is_feed) {
     if (site_malformed_.fire(id) == fault::FaultKind::MalformedEvent) {
-      op.event = fault::corrupt_malformed(op.event,
-                                          site_malformed_.plan().seed);
+      op = StreamOp::feed(
+          fault::corrupt_malformed(op.event(), site_malformed_.plan().seed));
     }
     if (site_out_of_order_.fire(id) == fault::FaultKind::OutOfOrderEvent) {
-      op.event =
-          fault::corrupt_out_of_order(op.event,
-                                      site_out_of_order_.plan().time_skew_us);
+      op = StreamOp::feed(fault::corrupt_out_of_order(
+          op.event(), site_out_of_order_.plan().time_skew_us));
     }
   }
   // Per-session token bucket, refilled from stream time — deterministic.
-  if (is_feed && s.config.rate_limit_eps > 0.0 &&
-      !s.bucket.take(op.event.t)) {
+  if (is_feed && s.config.rate_limit_eps > 0.0 && !s.bucket.take(op.t)) {
     ++s.shed.rate_limited;
     return false;
   }
@@ -156,9 +169,10 @@ bool SessionManager::admit(SessionId id, Slot& s, StreamOp op) {
   }
   if (is_feed && admission_.enabled) {
     // The gate warms on every admitted feed so by the time the DropNoise
-    // rung engages it has a live activity map to classify against.
+    // rung engages it has a live activity map to classify against. Every
+    // live slot has one while admission is enabled (add, set_admission).
     const bool supported =
-        s.noise_gate.observe(op.event, fault::kNoiseSupportWindowUs);
+        s.noise_gate->observe(op.event(), fault::kNoiseSupportWindowUs);
     if (level >= fault::DegradationLevel::DropNoise &&
         s.config.priority <= fault::kShedPriorityMax && !supported) {
       ++s.shed.shed_noise;
@@ -202,7 +216,7 @@ void SessionManager::apply_op(SessionId id, Slot& s, const StreamOp& op) {
       break;
   }
   if (op.kind == StreamOp::Kind::Feed) {
-    const events::Event& e = op.event;
+    const events::Event e = op.event();
     if (s.config.validate_width > 0 &&
         (e.x < 0 || e.x >= s.config.validate_width || e.y < 0 ||
          (s.config.validate_height > 0 && e.y >= s.config.validate_height))) {
@@ -550,6 +564,7 @@ SessionManager::AggregateStats SessionManager::retire(SessionId id) {
   const AggregateStats ledger = ledger_of(s);
   s.state = SessionState::Retired;
   s.session.reset();
+  s.noise_gate.reset();
   s.fault_message.clear();
   s.checkpointing = false;
   s.checkpoint.clear();

@@ -233,10 +233,10 @@ class SessionManager {
   /// session declines (no checkpoint support or checkpoint_every == 0).
   bool checkpoint_now(SessionId id);
 
-  /// Install the global overload ladder (see fault/admission.hpp).
-  void set_admission(const fault::AdmissionConfig& config) {
-    admission_ = config;
-  }
+  /// Install the global overload ladder (see fault/admission.hpp). Enabling
+  /// it gives every live slot its noise gate; disabling keeps the gates, so
+  /// a later enable finds them warm.
+  void set_admission(const fault::AdmissionConfig& config);
   const fault::AdmissionConfig& admission() const noexcept {
     return admission_;
   }
@@ -336,7 +336,9 @@ class SessionManager {
     TimeUs checkpoint_last_feed_t = std::numeric_limits<TimeUs>::min();
     // Admission.
     fault::TokenBucket bucket;
-    fault::NoiseGate noise_gate;
+    /// Made once admission is enabled (set_admission, or add() while
+    /// enabled) and kept from then on; null in a slot that never saw it.
+    std::unique_ptr<fault::NoiseGate> noise_gate;
     // Per-slot ledgers (submit-side fields written by the submitting thread,
     // pump-side fields by the one worker that owns the slot per round).
     SheddingStats shed;

@@ -94,7 +94,7 @@ bool ShardManager::submit_op(SessionId id, const runtime::StreamOp& op) {
   if (!st.ring) {
     // shards == 1: the legacy direct path, admission and all.
     return op.kind == runtime::StreamOp::Kind::Feed
-               ? st.manager.submit(e.inner, op.event)
+               ? st.manager.submit(e.inner, op.event())
                : st.manager.submit_advance(e.inner, op.t);
   }
   if (!st.ring->try_push(IngressOp{id, op})) {
@@ -136,7 +136,7 @@ Index ShardManager::drain_ring(Index s) {
     // Inner submit runs admission / stamping exactly as the direct path
     // would; a refusal is already accounted in the inner manager's ledgers.
     if (in.op.kind == runtime::StreamOp::Kind::Feed) {
-      (void)st.manager.submit(e.inner, in.op.event);
+      (void)st.manager.submit(e.inner, in.op.event());
     } else {
       (void)st.manager.submit_advance(e.inner, in.op.t);
     }

@@ -189,6 +189,7 @@ class ShardManager {
     SessionId global = 0;
     runtime::StreamOp op{};
   };
+  static_assert(sizeof(IngressOp) <= 32, "an ingress cell's op is 4 words");
 
   struct ShardState {
     runtime::SessionManager manager;

@@ -263,6 +263,63 @@ TEST(AdmissionWiring, DropNoiseShedsOnlyUnsupportedLowPriorityFeeds) {
   EXPECT_EQ(hi_raw->seen.size(), 22u);
 }
 
+TEST(AdmissionWiring, GateKeepsItsActivityAcrossADisable) {
+  runtime::SessionManager manager;
+  runtime::ManagedSessionConfig config;
+  config.queue_capacity = 100;
+  const runtime::SessionId id =
+      manager.add(std::make_unique<CountingSession>(), config);
+
+  AdmissionConfig admission;
+  admission.enabled = true;
+  admission.drop_noise_at = 0.10;
+  admission.reject_at = 2.0;
+  manager.set_admission(admission);
+  // Activity at (8,8), seen while enabled; then a disable and re-enable.
+  ASSERT_TRUE(manager.submit(id, event_at(0, 8, 8)));
+  manager.pump_all();
+  manager.set_admission(AdmissionConfig{});
+  manager.set_admission(admission);
+
+  // Push occupancy past the rung with a cluster far from (8,8).
+  for (TimeUs t = 1; t <= 20; ++t) manager.submit(id, event_at(t, 200, 200));
+  ASSERT_EQ(manager.admission_level(), DegradationLevel::DropNoise);
+  // A feed next to the pre-cycle activity is still supported ...
+  EXPECT_TRUE(manager.submit(id, event_at(30, 9, 9)));
+  // ... while one with no activity near it is shed.
+  EXPECT_FALSE(manager.submit(id, event_at(31, 120, 120)));
+  EXPECT_EQ(manager.stats().shedding.shed_noise, 1);
+}
+
+TEST(AdmissionWiring, SessionAddedUnderAdmissionClassifiesFromItsFirstFeed) {
+  runtime::SessionManager manager;
+  AdmissionConfig admission;
+  admission.enabled = true;
+  admission.drop_noise_at = 0.10;
+  admission.reject_at = 2.0;
+  manager.set_admission(admission);
+
+  runtime::ManagedSessionConfig low;
+  low.queue_capacity = 100;
+  low.priority = 0;
+  runtime::ManagedSessionConfig high = low;
+  high.priority = 1;
+  const runtime::SessionId late =
+      manager.add(std::make_unique<CountingSession>(), low);
+  const runtime::SessionId filler =
+      manager.add(std::make_unique<CountingSession>(), high);
+
+  // The late session's first feed, below the rung, warms its gate.
+  ASSERT_TRUE(manager.submit(late, event_at(0, 8, 8)));
+  for (TimeUs t = 1; t <= 30; ++t) {
+    manager.submit(filler, event_at(t, 200, 200));
+  }
+  ASSERT_EQ(manager.admission_level(), DegradationLevel::DropNoise);
+  EXPECT_TRUE(manager.submit(late, event_at(40, 9, 9)));
+  EXPECT_FALSE(manager.submit(late, event_at(41, 120, 120)));
+  EXPECT_EQ(manager.stats().shedding.shed_noise, 1);
+}
+
 TEST(AdmissionWiring, CoarsenedRoundsAreCountedAndDrainFaster) {
   runtime::SessionManager manager(/*burst=*/2);
   runtime::ManagedSessionConfig config;

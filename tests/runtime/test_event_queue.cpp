@@ -60,9 +60,9 @@ TEST(EventQueue, DropNewestRejectsIncomingWhenFull) {
 
   StreamOp op;
   ASSERT_TRUE(queue.pop(op));
-  EXPECT_EQ(op.event.t, 10);  // oldest data survived (back-pressure)
+  EXPECT_EQ(op.t, 10);  // oldest data survived (back-pressure)
   ASSERT_TRUE(queue.pop(op));
-  EXPECT_EQ(op.event.t, 20);
+  EXPECT_EQ(op.t, 20);
   EXPECT_FALSE(queue.pop(op));
 
   EXPECT_EQ(queue.stats().pushed, 2);
@@ -78,9 +78,9 @@ TEST(EventQueue, DropOldestEvictsFrontToAdmitNew) {
 
   StreamOp op;
   ASSERT_TRUE(queue.pop(op));
-  EXPECT_EQ(op.event.t, 20);  // freshest data survived
+  EXPECT_EQ(op.t, 20);  // freshest data survived
   ASSERT_TRUE(queue.pop(op));
-  EXPECT_EQ(op.event.t, 30);
+  EXPECT_EQ(op.t, 30);
 
   EXPECT_EQ(queue.stats().pushed, 3);
   EXPECT_EQ(queue.stats().dropped, 1);
@@ -106,7 +106,7 @@ TEST(EventQueue, DropOldestAccountsEveryDisplacedOpUnderSustainedOverflow) {
   StreamOp op;
   for (Index i = kPushes - kCapacity; i < kPushes; ++i) {
     ASSERT_TRUE(queue.pop(op));
-    EXPECT_EQ(op.event.t, static_cast<TimeUs>(i));
+    EXPECT_EQ(op.t, static_cast<TimeUs>(i));
   }
   EXPECT_FALSE(queue.pop(op));
   EXPECT_EQ(queue.stats().popped, kCapacity);
@@ -197,6 +197,22 @@ TEST(EventQueue, DrainToLossEmptiesAndKeepsTheLedger) {
   }
 }
 
+TEST(StreamOp, FeedRoundTripsItsEventInThreeWords) {
+  static_assert(sizeof(StreamOp) == 24);
+  events::Event e;
+  e.x = -7;
+  e.y = 31000;
+  e.polarity = Polarity::Off;
+  e.t = -123456789012;
+  const StreamOp op = StreamOp::feed(e);
+  EXPECT_EQ(op.kind, StreamOp::Kind::Feed);
+  EXPECT_EQ(op.event(), e);
+  EXPECT_EQ(op.enqueue_ns, 0);
+  const StreamOp adv = StreamOp::advance(42);
+  EXPECT_EQ(adv.kind, StreamOp::Kind::Advance);
+  EXPECT_EQ(adv.t, 42);
+}
+
 TEST(EventQueue, CarriesAdvanceMarksInOrder) {
   EventQueue queue(4, OverflowPolicy::DropNewest);
   queue.push(StreamOp::feed(event_at(5)));
@@ -205,6 +221,7 @@ TEST(EventQueue, CarriesAdvanceMarksInOrder) {
   StreamOp op;
   ASSERT_TRUE(queue.pop(op));
   EXPECT_EQ(op.kind, StreamOp::Kind::Feed);
+  EXPECT_EQ(op.event(), event_at(5));
   ASSERT_TRUE(queue.pop(op));
   EXPECT_EQ(op.kind, StreamOp::Kind::Advance);
   EXPECT_EQ(op.t, 100);

@@ -12,6 +12,11 @@
 //            frame close may allocate (bounded by the frame clock);
 //   * SNN  — per-event binning is allocation-free; net().step() at a
 //            timestep boundary may allocate (bounded by the step clock).
+// The serving plane is held to the same bar: with admission on, submit()
+// and a steady-state pump() round allocate nothing, and a managed slot
+// costs its queue plus a fixed slack, with a noise gate only under
+// admission. The over-aligned overloads are replaced too, so alignas(64)
+// storage (MpscRing cells) is counted like any other block.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,29 +25,54 @@
 #include <new>
 
 #include "cnn/cnn_pipeline.hpp"
+#include "fault/admission.hpp"
 #include "gnn/gnn_pipeline.hpp"
+#include "runtime/session_manager.hpp"
 #include "snn/snn_pipeline.hpp"
 
 namespace {
 std::atomic<std::int64_t> g_allocations{0};
-}  // namespace
+std::atomic<std::int64_t> g_bytes{0};
 
-void* operator new(std::size_t size) {
+void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(static_cast<std::int64_t>(size), std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  g_bytes.fetch_add(static_cast<std::int64_t>(size), std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = ((size ? size : 1) + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded)) return p;
   throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace evd::runtime {
 namespace {
@@ -61,6 +91,33 @@ std::int64_t allocations_during(Fn&& fn) {
   const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
   fn();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+template <typename Fn>
+std::int64_t bytes_during(Fn&& fn) {
+  const std::int64_t before = g_bytes.load(std::memory_order_relaxed);
+  fn();
+  return g_bytes.load(std::memory_order_relaxed) - before;
+}
+
+/// The light GNN tenant servebench's tenant_zipf serves by the thousand.
+gnn::GnnPipelineConfig tenant_config() {
+  gnn::GnnPipelineConfig config;
+  config.width = 16;
+  config.height = 16;
+  config.num_classes = 2;
+  config.model.hidden = 8;
+  config.model.layers = 2;
+  config.stream_stride = 1;
+  config.stream_max_nodes = 64;
+  config.decision_retain = 32;
+  return config;
+}
+
+fault::AdmissionConfig admission_on() {
+  fault::AdmissionConfig admission;
+  admission.enabled = true;
+  return admission;
 }
 
 TEST(ZeroAlloc, GnnFullPerEventPathIsAllocationFree) {
@@ -148,6 +205,81 @@ TEST(ZeroAlloc, SnnIntraStepFeedIsAllocationFree) {
     for (Index i = 0; i < 500; ++i) session->feed(event_at(i, t += 100));
   });
   EXPECT_EQ(allocs, 0) << "SNN event binning must not touch the heap";
+}
+
+TEST(ZeroAlloc, AdmissionSubmitAndSteadyStatePumpAreAllocationFree) {
+  gnn::GnnPipeline pipeline(tenant_config());
+  SessionManager manager;
+  ManagedSessionConfig config;
+  config.queue_capacity = 512;
+  // One slot gets its gate from set_admission, the other from add().
+  const SessionId before = manager.add(pipeline.open_session(16, 16), config);
+  manager.set_admission(admission_on());
+  const SessionId after = manager.add(pipeline.open_session(16, 16), config);
+
+  TimeUs t = 0;
+  Index i = 0;
+  const auto submit_round = [&] {
+    for (Index k = 0; k < 64; ++k, ++i) {
+      manager.submit(before, event_at(i, t += 100));
+      manager.submit(after, event_at(i * 3, t));
+    }
+  };
+  // Warm-up: cross a graph recycle and let every pool worker touch its
+  // obs shards once.
+  for (int round = 0; round < 4; ++round) {
+    submit_round();
+    manager.pump_all();
+  }
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_EQ(allocations_during(submit_round), 0)
+        << "submit() with admission on must not touch the heap";
+    Index ops = 0;
+    EXPECT_EQ(allocations_during([&] { ops = manager.pump(); }), 0)
+        << "a steady-state pump() round must not touch the heap";
+    EXPECT_EQ(ops, 128);  // both backlogs fit in one burst
+  }
+  const SessionManager::AggregateStats stats = manager.stats();
+  EXPECT_EQ(stats.totals.events_fed, 8 * 128);
+  EXPECT_EQ(stats.totals.events_dropped, 0);
+}
+
+TEST(ZeroAlloc, ManagedSlotIsItsQueueWithAGateOnlyUnderAdmission) {
+  gnn::GnnPipeline pipeline(tenant_config());
+  (void)pipeline.open_session(16, 16);  // first open freezes the model
+  constexpr Index kQueue = 512;
+  // The Slot itself and the id vector's growth; far below one gate.
+  constexpr std::int64_t kSlotSlack = 1024;
+  ManagedSessionConfig config;
+  config.queue_capacity = kQueue;
+  const auto bytes_per_add = [&](bool admission) {
+    SessionManager manager;
+    if (admission) manager.set_admission(admission_on());
+    manager.add(pipeline.open_session(16, 16), config);
+    auto session = pipeline.open_session(16, 16);
+    return bytes_during([&] { manager.add(std::move(session), config); });
+  };
+  const std::int64_t off = bytes_per_add(false);
+  const std::int64_t on = bytes_per_add(true);
+  const auto queue_bytes =
+      static_cast<std::int64_t>(kQueue * sizeof(StreamOp));
+  EXPECT_GE(off, queue_bytes);
+  EXPECT_LE(off, queue_bytes + kSlotSlack) << "no gate with admission off";
+  EXPECT_EQ(on - off, static_cast<std::int64_t>(sizeof(fault::NoiseGate)))
+      << "admission on adds exactly one gate per slot";
+
+  // Enabling on a live manager makes one gate per slot; a disable keeps
+  // them, so re-enabling makes none.
+  SessionManager manager;
+  manager.add(pipeline.open_session(16, 16), config);
+  manager.add(pipeline.open_session(16, 16), config);
+  EXPECT_EQ(bytes_during([&] { manager.set_admission(admission_on()); }),
+            static_cast<std::int64_t>(2 * sizeof(fault::NoiseGate)));
+  EXPECT_EQ(allocations_during([&] {
+              manager.set_admission(fault::AdmissionConfig{});
+              manager.set_admission(admission_on());
+            }),
+            0);
 }
 
 }  // namespace
