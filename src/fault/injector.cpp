@@ -7,13 +7,10 @@
 
 namespace evd::fault {
 
-namespace {
-std::atomic<bool> g_enabled{false};
-}  // namespace
+std::atomic<bool> detail::g_enabled{false};
 
-bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
+  detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
 const char* fault_kind_name(FaultKind kind) noexcept {

@@ -27,9 +27,16 @@
 
 namespace evd::fault {
 
-/// Process-wide kill switch, default off. Sites short-circuit to a single
-/// branch while disabled.
-bool enabled() noexcept;
+namespace detail {
+/// Backs enabled(); defined in injector.cpp.
+extern std::atomic<bool> g_enabled;
+}  // namespace detail
+
+/// Process-wide kill switch, default off. Inline, so a site on a disabled
+/// injector costs one relaxed load and a branch at the call site.
+inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
 void set_enabled(bool on) noexcept;
 
 /// The fault classes the runtime's sites know how to manifest.

@@ -82,6 +82,7 @@ SessionId SessionManager::add(std::unique_ptr<core::StreamSession> session,
   }
   capacity_total_ += config.queue_capacity;
   slots_.push_back(std::move(slot));
+  ready_.push_back(0);
   return id;
 }
 
@@ -120,15 +121,20 @@ double SessionManager::occupancy() const noexcept {
 }
 
 fault::DegradationLevel SessionManager::admission_level() const noexcept {
+  // Off, the ladder is Nominal whatever the occupancy: skip reading it.
+  if (!admission_.enabled) return fault::DegradationLevel::Nominal;
   return fault::degradation_level(admission_, occupancy());
 }
 
-bool SessionManager::push_op(Slot& s, const StreamOp& op) {
+bool SessionManager::push_op(SessionId id, Slot& s, const StreamOp& op) {
   // Occupancy tracks queue *size*, which push() may not grow (DropNewest
   // rejection, DropOldest eviction) — charge the delta, not the attempt.
   const Index before = s.queue.size();
   const bool ok = s.queue.push(op);
   queued_ops_.fetch_add(s.queue.size() - before, std::memory_order_relaxed);
+  // A refused push leaves a full queue, so the flag is set whenever ops
+  // wait, whatever the overflow policy did.
+  if (!s.queue.empty()) ready_[static_cast<size_t>(id)] = 1;
   return ok;
 }
 
@@ -188,13 +194,13 @@ bool SessionManager::admit(SessionId id, Slot& s, StreamOp op) {
   // Queue-pressure sites: a duplicate enqueues the op twice, a storm
   // enqueues a burst of copies ahead of it (overflow-policy stress).
   if (site_duplicate_.fire(id) == fault::FaultKind::DuplicateEvent) {
-    push_op(s, op);
+    push_op(id, s, op);
   }
   if (site_storm_.fire(id) == fault::FaultKind::OverflowStorm) {
     const Index extra = site_storm_.plan().storm_extra;
-    for (Index i = 0; i < extra; ++i) push_op(s, op);
+    for (Index i = 0; i < extra; ++i) push_op(id, s, op);
   }
-  return push_op(s, op);
+  return push_op(id, s, op);
 }
 
 bool SessionManager::submit(SessionId id, const events::Event& event) {
@@ -292,12 +298,13 @@ bool SessionManager::recover(SessionId id, Slot& s, const StreamOp& op) {
   }
 }
 
-void SessionManager::quarantine(Slot& s, const char* why) {
+void SessionManager::quarantine(SessionId id, Slot& s, const char* why) {
   s.state = SessionState::Faulted;
   s.fault_message = why;
   // The faulting op was already popped; its backlog follows it into loss
   // accounting so the queue ledger stays consistent.
   const Index backlog = s.queue.drain_to_loss();
+  ready_[static_cast<size_t>(id)] = 0;
   queued_ops_.fetch_sub(backlog, std::memory_order_relaxed);
   s.faults.quarantine_dropped += backlog + 1;
 }
@@ -336,13 +343,16 @@ Index SessionManager::pump_session(Index i, Index burst,
     } catch (const std::exception& e) {
       ++s.faults.faults;
       if (!recover(i, s, op)) {
-        quarantine(s, e.what());
+        quarantine(i, s, e.what());
         ++done;
         break;
       }
     }
     ++done;
   }
+  // Only this worker writes the flag while the round runs: a visit that
+  // leaves the queue empty takes the session out of the pump's scan.
+  if (s.queue.empty()) ready_[static_cast<size_t>(i)] = 0;
   return done;
 }
 
@@ -437,6 +447,7 @@ Index SessionManager::pump() {
         const sched::PlanRegion& region = plan.regions[static_cast<size_t>(r)];
         Index ops = 0;
         for (const Index s : region.sessions) {
+          if (ready_[static_cast<size_t>(s)] == 0) continue;
           ops += pump_session(s, burst, region.label.c_str());
         }
         return ops;
@@ -560,6 +571,7 @@ SessionManager::AggregateStats SessionManager::retire(SessionId id) {
   // caller (migration) is expected to have flushed, but an unflushed retire
   // must still conserve every op somewhere visible.
   const Index backlog = s.queue.drain_to_loss();
+  ready_[static_cast<size_t>(id)] = 0;
   queued_ops_.fetch_sub(backlog, std::memory_order_relaxed);
   const AggregateStats ledger = ledger_of(s);
   s.state = SessionState::Retired;

@@ -12,6 +12,17 @@
 //                  Each region returns the ops it popped and the caller
 //                  settles the occupancy ledger once per round: no worker
 //                  writes memory shared with another worker per op.
+//                  The round is event-driven: one ready byte per session,
+//                  set by submit when the queue holds ops and cleared by
+//                  the owning worker when a visit empties it (and by the
+//                  drains in quarantine and retire). A region skips every
+//                  session whose byte is clear without touching its slot,
+//                  so a round costs the sessions with work, not the
+//                  sessions open; the visit order of those with work is
+//                  the plan's. Each byte has one writer at a time — submit
+//                  and pump never overlap on one manager, and in a round
+//                  only the session's region worker writes it — so the
+//                  flags need no atomics.
 //
 // Determinism argument (the multiplexed-vs-sequential oracle in evd::check
 // enforces this bitwise):
@@ -148,6 +159,8 @@ class SessionManager {
   /// plan is one region in id order. Either way every session applies its
   /// own ops in FIFO order on a single worker per round, so the decision
   /// streams are bitwise identical (sched.plan_vs_sequential oracles).
+  /// Sessions with an empty queue are skipped on their ready flag, without
+  /// a visit. Must not run concurrently with submit() on this manager.
   /// Returns the total number of ops processed (0 == all queues empty).
   Index pump();
 
@@ -359,7 +372,8 @@ class SessionManager {
   /// Admission pipeline shared by submit/submit_advance. Returns false (and
   /// accounts the shed) when the op is refused before reaching the queue.
   bool admit(SessionId id, Slot& s, StreamOp op);
-  bool push_op(Slot& s, const StreamOp& op);
+  /// Enqueue, charge occupancy, and raise the session's ready flag.
+  bool push_op(SessionId id, Slot& s, const StreamOp& op);
 
   /// Apply one op to the session, running the injection site and the
   /// validation guard. Throws on any fault.
@@ -367,7 +381,7 @@ class SessionManager {
   /// Checkpoint-restore + replay + retry after apply_op threw. True when
   /// the session recovered and the faulting op was applied.
   bool recover(SessionId id, Slot& s, const StreamOp& op);
-  void quarantine(Slot& s, const char* why);
+  void quarantine(SessionId id, Slot& s, const char* why);
   /// Log `op` against the current checkpoint; take a new checkpoint when
   /// the cadence (or the replay-log bound) says so.
   void note_applied(Slot& s, const StreamOp& op);
@@ -396,6 +410,9 @@ class SessionManager {
   sched::Plan default_plan_;  ///< Cached default_plan() result.
   Index default_plan_workers_ = 0;  ///< Worker count default_plan_ deals.
   std::vector<std::unique_ptr<Slot>> slots_;
+  /// Per session: 1 exactly when its queue holds ops (outside a visit).
+  /// pump() reads it before the slot; the header comment says who writes.
+  std::vector<std::uint8_t> ready_;
   fault::AdmissionConfig admission_;
   // Online re-planning state (all touched only by the pumping thread).
   ReplanHook replan_hook_;

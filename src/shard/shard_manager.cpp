@@ -39,17 +39,13 @@ ShardManager::ShardManager(ShardManagerConfig config)
   }
 }
 
-ShardManager::Entry& ShardManager::entry(SessionId id) {
-  if (id < 0 || id >= static_cast<Index>(entries_.size())) {
+const ShardManager::Placement& ShardManager::placement(SessionId id) const {
+  if (id < 0 || id >= session_count()) {
     throw Error(ErrorCode::InvalidSessionId,
                 "ShardManager: session " + std::to_string(id) +
-                    " outside [0, " + std::to_string(entries_.size()) + ")");
+                    " outside [0, " + std::to_string(session_count()) + ")");
   }
-  return entries_[static_cast<size_t>(id)];
-}
-
-const ShardManager::Entry& ShardManager::entry(SessionId id) const {
-  return const_cast<ShardManager*>(this)->entry(id);
+  return placements_[static_cast<size_t>(id)];
 }
 
 ShardManager::ShardState& ShardManager::shard_at(Index s) {
@@ -76,26 +72,25 @@ ShardManager::SessionId ShardManager::add(
     throw Error(ErrorCode::InvalidArgument,
                 "ShardManager::add: factory produced no session");
   }
-  const auto id = static_cast<SessionId>(entries_.size());
-  Entry e;
-  e.key = static_cast<std::uint64_t>(id);
-  e.shard = shard_count() > 1 ? ring_.shard_of(e.key) : 0;
-  e.factory = std::move(factory);
-  e.config = config;
-  e.inner = shards_[static_cast<size_t>(e.shard)]->manager.add(
+  const SessionId id = session_count();
+  Placement p;
+  p.shard = shard_count() > 1 ? ring_.shard_of(static_cast<std::uint64_t>(id))
+                              : 0;
+  p.inner = shards_[static_cast<size_t>(p.shard)]->manager.add(
       std::move(session), config);
-  entries_.push_back(std::move(e));
+  placements_.push_back(p);
+  recipes_.push_back(Recipe{std::move(factory), config});
   return id;
 }
 
 bool ShardManager::submit_op(SessionId id, const runtime::StreamOp& op) {
-  const Entry& e = entry(id);
-  ShardState& st = *shards_[static_cast<size_t>(e.shard)];
+  const Placement p = placement(id);
+  ShardState& st = *shards_[static_cast<size_t>(p.shard)];
   if (!st.ring) {
     // shards == 1: the legacy direct path, admission and all.
     return op.kind == runtime::StreamOp::Kind::Feed
-               ? st.manager.submit(e.inner, op.event())
-               : st.manager.submit_advance(e.inner, op.t);
+               ? st.manager.submit(p.inner, op.event())
+               : st.manager.submit_advance(p.inner, op.t);
   }
   if (!st.ring->try_push(IngressOp{id, op})) {
     st.ops_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -119,14 +114,14 @@ Index ShardManager::drain_ring(Index s) {
   Index drained = 0;
   IngressOp in;
   while (st.ring->try_pop(in)) {
-    // Resolve the entry at drain time: after a migration a straggler op can
-    // sit on the old shard's ring, and it must follow its session rather
-    // than hit a retired slot. Forwarding re-enqueues (multi-producer push
-    // is safe from here); a full target ring accounts the loss like any
-    // other ring rejection.
-    const Entry& e = entries_[static_cast<size_t>(in.global)];
-    if (e.shard != s) {
-      ShardState& home = *shards_[static_cast<size_t>(e.shard)];
+    // Resolve the placement at drain time: after a migration a straggler
+    // op can sit on the old shard's ring, and it must follow its session
+    // rather than hit a retired slot. Forwarding re-enqueues (multi-producer
+    // push is safe from here); a full target ring accounts the loss like
+    // any other ring rejection.
+    const Placement p = placements_[static_cast<size_t>(in.global)];
+    if (p.shard != s) {
+      ShardState& home = *shards_[static_cast<size_t>(p.shard)];
       if (home.ring && !home.ring->try_push(in)) {
         home.ops_dropped.fetch_add(1, std::memory_order_relaxed);
       }
@@ -136,9 +131,9 @@ Index ShardManager::drain_ring(Index s) {
     // Inner submit runs admission / stamping exactly as the direct path
     // would; a refusal is already accounted in the inner manager's ledgers.
     if (in.op.kind == runtime::StreamOp::Kind::Feed) {
-      (void)st.manager.submit(e.inner, in.op.event());
+      (void)st.manager.submit(p.inner, in.op.event());
     } else {
-      (void)st.manager.submit_advance(e.inner, in.op.t);
+      (void)st.manager.submit_advance(p.inner, in.op.t);
     }
     ++drained;
   }
@@ -179,56 +174,56 @@ void ShardManager::flush_shard(Index s) {
 }
 
 void ShardManager::migrate(SessionId id, Index target_shard) {
-  Entry& e = entry(id);
+  const Placement from = placement(id);
   ShardState& dst = shard_at(target_shard);
-  if (target_shard == e.shard) return;
-  ShardState& src = *shards_[static_cast<size_t>(e.shard)];
-  if (src.manager.state(e.inner) == runtime::SessionState::Faulted) {
+  if (target_shard == from.shard) return;
+  ShardState& src = *shards_[static_cast<size_t>(from.shard)];
+  if (src.manager.state(from.inner) == runtime::SessionState::Faulted) {
     throw Error(ErrorCode::SessionFaulted,
                 "ShardManager::migrate: session " + std::to_string(id) +
-                    " is quarantined on shard " + std::to_string(e.shard) +
+                    " is quarantined on shard " + std::to_string(from.shard) +
                     "; quarantine is shard-local and does not migrate");
   }
   // Flush everything in flight, then re-check: the flush itself can fault
   // the session (that is the point of applying the backlog before moving).
-  flush_shard(e.shard);
-  if (src.manager.state(e.inner) == runtime::SessionState::Faulted) {
+  flush_shard(from.shard);
+  if (src.manager.state(from.inner) == runtime::SessionState::Faulted) {
     throw Error(ErrorCode::SessionFaulted,
                 "ShardManager::migrate: session " + std::to_string(id) +
                     " faulted while flushing for migration");
   }
   std::vector<std::uint8_t> bytes;
-  if (!src.manager.session(e.inner).save_state(bytes)) {
+  if (!src.manager.session(from.inner).save_state(bytes)) {
     throw Error(ErrorCode::CheckpointUnsupported,
                 "ShardManager::migrate: session " + std::to_string(id) +
                     " cannot serialize its state");
   }
-  std::unique_ptr<core::StreamSession> fresh = e.factory();
+  const Recipe& recipe = recipes_[static_cast<size_t>(id)];
+  std::unique_ptr<core::StreamSession> fresh = recipe.factory();
   if (!fresh) {
     throw Error(ErrorCode::InvalidArgument,
                 "ShardManager::migrate: factory produced no session");
   }
   fresh->load_state(bytes);
-  const TimeUs watermark = src.manager.last_feed_time(e.inner);
+  const TimeUs watermark = src.manager.last_feed_time(from.inner);
   // Add at the target *before* retiring the source: if the target refuses
   // (overload ladder at RejectAdmits) the session is still live where it
   // was and the migration simply failed.
   const runtime::SessionId new_inner =
-      dst.manager.add(std::move(fresh), e.config);
+      dst.manager.add(std::move(fresh), recipe.config);
   dst.manager.seed_feed_watermark(new_inner, watermark);
-  src.retired += src.manager.retire(e.inner);
-  e.shard = target_shard;
-  e.inner = new_inner;
+  src.retired += src.manager.retire(from.inner);
+  placements_[static_cast<size_t>(id)] = Placement{target_shard, new_inner};
   ++migrations_;
 }
 
 Index ShardManager::rebalance() {
   Index moved = 0;
   for (SessionId id = 0; id < session_count(); ++id) {
-    const Entry& e = entries_[static_cast<size_t>(id)];
-    const Index planned = ring_.shard_of(e.key);
-    if (planned == e.shard) continue;
-    if (shards_[static_cast<size_t>(e.shard)]->manager.state(e.inner) ==
+    const Placement p = placements_[static_cast<size_t>(id)];
+    const Index planned = ring_.shard_of(static_cast<std::uint64_t>(id));
+    if (planned == p.shard) continue;
+    if (shards_[static_cast<size_t>(p.shard)]->manager.state(p.inner) ==
         runtime::SessionState::Faulted) {
       continue;  // quarantine is shard-local; the tombstone stays put
     }

@@ -110,14 +110,15 @@ class ShardManager {
     return static_cast<Index>(shards_.size());
   }
   Index session_count() const noexcept {
-    return static_cast<Index>(entries_.size());
+    return static_cast<Index>(placements_.size());
   }
 
   /// Current shard of a session / where the hash ring says it belongs.
   /// They differ only between a topology change and the next rebalance().
-  Index shard_of(SessionId id) const { return entry(id).shard; }
+  Index shard_of(SessionId id) const { return placement(id).shard; }
   Index planned_shard_of(SessionId id) const {
-    return ring_.shard_of(entry(id).key);
+    (void)placement(id);  // bounds check
+    return ring_.shard_of(static_cast<std::uint64_t>(id));
   }
 
   /// The shard's inner manager (plans, admission, restore — all per-shard).
@@ -128,24 +129,24 @@ class ShardManager {
 
   // Session accessors, delegating to the owning shard.
   core::StreamSession& session(SessionId id) {
-    Entry& e = entry(id);
-    return shards_[static_cast<size_t>(e.shard)]->manager.session(e.inner);
+    const Placement p = placement(id);
+    return shards_[static_cast<size_t>(p.shard)]->manager.session(p.inner);
   }
   runtime::SessionState state(SessionId id) const {
-    const Entry& e = entry(id);
-    return shards_[static_cast<size_t>(e.shard)]->manager.state(e.inner);
+    const Placement p = placement(id);
+    return shards_[static_cast<size_t>(p.shard)]->manager.state(p.inner);
   }
   core::SessionStats stats(SessionId id) const {
-    const Entry& e = entry(id);
-    return shards_[static_cast<size_t>(e.shard)]->manager.stats(e.inner);
+    const Placement p = placement(id);
+    return shards_[static_cast<size_t>(p.shard)]->manager.stats(p.inner);
   }
   Index queued(SessionId id) const {
-    const Entry& e = entry(id);
-    return shards_[static_cast<size_t>(e.shard)]->manager.queued(e.inner);
+    const Placement p = placement(id);
+    return shards_[static_cast<size_t>(p.shard)]->manager.queued(p.inner);
   }
   Index drain(SessionId id, std::vector<core::Decision>& out) {
-    Entry& e = entry(id);
-    return shards_[static_cast<size_t>(e.shard)]->manager.drain(e.inner, out);
+    const Placement p = placement(id);
+    return shards_[static_cast<size_t>(p.shard)]->manager.drain(p.inner, out);
   }
 
   /// Move a session to `target_shard` through checkpoint/restore (see the
@@ -205,16 +206,22 @@ class ShardManager {
         : manager(burst, std::move(label)) {}
   };
 
-  struct Entry {
+  /// Where a session lives: the routing read by every submit, ring drain
+  /// and accessor. Kept apart from the Recipe so that routing walks a flat
+  /// 16-byte-per-session table.
+  struct Placement {
     Index shard = 0;
     runtime::SessionId inner = 0;
+  };
+  /// How to rebuild a session at a migration target: written by add(),
+  /// read only by migrate().
+  struct Recipe {
     SessionFactory factory;
     runtime::ManagedSessionConfig config;
-    std::uint64_t key = 0;  ///< Placement key (the global id).
   };
 
-  Entry& entry(SessionId id);
-  const Entry& entry(SessionId id) const;
+  /// The session's placement; throws Error(InvalidSessionId) on a bad id.
+  const Placement& placement(SessionId id) const;
   ShardState& shard_at(Index s);
   const ShardState& shard_at(Index s) const;
 
@@ -227,7 +234,9 @@ class ShardManager {
   ShardManagerConfig config_;
   HashRing ring_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  std::vector<Entry> entries_;
+  /// Indexed by global id, which is also the session's hash-ring key.
+  std::vector<Placement> placements_;
+  std::vector<Recipe> recipes_;
   std::int64_t migrations_ = 0;
 };
 

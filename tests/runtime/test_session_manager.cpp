@@ -657,5 +657,93 @@ TEST(SessionManager, FailedRestoreLeavesSessionFaultedAndUnchanged) {
   EXPECT_EQ(session.seen, seen);
 }
 
+// pump() skips a session whose ready flag is clear. A push onto a full
+// queue must leave the flag set, whichever op the overflow policy dropped.
+TEST(SessionManager, OverflowOnAFullQueueKeepsTheSessionPumped) {
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::DropOldest, OverflowPolicy::DropNewest}) {
+    SessionManager manager(/*burst=*/1);
+    ManagedSessionConfig config;
+    config.queue_capacity = 1;
+    config.overflow = policy;
+    auto owned = std::make_unique<RecordingSession>();
+    RecordingSession& session = *owned;
+    const SessionId id = manager.add(std::move(owned), config);
+    manager.submit(id, event_at(1));
+    EXPECT_EQ(manager.pump(), 1);  // the visit empties the queue
+    EXPECT_EQ(manager.pump(), 0);
+    EXPECT_TRUE(manager.submit(id, event_at(2)));
+    EXPECT_FALSE(manager.submit(id, event_at(3)));  // full: one op is lost
+    EXPECT_EQ(manager.queued(id), 1);
+    EXPECT_EQ(manager.pump(), 1);
+    ASSERT_EQ(session.seen.size(), 2u);
+    EXPECT_EQ(session.seen[1], policy == OverflowPolicy::DropOldest ? 3 : 2);
+    EXPECT_EQ(manager.pump(), 0);
+  }
+}
+
+// A fault mid-burst quarantines the session and drains its backlog: later
+// rounds serve only its neighbour. After restore() a submit puts it back
+// in the pump's scan.
+TEST(SessionManager, QuarantinedMidBurstIsPumpedAgainOnlyAfterRestore) {
+  fault::Injector::instance().reset();
+  SessionManager manager(/*burst=*/4);
+  ManagedSessionConfig config;
+  config.checkpoint_every = 64;  // the checkpoint add() takes is the only one
+  config.restore_on_fault = false;
+  auto owned = std::make_unique<RecordingSession>();
+  RecordingSession& session = *owned;
+  const SessionId id = manager.add(std::move(owned), config);
+  auto neighbour_owned = std::make_unique<RecordingSession>();
+  RecordingSession& neighbour = *neighbour_owned;
+  const SessionId other = manager.add(std::move(neighbour_owned));
+  for (TimeUs t = 0; t < 6; ++t) {
+    manager.submit(id, event_at(t));
+    manager.submit(other, event_at(t));
+  }
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::SessionThrow;
+  plan.target = id;
+  plan.after = 1;  // the second op of the first burst faults
+  {
+    fault::ScopedInjection injection("runtime.pump.op_fault", plan);
+    EXPECT_EQ(manager.pump(), 2 + 4);  // the faulting op is counted
+  }
+  ASSERT_EQ(manager.state(id), SessionState::Faulted);
+  EXPECT_EQ(manager.queued(id), 0);
+  EXPECT_EQ(manager.pump(), 2);  // the neighbour's last two ops
+  EXPECT_EQ(manager.pump(), 0);
+  EXPECT_EQ(session.seen, std::vector<TimeUs>{0});
+  EXPECT_EQ(neighbour.seen.size(), 6u);
+  EXPECT_FALSE(manager.submit(id, event_at(100)));  // refused while faulted
+  EXPECT_EQ(manager.pump(), 0);
+
+  ASSERT_TRUE(manager.restore(id));  // the initial checkpoint + op 0 replayed
+  EXPECT_TRUE(manager.submit(id, event_at(200)));
+  EXPECT_EQ(manager.pump(), 1);
+  EXPECT_EQ(session.seen, (std::vector<TimeUs>{0, 200}));
+  EXPECT_EQ(manager.occupancy(), 0.0);
+}
+
+// retire() drains the backlog to the loss ledger: nothing of the tombstone
+// is left to pump, and its neighbour is served as before.
+TEST(SessionManager, RetireWithABacklogLeavesNothingPumpable) {
+  SessionManager manager(/*burst=*/2);
+  const SessionId retired = manager.add(std::make_unique<RecordingSession>());
+  auto owned = std::make_unique<RecordingSession>();
+  RecordingSession& kept = *owned;
+  const SessionId other = manager.add(std::move(owned));
+  for (TimeUs t = 0; t < 5; ++t) manager.submit(retired, event_at(t));
+  manager.retire(retired);
+  EXPECT_EQ(manager.queued(retired), 0);
+  EXPECT_EQ(manager.pump(), 0);
+  EXPECT_FALSE(manager.submit(retired, event_at(9)));
+  EXPECT_EQ(manager.pump(), 0);
+  manager.submit(other, event_at(10));
+  EXPECT_EQ(manager.pump(), 1);
+  EXPECT_EQ(kept.seen, std::vector<TimeUs>{10});
+  EXPECT_EQ(manager.occupancy(), 0.0);
+}
+
 }  // namespace
 }  // namespace evd::runtime

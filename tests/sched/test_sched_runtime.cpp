@@ -128,21 +128,28 @@ void pump_all_nested(SessionManager& manager) {
   });
 }
 
-/// Queue events t * 10 + s (t < ops) on every session s.
-void submit_events(SessionManager& manager, Index ops) {
-  for (TimeUs t = 0; t < ops; ++t) {
+/// Queue events t * 10 + s (t < ops[s]) on every session s.
+void submit_events(SessionManager& manager, const std::vector<Index>& ops) {
+  const Index most = *std::max_element(ops.begin(), ops.end());
+  for (TimeUs t = 0; t < most; ++t) {
     for (Index s = 0; s < manager.session_count(); ++s) {
-      manager.submit(s, event_at(t * 10 + s));
+      if (t < ops[static_cast<size_t>(s)]) {
+        manager.submit(s, event_at(t * 10 + s));
+      }
     }
   }
+}
+void submit_events(SessionManager& manager, Index ops) {
+  const auto n = static_cast<size_t>(manager.session_count());
+  submit_events(manager, std::vector<Index>(n, ops));
 }
 
 /// What a VisitLog records when `plan` drains submit_events(ops): per
 /// region, rounds of session-by-session visits, each taking up to the
-/// plan's burst from its session's queue. Sorted like
-/// VisitLog::sequences().
+/// plan's burst from its session's queue. A region with no ops records
+/// nothing. Sorted like VisitLog::sequences().
 std::vector<std::vector<TimeUs>> region_visits(const sched::Plan& plan,
-                                               Index ops) {
+                                               const std::vector<Index>& ops) {
   std::vector<std::vector<TimeUs>> out;
   for (const sched::PlanRegion& region : plan.regions) {
     std::vector<Index> next(region.sessions.size(), 0);
@@ -150,16 +157,22 @@ std::vector<std::vector<TimeUs>> region_visits(const sched::Plan& plan,
     for (bool served = true; served;) {
       served = false;
       for (size_t i = 0; i < region.sessions.size(); ++i) {
-        for (Index b = 0; b < plan.burst && next[i] < ops; ++b, ++next[i]) {
+        const Index queued = ops[static_cast<size_t>(region.sessions[i])];
+        for (Index b = 0; b < plan.burst && next[i] < queued; ++b, ++next[i]) {
           order.push_back(next[i] * 10 + region.sessions[i]);
           served = true;
         }
       }
     }
-    out.push_back(std::move(order));
+    if (!order.empty()) out.push_back(std::move(order));
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+std::vector<std::vector<TimeUs>> region_visits(const sched::Plan& plan,
+                                               Index ops) {
+  return region_visits(
+      plan, std::vector<Index>(static_cast<size_t>(plan.session_count), ops));
 }
 
 /// A deliberately twisted plan for `n` sessions: one region visiting them
@@ -326,6 +339,65 @@ TEST(SchedRuntime, StalePlanFallsBackToRoundRobinOrder) {
   // has_plan()/plan() keep reporting the installed plan, stale or not.
   ASSERT_TRUE(manager.has_plan());
   EXPECT_TRUE(manager.plan() == installed);
+}
+
+// add() makes the installed plan stale and the round falls back to the
+// default plan. The new session is in that plan's scan like any other, so
+// its queued ops are pumped, on the pool and from a shard worker alike.
+TEST(SchedRuntime, SessionAddedUnderAStalePlanIsPumped) {
+  ScopedThreads threads(3);
+  SessionManager manager(/*burst=*/2);
+  std::vector<RecordingSession*> raw;
+  for (Index s = 0; s < 3; ++s) {
+    auto session = std::make_unique<RecordingSession>();
+    raw.push_back(session.get());
+    manager.add(std::move(session));
+  }
+  manager.set_plan(reversed_plan(3));
+  auto late = std::make_unique<RecordingSession>();
+  RecordingSession& added = *late;
+  const SessionId id = manager.add(std::move(late));
+  for (TimeUs t = 0; t < 5; ++t) manager.submit(id, event_at(t * 10 + id));
+  EXPECT_EQ(manager.queued(id), 5);
+  manager.pump_all();
+  EXPECT_EQ(manager.queued(id), 0);
+  EXPECT_EQ(added.seen, (std::vector<TimeUs>{3, 13, 23, 33, 43}));
+  for (TimeUs t = 5; t < 8; ++t) manager.submit(id, event_at(t * 10 + id));
+  pump_all_nested(manager);
+  EXPECT_EQ(added.seen.size(), 8u);
+  for (const RecordingSession* session : raw) {
+    EXPECT_TRUE(session->seen.empty());
+  }
+}
+
+// The ready flags skip idle sessions and never reorder busy ones: under a
+// plan whose visit order is neither id nor round-robin order, the sessions
+// with work are served exactly as the plan visits them, round by round.
+TEST(SchedRuntime, IdleSessionsLeaveThePlannedVisitOrderUnchanged) {
+  ScopedThreads threads(2);
+  SessionManager manager(/*burst=*/2);
+  VisitLog visits;
+  for (Index s = 0; s < 6; ++s) {
+    manager.add(std::make_unique<RecordingSession>(&visits));
+  }
+  sched::Plan plan;
+  plan.session_count = 6;
+  plan.burst = 2;
+  plan.regions.resize(2);
+  plan.regions[0].sessions = {4, 1, 5};
+  plan.regions[1].sessions = {3, 0, 2};
+  plan.refresh_labels();
+  manager.set_plan(plan);
+  const std::vector<Index> ops = {3, 5, 0, 4, 1, 0};  // 2 and 5 stay idle
+  submit_events(manager, ops);
+  manager.pump_all();
+  EXPECT_EQ(visits.sequences(), region_visits(plan, ops));
+  // Sessions idle so far take their plan position once work arrives.
+  visits.clear();
+  const std::vector<Index> later = {0, 2, 3, 0, 0, 4};
+  submit_events(manager, later);
+  manager.pump_all();
+  EXPECT_EQ(visits.sequences(), region_visits(plan, later));
 }
 
 TEST(SchedRuntime, DefaultPlanFollowsThePoolSize) {

@@ -114,6 +114,44 @@ TEST(ShardMigration, PreservesStateAndDecisionStreamAcrossTheMove) {
   EXPECT_EQ(sharded.stats(id).events_fed, reference.stats(ref).events_fed);
 }
 
+// After a migration every op reaches the session on its new shard. An op
+// submitted between the source flush and the placement switch (here by the
+// factory that rebuilds the session) is a straggler on the old shard's
+// ring: the next drain there forwards it, and the new shard pumps it.
+TEST(ShardMigration, OpsFollowTheSessionIncludingAStragglerOnTheOldRing) {
+  ShardManager sharded = two_shards();
+  ShardManager::SessionId id = 0;
+  bool straggle = false;
+  id = sharded.add([&] {
+    if (straggle) {
+      straggle = false;
+      EXPECT_TRUE(sharded.submit(id, event_at(500)));
+    }
+    return std::make_unique<RecordingSession>();
+  });
+  for (TimeUs t = 0; t < 4; ++t) sharded.submit(id, event_at(t * 10));
+  sharded.pump();
+
+  const Index to = 1 - sharded.shard_of(id);
+  straggle = true;
+  sharded.migrate(id, to);
+  ASSERT_FALSE(straggle);
+  EXPECT_EQ(sharded.shard_of(id), to);
+  EXPECT_EQ(sharded.queued(id), 0);  // the straggler is still on a ring
+  sharded.pump_all();
+  const auto& session =
+      static_cast<const RecordingSession&>(sharded.session(id));
+  EXPECT_EQ(session.seen, (std::vector<TimeUs>{0, 10, 20, 30, 500}));
+  EXPECT_TRUE(sharded.submit(id, event_at(600)));
+  sharded.pump_all();
+  EXPECT_EQ(session.seen.back(), 600);
+  EXPECT_EQ(sharded.shard(to).stats().totals.events_fed, 6);
+  const ShardManager::Stats stats = sharded.stats();
+  EXPECT_EQ(stats.ingress_ops, 6);
+  EXPECT_EQ(stats.ingress_dropped, 0);
+  EXPECT_EQ(stats.totals.events_fed, 6);
+}
+
 TEST(ShardMigration, MigrationKeepsTheMonotoneGuardWatermark) {
   ShardManager sharded = two_shards();
   runtime::ManagedSessionConfig cfg;

@@ -328,6 +328,45 @@ TEST(ShardManager, InvalidIdsAndShardsAreTypedErrors) {
   }
 }
 
+// Routing reads the placement table, which still bounds-checks every id: a
+// bad id is a typed InvalidSessionId on every routed call, on the
+// single-shard facade and with rings alike.
+TEST(ShardManager, RoutedCallsRejectOutOfRangeIds) {
+  for (const Index shards : {Index{1}, Index{2}}) {
+    ShardManagerConfig cfg;
+    cfg.shards = shards;
+    ShardManager manager(cfg);
+    const auto id = manager.add(recording_factory());
+    const auto expect_invalid = [](const auto& call) {
+      try {
+        call();
+        FAIL() << "expected InvalidSessionId";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidSessionId);
+      }
+    };
+    for (const ShardManager::SessionId bad :
+         {ShardManager::SessionId{-1}, id + 1,
+          ShardManager::SessionId{1} << 40}) {
+      std::vector<core::Decision> out;
+      expect_invalid([&] { manager.submit(bad, event_at(1)); });
+      expect_invalid([&] { manager.submit_advance(bad, 1); });
+      expect_invalid([&] { (void)manager.queued(bad); });
+      expect_invalid([&] { manager.drain(bad, out); });
+      expect_invalid([&] { (void)manager.session(bad); });
+      expect_invalid([&] { (void)manager.state(bad); });
+      expect_invalid([&] { (void)manager.stats(bad); });
+      expect_invalid([&] { (void)manager.shard_of(bad); });
+      expect_invalid([&] { (void)manager.planned_shard_of(bad); });
+      expect_invalid([&] { manager.migrate(bad, 0); });
+    }
+    EXPECT_EQ(manager.stats().ingress_ops, 0);
+    EXPECT_TRUE(manager.submit(id, event_at(1)));
+    manager.pump_all();
+    EXPECT_EQ(manager.stats(id).events_fed, 1);
+  }
+}
+
 // Producers on their own threads, the pump loop on this one, concurrently —
 // the exact topology the MPSC ring exists for. Sanitizer CI (TSAN,
 // ASan+UBSan) runs this suite; the assertion here is conservation: with
