@@ -158,7 +158,13 @@ class CnnStreamSession : public runtime::SessionBase {
         last_off_(static_cast<size_t>(width * height)),
         frame_end_(pipeline.config().frame_period_us),
         frame_({representation_channels(pipeline.config().frame.repr), height,
-                width}) {}
+                width}) {
+    // Every buffer a frame close touches is sized here, from the layer
+    // shapes (no forward runs at open), so closing a frame allocates
+    // nothing.
+    pipeline.model().size_activations(frame_.shape(), acts_, logits_);
+    probs_ = nn::Tensor(logits_.shape());
+  }
 
  private:
   void on_event(const events::Event& event) override {
@@ -227,8 +233,6 @@ class CnnStreamSession : public runtime::SessionBase {
     // A frame with no events still gets classified by a frame-based system
     // (it cannot know the frame is empty before building it); we skip the
     // network call but still mark the decision slot for latency accounting.
-    // The dense forward itself allocates, which is fine: frame closes are
-    // bounded by the frame period, not the event rate.
     core::Decision decision;
     decision.t = frame_end_;
     if (window_count_ > 0) {
@@ -247,10 +251,11 @@ class CnnStreamSession : public runtime::SessionBase {
       // its Conv2dConfig is never mutated; layers whose config pins an
       // algo explicitly ignore the override.
       const nn::ScopedConvAlgo algo_scope(conv_algo_for_path());
-      const nn::Tensor logits = pipeline_.model().forward(frame_, false);
-      const nn::Tensor probs = nn::softmax(logits);
-      decision.label = static_cast<int>(probs.argmax());
-      decision.confidence = probs[probs.argmax()];
+      pipeline_.model().forward_into(frame_, logits_, acts_);
+      nn::softmax_into(logits_, probs_);
+      const Index best = probs_.argmax();
+      decision.label = static_cast<int>(best);
+      decision.confidence = probs_[best];
     }
     emit(decision);
     window_count_ = 0;
@@ -277,6 +282,8 @@ class CnnStreamSession : public runtime::SessionBase {
   TimeUs frame_start_ = 0;
   TimeUs frame_end_;
   nn::Tensor frame_;  ///< Reused dense frame, rebuilt in place per close.
+  nn::Sequential::Activations acts_;  ///< Forward ping-pong, sized at open.
+  nn::Tensor logits_, probs_;
 };
 
 }  // namespace

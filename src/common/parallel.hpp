@@ -106,6 +106,12 @@ void parallel_for(Index begin, Index end, Index grain, Fn&& fn) {
   if (end <= begin) return;
   if (grain < 1) grain = 1;
   const Index nchunks = chunk_count(begin, end, grain);
+  if (nchunks == 1) {
+    // A single chunk runs on the caller and throws directly; it skips the
+    // dispatch, which costs as much as a small loop body.
+    fn(begin, end);
+    return;
+  }
   // Only a throwing chunk touches these: it keeps its exception when its
   // index is the lowest seen so far.
   std::mutex error_mutex;
@@ -114,17 +120,13 @@ void parallel_for(Index begin, Index end, Index grain, Fn&& fn) {
   auto chunk = [&](Index c) {
     const Index b = begin + c * grain;
     const Index e = b + grain < end ? b + grain : end;
-    if (nchunks == 1) {
-      fn(b, e);  // single chunk: runs on the caller, throws directly
-    } else {
-      try {
-        fn(b, e);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (c < error_chunk) {
-          error_chunk = c;
-          error = std::current_exception();
-        }
+    try {
+      fn(b, e);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (c < error_chunk) {
+        error_chunk = c;
+        error = std::current_exception();
       }
     }
   };

@@ -1,5 +1,6 @@
 #include "nn/activations.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,19 +8,38 @@
 
 namespace evd::nn {
 
+void ReLU::forward_into(const Tensor& input, Tensor& output) const {
+  output.ensure_shape(input.shape());
+  const float* in = input.data();
+  float* out = output.data();
+  const Index n = input.numel();
+  // A select, not a branch: `v > 0 ? v : 0` sends NaN and -0 to +0 exactly
+  // as a masked copy does, and compiles to a compare-and-blend with no
+  // data-dependent jump to mispredict on dense frames.
+  for (Index i = 0; i < n; ++i) {
+    const float v = in[i];
+    out[i] = v > 0.0f ? v : 0.0f;
+  }
+  count_compare(n);
+  count_act_read(n * 4);
+  count_act_write(n * 4);
+}
+
+std::vector<Index> ReLU::output_shape(
+    const std::vector<Index>& input_shape) const {
+  return input_shape;
+}
+
 Tensor ReLU::forward(const Tensor& input, bool train) {
-  Tensor output = input;
-  if (train) mask_ = Tensor(input.shape());
-  for (Index i = 0; i < output.numel(); ++i) {
-    if (output[i] > 0.0f) {
-      if (train) mask_[i] = 1.0f;
-    } else {
-      output[i] = 0.0f;
+  Tensor output;
+  forward_into(input, output);
+  if (train) {
+    // output > 0 exactly where input > 0, so the mask reads the output.
+    mask_ = Tensor(output.shape());
+    for (Index i = 0; i < output.numel(); ++i) {
+      mask_[i] = output[i] > 0.0f ? 1.0f : 0.0f;
     }
   }
-  count_compare(output.numel());
-  count_act_read(input.numel() * 4);
-  count_act_write(output.numel() * 4);
   return output;
 }
 
@@ -32,13 +52,24 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
+void LeakyReLU::forward_into(const Tensor& input, Tensor& output) const {
+  output.ensure_shape(input.shape());
+  for (Index i = 0; i < input.numel(); ++i) {
+    const float v = input[i];
+    output[i] = v < 0.0f ? v * slope_ : v;
+  }
+  count_compare(input.numel());
+}
+
+std::vector<Index> LeakyReLU::output_shape(
+    const std::vector<Index>& input_shape) const {
+  return input_shape;
+}
+
 Tensor LeakyReLU::forward(const Tensor& input, bool train) {
   if (train) cached_input_ = input;
-  Tensor output = input;
-  for (Index i = 0; i < output.numel(); ++i) {
-    if (output[i] < 0.0f) output[i] *= slope_;
-  }
-  count_compare(output.numel());
+  Tensor output;
+  forward_into(input, output);
   return output;
 }
 
@@ -53,13 +84,23 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor Sigmoid::forward(const Tensor& input, bool train) {
-  Tensor output = input;
-  for (Index i = 0; i < output.numel(); ++i) {
-    output[i] = 1.0f / (1.0f + std::exp(-output[i]));
+void Sigmoid::forward_into(const Tensor& input, Tensor& output) const {
+  output.ensure_shape(input.shape());
+  for (Index i = 0; i < input.numel(); ++i) {
+    output[i] = 1.0f / (1.0f + std::exp(-input[i]));
   }
+  count_mult(input.numel() * 4);  // exp approximated as ~4 mults
+}
+
+std::vector<Index> Sigmoid::output_shape(
+    const std::vector<Index>& input_shape) const {
+  return input_shape;
+}
+
+Tensor Sigmoid::forward(const Tensor& input, bool train) {
+  Tensor output;
+  forward_into(input, output);
   if (train) cached_output_ = output;
-  count_mult(output.numel() * 4);  // exp approximated as ~4 mults
   return output;
 }
 
@@ -75,11 +116,21 @@ Tensor Sigmoid::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
+void Tanh::forward_into(const Tensor& input, Tensor& output) const {
+  output.ensure_shape(input.shape());
+  for (Index i = 0; i < input.numel(); ++i) output[i] = std::tanh(input[i]);
+  count_mult(input.numel() * 4);
+}
+
+std::vector<Index> Tanh::output_shape(
+    const std::vector<Index>& input_shape) const {
+  return input_shape;
+}
+
 Tensor Tanh::forward(const Tensor& input, bool train) {
-  Tensor output = input;
-  for (Index i = 0; i < output.numel(); ++i) output[i] = std::tanh(output[i]);
+  Tensor output;
+  forward_into(input, output);
   if (train) cached_output_ = output;
-  count_mult(output.numel() * 4);
   return output;
 }
 
@@ -95,10 +146,22 @@ Tensor Tanh::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
+void Flatten::forward_into(const Tensor& input, Tensor& output) const {
+  output.ensure_shape({input.numel()});
+  std::copy(input.data(), input.data() + input.numel(), output.data());
+}
+
+std::vector<Index> Flatten::output_shape(
+    const std::vector<Index>& input_shape) const {
+  Index n = 1;
+  for (const Index d : input_shape) n *= d;
+  return {n};
+}
+
 Tensor Flatten::forward(const Tensor& input, bool train) {
   if (train) in_shape_ = input.shape();
-  Tensor output = input;
-  output.reshape({input.numel()});
+  Tensor output;
+  forward_into(input, output);
   return output;
 }
 

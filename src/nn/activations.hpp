@@ -10,17 +10,23 @@ namespace evd::nn {
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
+  void forward_into(const Tensor& input, Tensor& output) const override;
+  std::vector<Index> output_shape(
+      const std::vector<Index>& input_shape) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;  ///< 1 where input > 0.
+  Tensor mask_;  ///< 1 where input > 0 (equivalently, output > 0).
 };
 
 class LeakyReLU : public Layer {
  public:
   explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
   Tensor forward(const Tensor& input, bool train) override;
+  void forward_into(const Tensor& input, Tensor& output) const override;
+  std::vector<Index> output_shape(
+      const std::vector<Index>& input_shape) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "LeakyReLU"; }
 
@@ -32,6 +38,9 @@ class LeakyReLU : public Layer {
 class Sigmoid : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
+  void forward_into(const Tensor& input, Tensor& output) const override;
+  std::vector<Index> output_shape(
+      const std::vector<Index>& input_shape) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Sigmoid"; }
 
@@ -42,6 +51,9 @@ class Sigmoid : public Layer {
 class Tanh : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
+  void forward_into(const Tensor& input, Tensor& output) const override;
+  std::vector<Index> output_shape(
+      const std::vector<Index>& input_shape) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Tanh"; }
 
@@ -53,6 +65,9 @@ class Tanh : public Layer {
 class Flatten : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
+  void forward_into(const Tensor& input, Tensor& output) const override;
+  std::vector<Index> output_shape(
+      const std::vector<Index>& input_shape) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Flatten"; }
 

@@ -13,10 +13,25 @@ namespace evd::nn {
 namespace {
 
 thread_local ConvAlgo t_conv_algo = ConvAlgo::Auto;
+thread_local ConvScratch t_conv_scratch;
+
+/// Output positions [lo, hi) along one axis whose tap at kernel offset `k`
+/// reads inside the input: 0 <= o * stride - padding + k < in. Outside
+/// that run the tap reads zero padding.
+std::pair<Index, Index> valid_outputs(Index in, Index out, Index k,
+                                      Index stride, Index padding) {
+  const Index first = padding - k;    // smallest valid o * stride
+  const Index last = in - 1 + first;  // largest valid o * stride
+  const Index hi = last < 0 ? 0 : std::min(out, last / stride + 1);
+  const Index lo = first <= 0 ? 0 : (first + stride - 1) / stride;
+  return {std::min(lo, hi), hi};
+}
 
 }  // namespace
 
 ConvAlgo thread_conv_algo() noexcept { return t_conv_algo; }
+
+ConvScratch& thread_conv_scratch() noexcept { return t_conv_scratch; }
 
 ScopedConvAlgo::ScopedConvAlgo(ConvAlgo algo) noexcept
     : previous_(t_conv_algo) {
@@ -47,19 +62,28 @@ bool Conv2d::use_gemm(Index oh, Index ow) const noexcept {
   return patch * oh * ow >= 4096;
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool train) {
-  if (input.rank() != 3 || input.dim(0) != config_.in_channels) {
+std::vector<Index> Conv2d::output_shape(
+    const std::vector<Index>& input_shape) const {
+  const auto [oh, ow] = out_extent(input_shape);
+  return {config_.out_channels, oh, ow};
+}
+
+std::pair<Index, Index> Conv2d::out_extent(
+    const std::vector<Index>& input_shape) const {
+  if (input_shape.size() != 3 || input_shape[0] != config_.in_channels) {
     throw std::invalid_argument("Conv2d::forward: expected [C,H,W] input with C=" +
                                 std::to_string(config_.in_channels));
   }
-  const Index ih = input.dim(1);
-  const Index iw = input.dim(2);
-  const Index oh = out_size(ih);
-  const Index ow = out_size(iw);
+  const Index oh = out_size(input_shape[1]);
+  const Index ow = out_size(input_shape[2]);
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("Conv2d::forward: input smaller than kernel");
   }
-  if (train) cached_input_ = input;
+  return {oh, ow};
+}
+
+void Conv2d::forward_into(const Tensor& input, Tensor& output) const {
+  const auto [oh, ow] = out_extent(input.shape());
 
   // Kernel selection: an explicit config wins; a config of Auto defers to
   // the thread-local routing override (evd::route installs one around a
@@ -78,14 +102,27 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   if (algo == ConvAlgo::Auto) {
     algo = use_gemm(oh, ow) ? ConvAlgo::Gemm : ConvAlgo::Direct;
   }
-  Tensor output = algo == ConvAlgo::Gemm     ? forward_gemm(input, oh, ow)
-                  : algo == ConvAlgo::Sparse ? forward_sparse(input, oh, ow)
-                                             : forward_direct(input, oh, ow);
+  output.ensure_shape({config_.out_channels, oh, ow});
+  if (algo == ConvAlgo::Gemm) {
+    forward_gemm(input, output);
+  } else if (algo == ConvAlgo::Sparse) {
+    forward_sparse(input, output);
+  } else {
+    forward_direct(input, output);
+  }
   if (active_counter() != nullptr) count_forward(input, oh, ow);
+}
+
+Tensor Conv2d::forward(const Tensor& input, bool train) {
+  Tensor output;
+  forward_into(input, output);
+  if (train) cached_input_ = input;
   return output;
 }
 
-Tensor Conv2d::forward_direct(const Tensor& input, Index oh, Index ow) const {
+void Conv2d::forward_direct(const Tensor& input, Tensor& output) const {
+  const Index oh = output.dim(1);
+  const Index ow = output.dim(2);
   const Index ih = input.dim(1);
   const Index iw = input.dim(2);
   const Index k = config_.kernel;
@@ -93,7 +130,6 @@ Tensor Conv2d::forward_direct(const Tensor& input, Index oh, Index ow) const {
   const Index stride = config_.stride;
   const Index padding = config_.padding;
 
-  Tensor output({config_.out_channels, oh, ow});
   const float* in = input.data();
   const float* wts = weight_.value.data();
   float* out = output.data();
@@ -131,10 +167,9 @@ Tensor Conv2d::forward_direct(const Tensor& input, Index oh, Index ow) const {
       }
     }
   });
-  return output;
 }
 
-Tensor Conv2d::forward_sparse(const Tensor& input, Index oh, Index ow) const {
+void Conv2d::forward_sparse(const Tensor& input, Tensor& output) const {
   // The direct loop nest with a zero-skip gate on the activation operand —
   // the software mirror of the zero-skip accelerator the hw models price.
   // Bitwise contract: skipping `acc += w * 0.0f` leaves acc unchanged for
@@ -144,6 +179,8 @@ Tensor Conv2d::forward_sparse(const Tensor& input, Index oh, Index ow) const {
   // direct path's (ic, ky, kx) ascending order, so the partial sums visit
   // the same values in the same order. The route.cnn_sparse_vs_dense oracle
   // holds the equality at ULP 0 on generated event frames.
+  const Index oh = output.dim(1);
+  const Index ow = output.dim(2);
   const Index ih = input.dim(1);
   const Index iw = input.dim(2);
   const Index k = config_.kernel;
@@ -151,7 +188,6 @@ Tensor Conv2d::forward_sparse(const Tensor& input, Index oh, Index ow) const {
   const Index stride = config_.stride;
   const Index padding = config_.padding;
 
-  Tensor output({config_.out_channels, oh, ow});
   const float* in = input.data();
   const float* wts = weight_.value.data();
   float* out = output.data();
@@ -161,28 +197,32 @@ Tensor Conv2d::forward_sparse(const Tensor& input, Index oh, Index ow) const {
   // receptive field in O(1). On an event frame most receptive fields are
   // entirely dead, and a dead window short-circuits straight to the bias —
   // bitwise what the tap loop computes when every tap is skipped. Built
-  // once (input-only), shared read-only by the channel workers.
-  std::vector<std::int32_t> live(
-      static_cast<size_t>((ih + 1) * (iw + 1)), 0);
+  // once (input-only) into the calling thread's scratch, shared read-only
+  // by the channel workers.
+  std::vector<std::int32_t>& live_buf = thread_conv_scratch().live;
+  const Index row_len = iw + 1;
+  if (live_buf.size() < static_cast<size_t>((ih + 1) * row_len)) {
+    live_buf.resize(static_cast<size_t>((ih + 1) * row_len));
+  }
+  std::int32_t* live = live_buf.data();
+  std::fill(live, live + row_len, 0);
   for (Index y = 0; y < ih; ++y) {
     std::int32_t row = 0;
+    live[(y + 1) * row_len] = 0;
     for (Index x = 0; x < iw; ++x) {
       bool any = false;
       for (Index ic = 0; ic < ic_count && !any; ++ic) {
         any = in[(ic * ih + y) * iw + x] != 0.0f;
       }
       row += any ? 1 : 0;
-      live[static_cast<size_t>((y + 1) * (iw + 1) + (x + 1))] =
-          live[static_cast<size_t>(y * (iw + 1) + (x + 1))] + row;
+      live[(y + 1) * row_len + (x + 1)] = live[y * row_len + (x + 1)] + row;
     }
   }
   // Live pixels in the half-open, pre-clamped window [y0,y1) x [x0,x1).
-  const auto window_live = [&live, iw](Index y0, Index y1, Index x0,
-                                       Index x1) {
-    const auto at = [&live, iw](Index y, Index x) {
-      return live[static_cast<size_t>(y * (iw + 1) + x)];
-    };
-    return at(y1, x1) - at(y0, x1) - at(y1, x0) + at(y0, x0);
+  const auto window_live = [live, row_len](Index y0, Index y1, Index x0,
+                                            Index x1) {
+    return live[y1 * row_len + x1] - live[y0 * row_len + x1] -
+           live[y1 * row_len + x0] + live[y0 * row_len + x0];
   };
 
   par::parallel_for(0, config_.out_channels, 1, [&](Index oc_begin,
@@ -222,10 +262,11 @@ Tensor Conv2d::forward_sparse(const Tensor& input, Index oh, Index ow) const {
       }
     }
   });
-  return output;
 }
 
-Tensor Conv2d::forward_gemm(const Tensor& input, Index oh, Index ow) const {
+void Conv2d::forward_gemm(const Tensor& input, Tensor& output) const {
+  const Index oh = output.dim(1);
+  const Index ow = output.dim(2);
   const Index ih = input.dim(1);
   const Index iw = input.dim(2);
   const Index k = config_.kernel;
@@ -236,8 +277,17 @@ Tensor Conv2d::forward_gemm(const Tensor& input, Index oh, Index ow) const {
 
   // im2col: col[r][p] is input tap (ic, ky, kx) = unflatten(r) at output
   // pixel p, zero for padding taps. Row order matches the direct loop's
-  // (ic, ky, kx) accumulation order exactly.
-  std::vector<float> col(static_cast<size_t>(rows * cols));
+  // (ic, ky, kx) accumulation order exactly. The matrix is the calling
+  // thread's scratch, bound here — before the parallel region — so the
+  // pool workers fill disjoint rows of this buffer. Every element of the
+  // used [rows, cols] block is written: each patch row is, per output row,
+  // a run of zeros, a run of input taps, and a run of zeros, so no tap
+  // tests its bounds.
+  std::vector<float>& col_buf = thread_conv_scratch().patch;
+  if (col_buf.size() < static_cast<size_t>(rows * cols)) {
+    col_buf.resize(static_cast<size_t>(rows * cols));
+  }
+  float* col = col_buf.data();
   const float* in = input.data();
   par::parallel_for(0, rows, 1, [&](Index r_begin, Index r_end) {
     for (Index r = r_begin; r < r_end; ++r) {
@@ -245,21 +295,26 @@ Tensor Conv2d::forward_gemm(const Tensor& input, Index oh, Index ow) const {
       const Index ky = (r / k) % k;
       const Index kx = r % k;
       const float* in_ic = in + ic * ih * iw;
-      float* dst = col.data() + r * cols;
-      Index p = 0;
-      for (Index oy = 0; oy < oh; ++oy) {
-        const Index y = oy * stride - padding + ky;
-        if (y < 0 || y >= ih) {
-          std::fill(dst + p, dst + p + ow, 0.0f);
-          p += ow;
-          continue;
+      float* dst = col + r * cols;
+      const auto [y_lo, y_hi] = valid_outputs(ih, oh, ky, stride, padding);
+      const auto [x_lo, x_hi] = valid_outputs(iw, ow, kx, stride, padding);
+      std::fill(dst, dst + y_lo * ow, 0.0f);
+      for (Index oy = y_lo; oy < y_hi; ++oy) {
+        float* d = dst + oy * ow;
+        std::fill(d, d + x_lo, 0.0f);
+        if (x_lo < x_hi) {
+          const float* src =
+              in_ic + (oy * stride - padding + ky) * iw +
+              (x_lo * stride - padding + kx);
+          if (stride == 1) {
+            std::copy(src, src + (x_hi - x_lo), d + x_lo);
+          } else {
+            for (Index ox = x_lo; ox < x_hi; ++ox, src += stride) d[ox] = *src;
+          }
         }
-        const float* in_row = in_ic + y * iw;
-        for (Index ox = 0; ox < ow; ++ox, ++p) {
-          const Index x = ox * stride - padding + kx;
-          dst[p] = (x >= 0 && x < iw) ? in_row[x] : 0.0f;
-        }
+        std::fill(d + x_hi, d + ow, 0.0f);
       }
+      std::fill(dst + y_hi * ow, dst + cols, 0.0f);
     }
   });
 
@@ -275,7 +330,6 @@ Tensor Conv2d::forward_gemm(const Tensor& input, Index oh, Index ow) const {
   // chunk a full register tile of output channels; block and chunk
   // boundaries stay a pure function of the shape, preserving the
   // thread-count determinism contract.
-  Tensor output({config_.out_channels, oh, ow});
   const float* wts = weight_.value.data();
   float* out = output.data();
   constexpr Index kColBlockBytes = 1 << 20;
@@ -286,11 +340,10 @@ Tensor Conv2d::forward_gemm(const Tensor& input, Index oh, Index ow) const {
     const Index px_end = std::min(cols, px + px_block);
     par::parallel_for(0, config_.out_channels, 4, [&](Index oc_begin,
                                                       Index oc_end) {
-      simd::conv_gemm_block(wts, bias_.value.data(), col.data(), out,
-                            oc_begin, oc_end, rows, cols, px, px_end);
+      simd::conv_gemm_block(wts, bias_.value.data(), col, out, oc_begin,
+                            oc_end, rows, cols, px, px_end);
     });
   }
-  return output;
 }
 
 void Conv2d::count_forward(const Tensor& input, Index oh, Index ow) const {

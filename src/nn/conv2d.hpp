@@ -11,11 +11,19 @@
 //     element matches the direct loop (ic, ky, kx ascending), so the two
 //     paths agree and both are bitwise reproducible for any EVD_THREADS.
 //
+// The im2col patch matrix lives in a per-thread buffer (ConvScratch) sized
+// to the largest layer the thread has run, so a warm forward allocates
+// nothing; pool workers fill disjoint rows of the calling thread's buffer.
+//
 // Both kernels parallelise over output channels via evd::par. Operation
 // counting distinguishes total MACs from zero-skippable MACs (zero
 // activations), feeding the hardware models of §III-B; the counting pass
 // aggregates per-chunk counters and merges them deterministically.
 #pragma once
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/layer.hpp"
@@ -51,6 +59,18 @@ class ScopedConvAlgo {
   ConvAlgo previous_;
 };
 
+/// Per-thread conv scratch: the Gemm kernel's im2col patch matrix and the
+/// Sparse kernel's live-pixel integral image. Each grows to the largest
+/// layer the thread has run and is never shrunk. A forward binds the
+/// calling thread's buffers before its parallel regions, so pool workers
+/// write the caller's buffer, never their own. Exposed so tests can poison
+/// it and audits can warm it.
+struct ConvScratch {
+  std::vector<float> patch;
+  std::vector<std::int32_t> live;
+};
+ConvScratch& thread_conv_scratch() noexcept;
+
 struct Conv2dConfig {
   Index in_channels = 1;
   Index out_channels = 1;
@@ -71,6 +91,9 @@ class Conv2d : public Layer {
   Conv2d(Conv2dConfig config, Rng& rng);
 
   Tensor forward(const Tensor& input, bool train) override;
+  void forward_into(const Tensor& input, Tensor& output) const override;
+  std::vector<Index> output_shape(
+      const std::vector<Index>& input_shape) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
   std::string name() const override { return "Conv2d"; }
@@ -86,10 +109,14 @@ class Conv2d : public Layer {
   }
 
  private:
+  /// Validated output (OH, OW) for an input of `input_shape`.
+  std::pair<Index, Index> out_extent(
+      const std::vector<Index>& input_shape) const;
   bool use_gemm(Index oh, Index ow) const noexcept;
-  Tensor forward_direct(const Tensor& input, Index oh, Index ow) const;
-  Tensor forward_sparse(const Tensor& input, Index oh, Index ow) const;
-  Tensor forward_gemm(const Tensor& input, Index oh, Index ow) const;
+  /// The kernels write every element of `output`, shaped [OC, OH, OW].
+  void forward_direct(const Tensor& input, Tensor& output) const;
+  void forward_sparse(const Tensor& input, Tensor& output) const;
+  void forward_gemm(const Tensor& input, Tensor& output) const;
   void count_forward(const Tensor& input, Index oh, Index ow) const;
 
   Conv2dConfig config_;

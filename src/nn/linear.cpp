@@ -30,22 +30,22 @@ Linear::Linear(Index in_features, Index out_features, Rng& rng, bool bias)
   }
 }
 
-Tensor Linear::forward(const Tensor& input, bool train) {
+void Linear::forward_into(const Tensor& input, Tensor& output) const {
   if (input.numel() != in_) {
     throw std::invalid_argument("Linear::forward: input numel " +
                                 std::to_string(input.numel()) + " != " +
                                 std::to_string(in_));
   }
-  if (train) cached_input_ = input;
-
-  Tensor output({out_});
+  output.ensure_shape({out_});
   const float* x = input.data();
+  const float* wts = weight_.value.data();
+  float* y = output.data();
   par::parallel_for(0, out_, feature_grain(in_), [&](Index begin, Index end) {
     for (Index o = begin; o < end; ++o) {
-      const float* w = weight_.value.data() + o * in_;
+      const float* w = wts + o * in_;
       float acc = has_bias_ ? bias_.value[o] : 0.0f;
       for (Index i = 0; i < in_; ++i) acc += w[i] * x[i];
-      output[o] = acc;
+      y[o] = acc;
     }
   });
 
@@ -59,42 +59,25 @@ Tensor Linear::forward(const Tensor& input, bool train) {
     count_act_read(in_ * 4);
     count_act_write(out_ * 4);
   }
-  return output;
 }
 
-void Linear::forward_into(const Tensor& input, Tensor& output) const {
-  if (input.numel() != in_) {
-    throw std::invalid_argument("Linear::forward_into: input numel " +
-                                std::to_string(input.numel()) + " != " +
+std::vector<Index> Linear::output_shape(
+    const std::vector<Index>& input_shape) const {
+  Index n = 1;
+  for (const Index d : input_shape) n *= d;
+  if (n != in_) {
+    throw std::invalid_argument("Linear::forward: input numel " +
+                                std::to_string(n) + " != " +
                                 std::to_string(in_));
   }
-  if (output.numel() != out_) {
-    throw std::invalid_argument("Linear::forward_into: output numel " +
-                                std::to_string(output.numel()) + " != " +
-                                std::to_string(out_));
-  }
-  const float* x = input.data();
-  // Serial on purpose: parallel_for's std::function erases a capture too
-  // large for SBO, which would heap-allocate on every call. Heads this
-  // method serves are small; per-feature accumulation order matches
-  // forward() exactly.
-  for (Index o = 0; o < out_; ++o) {
-    const float* w = weight_.value.data() + o * in_;
-    float acc = has_bias_ ? bias_.value[o] : 0.0f;
-    for (Index i = 0; i < in_; ++i) acc += w[i] * x[i];
-    output[o] = acc;
-  }
+  return {out_};
+}
 
-  if (active_counter() != nullptr) {
-    count_mac(out_ * in_);
-    Index zeros = 0;
-    for (Index i = 0; i < in_; ++i) zeros += (x[i] == 0.0f) ? 1 : 0;
-    count_zero_skippable(zeros * out_);
-    count_param_read(static_cast<std::int64_t>(weight_.value.numel() +
-                                               (has_bias_ ? out_ : 0)) * 4);
-    count_act_read(in_ * 4);
-    count_act_write(out_ * 4);
-  }
+Tensor Linear::forward(const Tensor& input, bool train) {
+  Tensor output;
+  forward_into(input, output);
+  if (train) cached_input_ = input;
+  return output;
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {

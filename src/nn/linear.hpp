@@ -12,13 +12,9 @@ class Linear : public Layer {
   Linear(Index in_features, Index out_features, Rng& rng, bool bias = true);
 
   Tensor forward(const Tensor& input, bool train) override;
-
-  /// Inference-only forward writing into caller-owned `output` (shape
-  /// [out_features], preallocated): no tensor allocation, no parallel
-  /// dispatch. Per-output-feature accumulation order is identical to
-  /// forward(), so results are bitwise equal — the streaming runtime's
-  /// zero-allocation feed path depends on both properties.
-  void forward_into(const Tensor& input, Tensor& output) const;
+  void forward_into(const Tensor& input, Tensor& output) const override;
+  std::vector<Index> output_shape(
+      const std::vector<Index>& input_shape) const override;
 
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;

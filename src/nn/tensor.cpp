@@ -7,13 +7,17 @@
 namespace evd::nn {
 
 namespace {
-Index shape_numel(const std::vector<Index>& shape) {
+Index shape_numel(const Index* dims, size_t rank) {
   Index n = 1;
-  for (const Index d : shape) {
-    if (d < 0) throw std::invalid_argument("Tensor: negative dimension");
-    n *= d;
+  for (size_t i = 0; i < rank; ++i) {
+    if (dims[i] < 0) throw std::invalid_argument("Tensor: negative dimension");
+    n *= dims[i];
   }
   return n;
+}
+
+Index shape_numel(const std::vector<Index>& shape) {
+  return shape_numel(shape.data(), shape.size());
 }
 }  // namespace
 
@@ -41,6 +45,12 @@ Tensor& Tensor::reshape(std::vector<Index> shape) {
   }
   shape_ = std::move(shape);
   return *this;
+}
+
+void Tensor::assign_shape(const Index* dims, size_t rank) {
+  const Index n = shape_numel(dims, rank);
+  shape_.assign(dims, dims + rank);
+  data_.resize(static_cast<size_t>(n));
 }
 
 void Tensor::fill(float value) {

@@ -6,6 +6,7 @@
 // and a few whole-tensor operations.
 #pragma once
 
+#include <algorithm>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -59,6 +60,17 @@ class Tensor {
   /// Reshape in place; new shape must preserve numel. Returns *this.
   Tensor& reshape(std::vector<Index> shape);
 
+  /// Give the tensor `shape`, keeping its storage: an unchanged shape is a
+  /// no-op, and a change within the current capacity allocates nothing.
+  /// Element values are unspecified afterwards (forward_into outputs are
+  /// shaped this way and then have every element written).
+  void ensure_shape(std::initializer_list<Index> shape) {
+    ensure_shape(shape.begin(), shape.size());
+  }
+  void ensure_shape(const std::vector<Index>& shape) {
+    ensure_shape(shape.data(), shape.size());
+  }
+
   void fill(float value);
   void zero() { fill(0.0f); }
 
@@ -78,6 +90,14 @@ class Tensor {
   std::string shape_string() const;
 
  private:
+  void ensure_shape(const Index* dims, size_t rank) {
+    if (shape_.size() != rank ||
+        !std::equal(dims, dims + rank, shape_.begin())) {
+      assign_shape(dims, rank);
+    }
+  }
+  void assign_shape(const Index* dims, size_t rank);
+
   std::vector<Index> shape_;
   std::vector<float> data_;
 };

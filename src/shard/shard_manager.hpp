@@ -40,6 +40,14 @@
 // from any thread, concurrently with pump(). Everything else — add,
 // migrate, rebalance, stats, pump itself — is control-plane: one thread at
 // a time, serialized with each other (the usual single-owner pump loop).
+// add, migrate and rebalance also write the placement table that submit
+// reads (add may grow it, a migration rewrites an entry), so producers must
+// be quiesced around those three calls as well — submitting during them is
+// a data race. What drain_ring's forwarding serves is the op that lands on
+// the source shard's ring after migrate has flushed it but before the
+// placement flips: a submit() made from inside the target's session
+// factory, on the migrating thread. The next drain resolves the placement
+// afresh and forwards such an op to the session's new shard.
 // With shards == 1 the ShardManager collapses to a byte-identical facade
 // over one legacy unlabeled SessionManager: no rings, no extra instruments,
 // submit delegates directly — EVD_SHARDS=1 is the kill switch.

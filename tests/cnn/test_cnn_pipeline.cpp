@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "cnn/cnn_pipeline.hpp"
+#include "nn/softmax.hpp"
+#include "route/route.hpp"
 #include "test_util.hpp"
 
 namespace evd::cnn {
@@ -71,6 +75,55 @@ TEST(CnnPipeline, EmptyFramesStillProduceDecisionSlots) {
   const auto decisions = test::drained(*session);
   ASSERT_EQ(decisions.size(), 3u);
   EXPECT_EQ(decisions[0].label, -1);  // nothing to classify
+}
+
+TEST(CnnPipeline, SessionScratchIsReusedAcrossFrameDensities) {
+  // One session's activation buffers serve frames from full to empty, on
+  // every execution path: each decision equals a fresh forward of its
+  // frame, bit for bit.
+  const CnnPipelineConfig config = tiny_pipeline();
+  CnnPipeline pipeline(config);
+  const TimeUs period = config.frame_period_us;
+  const Index events_per_frame[] = {256, 3, 0, 40, 256, 1};
+  constexpr Index kFrames = std::size(events_per_frame);
+  for (const route::PathId path :
+       {route::PathId::Default, route::PathId::CnnDirect,
+        route::PathId::CnnGemm, route::PathId::CnnSparse}) {
+    auto session = pipeline.open_session(16, 16);
+    ASSERT_TRUE(session->set_execution_path(path));
+    std::vector<std::vector<events::Event>> windows(kFrames);
+    Rng rng(3);
+    for (Index f = 0; f < kFrames; ++f) {
+      for (Index i = 0; i < events_per_frame[f]; ++i) {
+        const events::Event e{
+            static_cast<std::int16_t>(i % 16),
+            static_cast<std::int16_t>((i / 16) % 16),
+            rng.uniform() < 0.5 ? Polarity::On : Polarity::Off,
+            f * period + i * (period / 300)};
+        windows[static_cast<size_t>(f)].push_back(e);
+        session->feed(e);
+      }
+    }
+    session->advance_to(kFrames * period);
+    const auto decisions = test::drained(*session);
+    ASSERT_EQ(decisions.size(), static_cast<size_t>(kFrames));
+    for (Index f = 0; f < kFrames; ++f) {
+      const auto& window = windows[static_cast<size_t>(f)];
+      const core::Decision& got = decisions[static_cast<size_t>(f)];
+      if (window.empty()) {
+        EXPECT_EQ(got.label, -1);
+        continue;
+      }
+      const nn::Tensor probs = nn::softmax(pipeline.model().forward(
+          build_frame(window, 16, 16, f * period, (f + 1) * period,
+                      config.frame),
+          false));
+      const Index best = probs.argmax();
+      EXPECT_EQ(got.label, static_cast<int>(best)) << "frame " << f;
+      EXPECT_EQ(got.confidence, static_cast<double>(probs[best]))
+          << "frame " << f << " path " << static_cast<int>(path);
+    }
+  }
 }
 
 TEST(CnnPipeline, GeometryMismatchThrows) {

@@ -8,8 +8,10 @@
 //            softmax, decision emit, and the graph-recycle restart) is
 //            allocation-free after session construction, and construction
 //            itself makes a fixed number of allocations at any node cap;
-//   * CNN  — per-event ingest is allocation-free; the dense forward at a
-//            frame close may allocate (bounded by the frame clock);
+//   * CNN  — per-event ingest is allocation-free, and so is a frame close
+//            (frame build, the dense forward, softmax and emit) from the
+//            first close after open, once the calling thread's conv scratch
+//            is warm;
 //   * SNN  — per-event binning is allocation-free; net().step() at a
 //            timestep boundary may allocate (bounded by the step clock).
 // The serving plane is held to the same bar: with admission on, submit()
@@ -27,6 +29,7 @@
 #include "cnn/cnn_pipeline.hpp"
 #include "fault/admission.hpp"
 #include "gnn/gnn_pipeline.hpp"
+#include "route/route.hpp"
 #include "runtime/session_manager.hpp"
 #include "snn/snn_pipeline.hpp"
 
@@ -185,6 +188,45 @@ TEST(ZeroAlloc, CnnIntraFrameFeedIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0) << "CNN event ingest must not touch the heap";
   EXPECT_EQ(session->stats().events_fed, 501);
+}
+
+TEST(ZeroAlloc, CnnFrameCloseIsAllocationFree) {
+  // The servebench CNN geometry. A session sizes its activations at open,
+  // so its very first close allocates nothing once this thread's conv
+  // scratch (per thread, grown to the largest layer the thread has run) is
+  // warm — here from an earlier session's closes on the same path.
+  cnn::CnnPipelineConfig config;
+  config.width = 32;
+  config.height = 32;
+  config.num_classes = 2;
+  config.base_filters = 4;
+  config.frame_period_us = 1000;
+  cnn::CnnPipeline pipeline(config);
+  constexpr Index kFrames = 4;
+  const auto feed_frames = [&](core::StreamSession& session) {
+    for (Index f = 0; f < kFrames; ++f) {
+      const TimeUs start = f * config.frame_period_us;
+      for (Index i = 0; i < 37 * f + 1; ++i) {
+        session.feed(event_at(i * 5, start + i));
+      }
+      session.advance_to(start + config.frame_period_us);
+    }
+  };
+  for (const route::PathId path :
+       {route::PathId::Default, route::PathId::CnnSparse}) {
+    {
+      auto warm = pipeline.open_session(32, 32);
+      ASSERT_TRUE(warm->set_execution_path(path));
+      feed_frames(*warm);
+    }
+    auto session = pipeline.open_session(32, 32);
+    ASSERT_TRUE(session->set_execution_path(path));
+    const std::int64_t allocs =
+        allocations_during([&] { feed_frames(*session); });
+    EXPECT_EQ(allocs, 0) << "CNN frame close must not touch the heap (path "
+                         << static_cast<int>(path) << ")";
+    EXPECT_EQ(session->stats().decisions_emitted, kFrames);
+  }
 }
 
 TEST(ZeroAlloc, SnnIntraStepFeedIsAllocationFree) {
