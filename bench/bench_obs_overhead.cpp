@@ -9,9 +9,10 @@
 //
 //   1. Enabled gate (<5%): serve the same multi-session GNN workload with
 //      observability on and off, min-of-N trials each, and require
-//      wall_on <= 1.05 * wall_off. GNN is the worst case — it opens two
-//      spans and records latency on *every* event, where CNN/SNN amortise
-//      over frames/steps.
+//      wall_on <= 1.05 * wall_off. GNN is the worst case — every event
+//      crosses two sampled span sites (recorded 1 in obs::kSpanSampleEvery)
+//      and the latency stamp check (1 op in kLatencySampleEvery stamped),
+//      where CNN/SNN amortise their spans over frames/steps.
 //   2. Disabled gate (<1%): direct A/B of sub-1% effects drowns in run-to-
 //      run noise, so the disabled side is bounded analytically: run the
 //      exact disabled instrument sequence a served event crosses (enable
@@ -67,7 +68,7 @@ std::vector<events::Event> session_stream(std::uint64_t seed) {
 gnn::GnnPipelineConfig pipeline_config() {
   // Every event inserts (stride 1) and runs the async message pass over a
   // hidden-32 model: a realistic per-event serving cost, against which the
-  // instrument cost (two spans per event) is measured.
+  // instrument cost (two sampled span sites per event) is measured.
   gnn::GnnPipelineConfig config;
   config.width = kWidth;
   config.height = kHeight;
@@ -80,10 +81,12 @@ gnn::GnnPipelineConfig pipeline_config() {
   return config;
 }
 
-/// One serving run: `sessions` GNN sessions through the SessionManager,
+constexpr Index kBurst = 256;
+
+/// One serving run: `sessions` GNN sessions through a fresh `manager`,
 /// ingest + pump to completion. Returns wall milliseconds.
-double serve_once(gnn::GnnPipeline& pipeline, Index sessions) {
-  runtime::SessionManager manager(/*burst=*/256);
+double serve_once(gnn::GnnPipeline& pipeline, runtime::SessionManager& manager,
+                  Index sessions) {
   std::vector<runtime::SessionId> ids;
   std::vector<std::vector<events::Event>> streams;
   for (Index s = 0; s < sessions; ++s) {
@@ -112,10 +115,14 @@ double serve_once(gnn::GnnPipeline& pipeline, Index sessions) {
 double min_wall_ms(bool obs_on) {
   obs::set_enabled(obs_on);
   gnn::GnnPipeline pipeline(pipeline_config());
-  serve_once(pipeline, kSessions);  // warmup: shards, rings, graph storage
+  {
+    runtime::SessionManager warmup(kBurst);  // shards, rings, graph storage
+    serve_once(pipeline, warmup, kSessions);
+  }
   double best = 1e300;
   for (int t = 0; t < kTrials; ++t) {
-    const double ms = serve_once(pipeline, kSessions);
+    runtime::SessionManager manager(kBurst);
+    const double ms = serve_once(pipeline, manager, kSessions);
     if (ms < best) best = ms;
   }
   return best;
@@ -123,7 +130,8 @@ double min_wall_ms(bool obs_on) {
 
 /// Cost of the full disabled instrument sequence one served event crosses,
 /// nanoseconds per event: the submit-side stamp check, the pump-side burst
-/// span check, the two pipeline spans, and the two latency histograms.
+/// span check, the two sampled pipeline spans (each with its thread_local
+/// site, as in the GNN session), and the two latency histograms.
 /// Sessions count fed events and decisions in their ledger, not in the
 /// registry, so no counter is on the path. All are a branch on the same
 /// process-global atomic flag, so a realistic sequence overlaps in the
@@ -133,14 +141,18 @@ double disabled_sequence_cost_ns() {
   obs::Histogram lat_session = obs::histogram("evd_bench_disabled_us");
   obs::Histogram lat_all = obs::histogram("evd_bench_disabled_all_us");
   constexpr std::int64_t kEvents = 4000000;
+  thread_local obs::SpanSite graph_update_site;
+  thread_local obs::SpanSite message_pass_site;
   std::int64_t guard = 0;  // keeps the enable checks observable
   const auto t0 = std::chrono::steady_clock::now();
   for (std::int64_t i = 0; i < kEvents; ++i) {
     guard += obs::enabled() ? 1 : 0;  // submit-side stamp check
     guard += obs::enabled() ? 1 : 0;  // pump-side burst span check
     {
-      obs::Span graph_update("bench.disabled_graph_update");
-      obs::Span message_pass("bench.disabled_message_pass");
+      obs::Span graph_update("bench.disabled_graph_update",
+                             graph_update_site);
+      obs::Span message_pass("bench.disabled_message_pass",
+                             message_pass_site);
     }
     lat_session.record(i);
     lat_all.record(i);
@@ -157,7 +169,10 @@ bool capture_trace(const char* path) {
   obs::set_enabled(true);
   obs::Tracer::instance().clear();
   gnn::GnnPipeline pipeline(pipeline_config());
-  serve_once(pipeline, 16);
+  // The manager owns the "runtime.session_burst" label its visit spans
+  // point at, so it must outlive the export below.
+  runtime::SessionManager manager(kBurst);
+  serve_once(pipeline, manager, 16);
   // dropped() reports spans overwritten before any collection; query it
   // before write_chrome_trace() collects and advances the seen mark.
   const auto dropped = obs::Tracer::instance().dropped();

@@ -185,13 +185,17 @@ class GnnStreamSession : public runtime::SessionBase {
       builder_.clear();
       async_.reset();
     }
+    // Both spans fire on every insert, so they are sampled (obs::SpanSite);
+    // the sites count down in step, so a recorded insert carries both.
+    thread_local obs::SpanSite graph_update_site;
+    thread_local obs::SpanSite message_pass_site;
     Index id;
     {
-      obs::Span span("gnn.graph_update");
+      obs::Span span("gnn.graph_update", graph_update_site);
       id = builder_.insert_into(event, neighbors_);
     }
     const GraphNode& node = builder_.node(id);
-    obs::Span span("gnn.message_pass");
+    obs::Span span("gnn.message_pass", message_pass_site);
     // Routed message-pass discipline: the batch path sweeps the whole graph
     // per event instead of the incremental frontier — bitwise-identical
     // decisions (route.gnn_batch_vs_incremental), O(N) modeled cost.

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -14,21 +15,28 @@ constexpr Index kDefaultRingCapacity = 8192;
 
 /// One thread's span ring. Single-writer (the owning thread); the mutex
 /// serialises that writer against collect()/clear() from other threads.
+/// The capacity is a power of two, so a slot index is a mask, not a `%`.
 struct SpanRing {
   mutable std::mutex mutex;
   std::vector<TraceEvent> slots;
+  size_t mask = 0;             ///< slots.size() - 1.
   std::int64_t total = 0;      ///< Spans ever recorded into this ring.
   std::int64_t collected = 0;  ///< High-water mark a collect() has seen.
   std::uint32_t tid = 0;
 
   explicit SpanRing(Index capacity, std::uint32_t id) : tid(id) {
-    slots.resize(static_cast<size_t>(capacity < 1 ? 1 : capacity));
+    slots.resize(
+        std::bit_ceil(static_cast<size_t>(capacity < 1 ? 1 : capacity)));
+    mask = slots.size() - 1;
+  }
+
+  TraceEvent& slot(std::int64_t i) {
+    return slots[static_cast<size_t>(i) & mask];
   }
 
   void push(const TraceEvent& event) {
     std::lock_guard<std::mutex> lock(mutex);
-    slots[static_cast<size_t>(total % static_cast<std::int64_t>(slots.size()))] =
-        event;
+    slot(total) = event;
     ++total;
   }
 };
@@ -138,7 +146,7 @@ std::vector<TraceEvent> Tracer::collect() const {
     const std::int64_t kept = ring->total < capacity ? ring->total : capacity;
     const std::int64_t first = ring->total - kept;
     for (std::int64_t i = first; i < ring->total; ++i) {
-      TraceEvent event = ring->slots[static_cast<size_t>(i % capacity)];
+      TraceEvent event = ring->slot(i);
       event.ts_ns = to_ns(event.ts_ns);
       event.dur_ns = static_cast<std::int64_t>(
           static_cast<double>(event.dur_ns) * ns_per_tick);

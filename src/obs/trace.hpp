@@ -14,10 +14,19 @@
 // the oldest spans are overwritten and counted as dropped; a trace is a
 // window onto the recent past, not an unbounded log.
 //
+// Sites that fire once per op or per pump visit use the sampled form,
+// Span(name, site): a per-thread SpanSite countdown records the first
+// construction on each thread, then one in kSpanSampleEvery. A recorded span
+// costs its ring-slot write (a cache miss once the serving working set has
+// evicted the ring) on top of the tick reads and lock: about 170 ns of CPU
+// under servebench's tenant_zipf (DESIGN.md §9). A skipped span reads no
+// clock, takes no lock, writes no slot and leaves the nesting depth
+// unchanged.
+//
 // Spans never feed back into computation, so tracing cannot perturb
 // decision streams — the `runtime.obs_on_vs_off` oracle enforces exactly
 // that, bitwise. With the EVD_OBS kill-switch off, constructing a Span is a
-// single branch.
+// single branch, and a sampled site's countdown does not advance.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +54,8 @@ class Tracer {
  public:
   static Tracer& instance();
 
-  /// Ring capacity (spans) for threads that register *after* the call.
-  /// Default 8192 per thread.
+  /// Ring capacity (spans) for threads that register *after* the call,
+  /// rounded up to a power of two. Default 8192 per thread.
   void set_ring_capacity(Index spans);
 
   /// Copy out every recorded span, all threads, sorted by start time.
@@ -93,15 +102,41 @@ std::uint32_t& span_depth() noexcept;
 
 }  // namespace detail
 
+/// A sampled span site records one construction in kSpanSampleEvery, as
+/// the runtime stamps one op in kLatencySampleEvery for latency.
+inline constexpr std::uint32_t kSpanSampleEvery = 16;
+
+/// Countdown of one sampled span site. Declare it `thread_local` at the call
+/// site, so each thread samples its own constructions without sharing a
+/// cache line: the first construction on a thread is recorded, then every
+/// kSpanSampleEvery-th.
+class SpanSite {
+ public:
+  /// Advance the countdown; true when this construction is recorded.
+  bool sample() noexcept {
+    if (countdown_ != 0) {
+      --countdown_;
+      return false;
+    }
+    countdown_ = kSpanSampleEvery - 1;
+    return true;
+  }
+
+ private:
+  std::uint32_t countdown_ = 0;
+};
+
 /// RAII span: records [construction, destruction) under `name`. Cheap to
 /// construct when disabled; safe to use on any thread.
 class Span {
  public:
   explicit Span(const char* name) : name_(name) {
-    if (!enabled()) return;
-    start_ticks_ = detail::now_ticks();
-    armed_ = true;
-    ++detail::span_depth();
+    if (enabled()) arm();
+  }
+  /// Sampled form for per-op and per-visit sites: records only the
+  /// constructions `site` samples. Disabled obs leaves `site` untouched.
+  Span(const char* name, SpanSite& site) : name_(name) {
+    if (enabled() && site.sample()) arm();
   }
   ~Span() {
     if (!armed_) return;
@@ -112,6 +147,12 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
+  void arm() noexcept {
+    start_ticks_ = detail::now_ticks();
+    armed_ = true;
+    ++detail::span_depth();
+  }
+
   const char* name_;
   std::uint64_t start_ticks_ = 0;
   bool armed_ = false;

@@ -318,11 +318,12 @@ Index SessionManager::pump_session(Index i, Index burst,
   // The span + latency instruments never touch the op stream, so the
   // decision sequence is identical with observability on or off (the
   // runtime.obs_on_vs_off oracle holds this bitwise). Only sampled ops
-  // (enqueue_ns stamped at submit) pay for clock reads here; the rest
-  // cross a single branch.
+  // (enqueue_ns stamped at submit) and sampled visits pay for clock reads
+  // here; the rest cross a branch.
+  thread_local obs::SpanSite visit_site;
   std::optional<obs::Span> span;
   if (obs::enabled() && !s.queue.empty()) {
-    span.emplace(span_name);
+    span.emplace(span_name, visit_site);
   }
   // The try/catch lives *inside* the per-session loop: a fault in session i
   // recovers or quarantines i on the owning worker and never unwinds

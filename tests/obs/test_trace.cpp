@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -98,6 +100,110 @@ TEST_F(TraceTest, RingOverflowDropsOldestAndCountsThem) {
   EXPECT_EQ(count_named(spans, "test.overflow"), 16);
   EXPECT_EQ(Tracer::instance().dropped(), 0);
   Tracer::instance().set_ring_capacity(8192);
+}
+
+TEST_F(TraceTest, RingCapacityRoundsUpToPowerOfTwo) {
+  Tracer::instance().set_ring_capacity(10);
+  std::thread worker([] {
+    for (int i = 0; i < 40; ++i) {
+      Span span("test.rounded");
+    }
+  });
+  worker.join();
+  // Capacity 10 rounds up to 16: the newest 16 are kept, 24 dropped.
+  EXPECT_EQ(Tracer::instance().dropped(), 24);
+  EXPECT_EQ(count_named(Tracer::instance().collect(), "test.rounded"), 16);
+  Tracer::instance().set_ring_capacity(8192);
+}
+
+/// A sampled site in the shape of the runtime's: one `thread_local`
+/// countdown per call site.
+void sampled_span(const char* name) {
+  thread_local SpanSite site;
+  Span span(name, site);
+}
+
+/// "a3": construction 3 on thread a.
+std::string construction_name(char thread, int i) {
+  std::string name(1, thread);
+  name += std::to_string(i);
+  return name;
+}
+
+std::vector<std::string> recorded_names(const std::vector<TraceEvent>& spans) {
+  std::vector<std::string> names;
+  for (const auto& e : spans) names.emplace_back(e.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST_F(TraceTest, SampledSiteRecordsOneInNPerThread) {
+  constexpr int kN = static_cast<int>(kSpanSampleEvery);
+  // Names must outlive the tracer's copy: one per construction.
+  std::vector<std::string> a_names;
+  std::vector<std::string> b_names;
+  for (int i = 0; i <= 2 * kN; ++i) {
+    a_names.push_back(construction_name('a', i));
+  }
+  for (int i = 0; i <= kN; ++i) b_names.push_back(construction_name('b', i));
+  // Thread b runs while thread a is mid-countdown; with a shared countdown
+  // b's first construction would be skipped.
+  std::thread a([&] {
+    for (int i = 0; i < kN / 2; ++i) sampled_span(a_names[i].c_str());
+    std::thread b([&] {
+      for (const auto& name : b_names) sampled_span(name.c_str());
+    });
+    b.join();
+    for (int i = kN / 2; i <= 2 * kN; ++i) sampled_span(a_names[i].c_str());
+  });
+  a.join();
+  // Constructions 1, N+1, 2N+1 on each thread (0-based: 0, N, 2N).
+  std::vector<std::string> expected = {
+      construction_name('a', 0), construction_name('a', kN),
+      construction_name('a', 2 * kN), construction_name('b', 0),
+      construction_name('b', kN)};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(recorded_names(Tracer::instance().collect()), expected);
+}
+
+TEST_F(TraceTest, SkippedOuterSpanLeavesInnerAtOuterDepth) {
+  SpanSite site;
+  {
+    Span outer("test.outer_recorded", site);  // first construction: recorded
+    Span inner("test.inner_nested");
+  }
+  {
+    Span outer("test.outer_skipped", site);  // second: skipped
+    Span inner("test.inner_alone");
+  }
+  const auto spans = Tracer::instance().collect();
+  EXPECT_EQ(count_named(spans, "test.outer_recorded"), 1);
+  EXPECT_EQ(count_named(spans, "test.outer_skipped"), 0);
+  for (const auto& e : spans) {
+    if (std::string_view(e.name) == "test.inner_nested") {
+      EXPECT_EQ(e.depth, 1u);
+    }
+    if (std::string_view(e.name) == "test.inner_alone") {
+      EXPECT_EQ(e.depth, 0u);
+    }
+  }
+  EXPECT_EQ(count_named(spans, "test.inner_nested"), 1);
+  EXPECT_EQ(count_named(spans, "test.inner_alone"), 1);
+  EXPECT_EQ(detail::span_depth(), 0u);
+}
+
+TEST_F(TraceTest, DisabledSampledSiteRecordsNothingAndKeepsCountdown) {
+  SpanSite site;
+  set_enabled(false);
+  for (int i = 0; i < 3; ++i) {
+    Span span("test.disabled_sampled", site);
+  }
+  set_enabled(true);
+  // The countdown did not move, so this is still the site's first sample.
+  { Span span("test.enabled_sampled", site); }
+  const auto spans = Tracer::instance().collect();
+  EXPECT_EQ(count_named(spans, "test.disabled_sampled"), 0);
+  EXPECT_EQ(count_named(spans, "test.enabled_sampled"), 1);
 }
 
 TEST_F(TraceTest, ClearForgetsRecordedSpans) {
