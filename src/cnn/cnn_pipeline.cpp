@@ -135,25 +135,16 @@ double CnnPipeline::computation_sparsity(const events::EventStream& probe) {
 
 namespace {
 
-runtime::SessionBaseConfig cnn_session_config(const CnnPipelineConfig& c) {
-  runtime::SessionBaseConfig sc;
-  sc.decision_retain = c.decision_retain;
-  sc.paradigm = "cnn";
-  // Windowed activity estimator over the configured sensor plane, so the
-  // re-plan hook can re-price cnn.sparse when a stream turns dense.
-  sc.width = c.width;
-  sc.height = c.height;
-  return sc;
-}
-
 class CnnStreamSession : public runtime::SessionBase {
  public:
   CnnStreamSession(CnnPipeline& pipeline, Index width, Index height)
-      : runtime::SessionBase(cnn_session_config(pipeline.config())),
+      : runtime::SessionBase(
+            {.decision_retain = pipeline.config().decision_retain,
+             .paradigm = "cnn"}),
         pipeline_(pipeline),
         width_(width),
         height_(height),
-        window_(static_cast<size_t>(pipeline.config().stream_window_capacity)),
+        window_capacity_(pipeline.config().stream_window_capacity),
         last_on_(static_cast<size_t>(width * height)),
         last_off_(static_cast<size_t>(width * height)),
         frame_end_(pipeline.config().frame_period_us),
@@ -161,7 +152,9 @@ class CnnStreamSession : public runtime::SessionBase {
                 width}) {
     // Every buffer a frame close touches is sized here, from the layer
     // shapes (no forward runs at open), so closing a frame allocates
-    // nothing.
+    // nothing. The window is reserved, not filled: its pages stay untouched
+    // until events land in them.
+    window_.reserve(static_cast<size_t>(window_capacity_));
     pipeline.model().size_activations(frame_.shape(), acts_, logits_);
     probs_ = nn::Tensor(logits_.shape());
   }
@@ -169,8 +162,8 @@ class CnnStreamSession : public runtime::SessionBase {
  private:
   void on_event(const events::Event& event) override {
     maybe_close_frames(event.t);
-    if (window_count_ < static_cast<Index>(window_.size())) {
-      window_[static_cast<size_t>(window_count_++)] = event;
+    if (static_cast<Index>(window_.size()) < window_capacity_) {
+      window_.push_back(event);
     } else {
       // Saturating window: a frame period denser than the capacity sheds
       // the excess (explicit back-pressure, visible in stats()).
@@ -188,33 +181,31 @@ class CnnStreamSession : public runtime::SessionBase {
   bool checkpoint_supported() const override { return true; }
 
   void on_save(fault::CheckpointWriter& w) const override {
-    w.i64(static_cast<Index>(window_.size()));
+    w.i64(window_capacity_);
     w.i64(frame_start_);
     w.i64(frame_end_);
-    w.padded_span(std::span<const events::Event>(
-                      window_.data(), static_cast<size_t>(window_count_)),
+    w.padded_span(std::span<const events::Event>(window_),
                   &events::Event::polarity, &events::Event::t);
   }
 
   void on_load(fault::CheckpointReader& r) override {
-    if (const Index capacity = r.i64();
-        capacity != static_cast<Index>(window_.size())) {
+    if (const Index capacity = r.i64(); capacity != window_capacity_) {
       throw Error(ErrorCode::CheckpointMismatch,
                   "CnnStreamSession: checkpointed window capacity " +
                       std::to_string(capacity) + ", this session's " +
-                      std::to_string(window_.size()));
+                      std::to_string(window_capacity_));
     }
     frame_start_ = r.i64();
     frame_end_ = r.i64();
-    window_count_ = r.pod_span_into(std::span<events::Event>(window_));
+    // Bounded before the window grows, so it never reallocates.
+    r.pod_vector(window_, static_cast<std::size_t>(window_capacity_));
     // Checked after the reads: load_state's rollback reloads the live
     // state through here, and a live window may already hold an event
     // outside the sensor (fed unvalidated; the next close throws on it), so
     // a failed check must not cut that restore short.
     fault::expect_valid(frame_start_ < frame_end_,
                         "CnnStreamSession: frame start not before its end");
-    for (Index i = 0; i < window_count_; ++i) {
-      const events::Event& e = window_[static_cast<size_t>(i)];
+    for (const events::Event& e : window_) {
       fault::expect_valid(e.x >= 0 && e.y >= 0 && e.x < width_ && e.y < height_,
                           "CnnStreamSession: window event outside the sensor");
     }
@@ -235,22 +226,24 @@ class CnnStreamSession : public runtime::SessionBase {
     // network call but still mark the decision slot for latency accounting.
     core::Decision decision;
     decision.t = frame_end_;
-    if (window_count_ > 0) {
+    if (!window_.empty()) {
       {
         obs::Span span("cnn.representation_build");
-        build_frame_into(std::span<const events::Event>(window_).first(
-                             static_cast<size_t>(window_count_)),
-                         width_, height_, frame_start_, frame_end_,
+        build_frame_into(window_, width_, height_, frame_start_, frame_end_,
                          pipeline_.config().frame, frame_,
                          FrameScratch{last_on_, last_off_});
       }
       obs::Span span("cnn.conv_forward");
-      // Routed conv-algo selection: the installed execution path (if any)
-      // is translated into a thread-local ConvAlgo override for exactly
-      // this forward. The model is shared across sessions and threads, so
+      // Routed conv-algo selection: cnn.sparse becomes a thread-local
+      // ConvAlgo override for exactly this forward; Default keeps the
+      // calling thread's override (none while serving: the shape
+      // heuristic). The model is shared across sessions and threads, so
       // its Conv2dConfig is never mutated; layers whose config pins an
       // algo explicitly ignore the override.
-      const nn::ScopedConvAlgo algo_scope(conv_algo_for_path());
+      const nn::ScopedConvAlgo algo_scope(
+          execution_path() == route::PathId::CnnSparse
+              ? nn::ConvAlgo::Sparse
+              : nn::thread_conv_algo());
       pipeline_.model().forward_into(frame_, logits_, acts_);
       nn::softmax_into(logits_, probs_);
       const Index best = probs_.argmax();
@@ -258,26 +251,13 @@ class CnnStreamSession : public runtime::SessionBase {
       decision.confidence = probs_[best];
     }
     emit(decision);
-    window_count_ = 0;
-  }
-
-  nn::ConvAlgo conv_algo_for_path() const {
-    switch (execution_path()) {
-      case route::PathId::CnnDirect:
-        return nn::ConvAlgo::Direct;
-      case route::PathId::CnnGemm:
-        return nn::ConvAlgo::Gemm;
-      case route::PathId::CnnSparse:
-        return nn::ConvAlgo::Sparse;
-      default:
-        return nn::ConvAlgo::Auto;  // Default path = the shape heuristic.
-    }
+    window_.clear();
   }
 
   CnnPipeline& pipeline_;
   Index width_, height_;
-  std::vector<events::Event> window_;  ///< Frame accumulator, sized at open.
-  Index window_count_ = 0;
+  Index window_capacity_;  ///< Events one frame period may buffer.
+  std::vector<events::Event> window_;  ///< Frame accumulator, reserved at open.
   std::vector<TimeUs> last_on_, last_off_;  ///< Surface scratch.
   TimeUs frame_start_ = 0;
   TimeUs frame_end_;

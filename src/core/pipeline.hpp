@@ -100,15 +100,6 @@ class StreamSession {
   virtual bool save_state(std::vector<std::uint8_t>& out) const = 0;
   virtual bool load_state(std::span<const std::uint8_t> bytes) = 0;
 
-  /// Windowed online activity estimate in [0, 1]: the fraction of the
-  /// sensor plane this session's recent events actually touch (the live
-  /// share of its nominal dense work). Feeds sched::SessionProfile.activity
-  /// through the SessionManager's re-plan hook so a stream that turns dense
-  /// mid-run re-prices — and re-routes off — the sparse execution paths.
-  /// Purely observational: the estimate never changes what a session
-  /// computes.
-  virtual double activity_estimate() const = 0;
-
   /// Execution routing (see route/route.hpp). A routable session reports its
   /// paradigm tag and accepts an ExecutionPath id selecting one of the
   /// proved-equivalent execution variants for that paradigm; every variant

@@ -29,7 +29,7 @@
 namespace evd::fault {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x45564443;  // "EVDC"
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Throws Error(CheckpointCorrupt, what) unless a decoded value is valid.
 inline void expect_valid(bool ok, const char* what) {
@@ -141,10 +141,14 @@ class CheckpointReader {
     raw(&v, sizeof(T));
   }
 
+  /// Resizes `values` to the stored count, which must not exceed
+  /// `max_count` (CheckpointCorrupt otherwise, checked before the resize).
   template <typename T>
-  void pod_vector(std::vector<T>& values) {
+  void pod_vector(std::vector<T>& values,
+                  std::size_t max_count = static_cast<std::size_t>(-1)) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::size_t n = length();  // bounded by remaining(): no huge alloc
+    expect_valid(n <= max_count, "stored span larger than its target buffer");
     check_available(n * sizeof(T));
     values.resize(n);
     raw(values.data(), n * sizeof(T));

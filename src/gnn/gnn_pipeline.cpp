@@ -144,21 +144,12 @@ double GnnPipeline::computation_sparsity(const events::EventStream& probe) {
 
 namespace {
 
-runtime::SessionBaseConfig gnn_session_config(const GnnPipelineConfig& c) {
-  runtime::SessionBaseConfig sc;
-  sc.decision_retain = c.decision_retain;
-  sc.paradigm = "gnn";
-  // Windowed activity estimator over the configured sensor plane (feeds the
-  // re-plan hook's per-session activity; observational only).
-  sc.width = c.width;
-  sc.height = c.height;
-  return sc;
-}
-
 class GnnStreamSession : public runtime::SessionBase {
  public:
   GnnStreamSession(GnnPipeline& pipeline, Index width, Index height)
-      : runtime::SessionBase(gnn_session_config(pipeline.config())),
+      : runtime::SessionBase(
+            {.decision_retain = pipeline.config().decision_retain,
+             .paradigm = "gnn"}),
         pipeline_(pipeline),
         builder_(width, height,
                  IncrementalConfig{pipeline.config().graph.time_scale,
@@ -199,7 +190,7 @@ class GnnStreamSession : public runtime::SessionBase {
     // Routed message-pass discipline: the batch path sweeps the whole graph
     // per event instead of the incremental frontier — bitwise-identical
     // decisions (route.gnn_batch_vs_incremental), O(N) modeled cost.
-    // GnnIncremental and Default both name the built-in frontier path.
+    // Default runs the built-in frontier path.
     if (execution_path() == route::PathId::GnnBatch) {
       async_.insert_batch(node, neighbors_);
     } else {

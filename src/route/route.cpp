@@ -8,17 +8,11 @@ namespace {
 
 // Registry order groups each paradigm's variants contiguously so
 // paths_for() can hand out subspans of one static table.
-constexpr std::array<ExecutionPath, 7> kPaths = {{
-    {PathId::CnnDirect, "cnn", "cnn.direct", CostShape::AsDeclared, true},
-    {PathId::CnnGemm, "cnn", "cnn.gemm", CostShape::AsDeclared, true},
-    {PathId::CnnSparse, "cnn", "cnn.sparse", CostShape::ActivityScaled,
-     false},
-    {PathId::SnnClocked, "snn", "snn.clocked", CostShape::AsDeclared, true},
+constexpr std::array<ExecutionPath, 3> kPaths = {{
+    {PathId::CnnSparse, "cnn", "cnn.sparse", CostShape::ActivityScaled},
     {PathId::SnnEventDriven, "snn", "snn.event_driven",
-     CostShape::ActivityScaled, false},
-    {PathId::GnnIncremental, "gnn", "gnn.incremental", CostShape::AsDeclared,
-     true},
-    {PathId::GnnBatch, "gnn", "gnn.batch", CostShape::FullSweep, false},
+     CostShape::ActivityScaled},
+    {PathId::GnnBatch, "gnn", "gnn.batch", CostShape::FullSweep},
 }};
 
 constexpr std::size_t kProvedSlots = 32;  // > max PathId value (17).
@@ -56,17 +50,6 @@ std::optional<PathId> path_from_byte(std::uint8_t raw) noexcept {
     if (static_cast<std::uint8_t>(p.id) == raw) return p.id;
   }
   return std::nullopt;
-}
-
-PathRegistry::PathRegistry() {
-  // Default-aliasing variants are born proved: choosing them cannot change
-  // what executes beyond what the paradigm's own heuristic already may.
-  for (const ExecutionPath& p : kPaths) {
-    if (p.is_default) {
-      proved_flags()[static_cast<std::size_t>(p.id)].store(
-          true, std::memory_order_relaxed);
-    }
-  }
 }
 
 PathRegistry& PathRegistry::instance() noexcept {

@@ -7,9 +7,10 @@
 // answer (Conv2d's shape heuristic, the SNN's chunked clocked stepping,
 // the GNN's incremental message pass). evd::route lifts the decision out:
 //
-//   * An ExecutionPath describes one routable variant of a paradigm's hot
-//     stage (CNN: direct / im2col-GEMM / sparse conv; SNN: clocked /
-//     event-driven stepping; GNN: incremental / batch message pass).
+//   * An ExecutionPath describes one routable alternative to a paradigm's
+//     default hot stage (CNN: sparse conv; SNN: event-driven stepping;
+//     GNN: batch message pass). Default is the paradigm's own behavior and
+//     is not a registered variant.
 //   * The PathRegistry enumerates the variants and tracks which of them
 //     are *proved*: a path becomes routable to the planner only once a
 //     registered differential oracle (`route.*` in evd::check) pins it
@@ -43,12 +44,11 @@ constexpr bool enabled() noexcept { return true; }
 /// paradigm family.
 enum class PathId : std::uint8_t {
   Default = 0,  ///< The paradigm's built-in behavior (pre-refactor path).
-  CnnDirect = 1,       ///< Force the direct convolution loop nest.
-  CnnGemm = 2,         ///< Force the im2col + blocked-GEMM path.
+  // Not registered (path_from_byte rejects them); servebench still names them.
+  CnnDirect = 1,
+  CnnGemm = 2,
   CnnSparse = 3,       ///< Zero-skipping sparse conv over the event frame.
-  SnnClocked = 8,      ///< Chunked fork-join clocked LIF stepping.
   SnnEventDriven = 9,  ///< Single spike-driven full-layer kernel call.
-  GnnIncremental = 16, ///< Frontier-only incremental message pass.
   GnnBatch = 17,       ///< Full-graph sweep message pass per event.
 };
 
@@ -67,7 +67,6 @@ struct ExecutionPath {
   const char* paradigm = "";  ///< "cnn" / "snn" / "gnn".
   const char* name = "";      ///< e.g. "cnn.sparse" (stable, used in docs).
   CostShape cost = CostShape::AsDeclared;
-  bool is_default = false;  ///< Aliases the paradigm's built-in behavior.
 };
 
 /// Short stable name ("default", "cnn.sparse", ...).
@@ -100,8 +99,8 @@ class PathRegistry {
 
   /// Equivalence gate. mark_proved is called when the path's differential
   /// oracle is registered with evd::check (register_builtin_oracles) — the
-  /// oracle suite is what keeps the mark honest in CI. Default and
-  /// is_default variants are born proved (they *are* the baseline).
+  /// oracle suite is what keeps the mark honest in CI. Default is always
+  /// proved (it *is* the baseline).
   void mark_proved(PathId id) noexcept;
   bool proved(PathId id) const noexcept;
 
@@ -111,7 +110,7 @@ class PathRegistry {
   std::vector<PathId> routable(std::string_view paradigm) const;
 
  private:
-  PathRegistry();
+  PathRegistry() = default;
 };
 
 }  // namespace evd::route

@@ -1,6 +1,5 @@
 #include "runtime/session_base.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -9,48 +8,7 @@ namespace evd::runtime {
 SessionBase::SessionBase(const SessionBaseConfig& config)
     : sink_(config.decision_retain),
       paradigm_(config.paradigm != nullptr ? config.paradigm : "unknown"),
-      checkpoint_max_bytes_(config.checkpoint_max_bytes) {
-  if (config.width > 0 && config.height > 0 &&
-      config.activity_window_us > 0) {
-    act_width_ = config.width;
-    act_height_ = config.height;
-    act_window_us_ = config.activity_window_us;
-    act_touched_.assign(
-        static_cast<size_t>((config.width * config.height + 7) / 8), 0);
-  }
-}
-
-void SessionBase::note_activity(const events::Event& event) {
-  // Out-of-geometry events are someone else's problem (the manager's
-  // validation guard); the estimator just ignores them.
-  if (event.x < 0 || event.x >= act_width_ || event.y < 0 ||
-      event.y >= act_height_) {
-    return;
-  }
-  if (act_window_start_ == std::numeric_limits<TimeUs>::min()) {
-    act_window_start_ = event.t;  // windows are anchored to the first event
-  }
-  // Never subtract the (restored, untrusted) window start: it can overflow.
-  if (act_window_start_ <= event.t - act_window_us_) {
-    const double occupancy =
-        static_cast<double>(act_touched_count_) /
-        static_cast<double>(act_width_ * act_height_);
-    act_ewma_ = 0.5 * act_ewma_ + 0.5 * occupancy;
-    // A long silent gap is sparse evidence in itself: decay once more so a
-    // stream that went quiet does not keep its old dense estimate.
-    if (act_window_start_ <= event.t - 2 * act_window_us_) act_ewma_ *= 0.5;
-    std::fill(act_touched_.begin(), act_touched_.end(), std::uint8_t{0});
-    act_touched_count_ = 0;
-    act_window_start_ = event.t;
-  }
-  const Index idx = event.y * act_width_ + event.x;
-  std::uint8_t& byte = act_touched_[static_cast<size_t>(idx >> 3)];
-  const auto mask = static_cast<std::uint8_t>(1u << (idx & 7));
-  if ((byte & mask) == 0) {
-    byte = static_cast<std::uint8_t>(byte | mask);
-    ++act_touched_count_;
-  }
-}
+      checkpoint_max_bytes_(config.checkpoint_max_bytes) {}
 
 bool SessionBase::save_state(std::vector<std::uint8_t>& out) const {
   if (!checkpoint_supported()) return false;
@@ -61,16 +19,6 @@ bool SessionBase::save_state(std::vector<std::uint8_t>& out) const {
   w.i64(events_fed_);
   w.i64(events_dropped_);
   sink_.save(w);
-  // Activity estimator: mutable chassis state, so restore+replay re-derives
-  // the exact estimate a never-faulted run would hold (replayed feeds pass
-  // through note_activity again, starting from this snapshot).
-  w.u8(act_touched_.empty() ? 0 : 1);
-  if (!act_touched_.empty()) {
-    w.i64(act_window_start_);
-    w.f64(act_ewma_);
-    w.i64(act_touched_count_);
-    w.pod_vector(act_touched_);
-  }
   on_save(w);
   return true;
 }
@@ -80,12 +28,11 @@ bool SessionBase::load_state(std::span<const std::uint8_t> bytes) {
   // All or nothing: the sink and on_load change the session before
   // expect_end() knows the frame is whole, so a frame that throws part-way
   // (cut short, a mismatched or out-of-range field) is undone from a copy
-  // of the sink and a snapshot of the paradigm state. The counters and the
-  // activity estimator commit only after expect_end(). The sink is copied,
-  // not saved and reloaded: its load keeps the larger handed-out mark of
-  // the live and loaded counts, and its save refuses mid-replay. The
-  // snapshot is unbounded, so a live state over checkpoint_max_bytes
-  // cannot fail a valid load.
+  // of the sink and a snapshot of the paradigm state. The counters commit
+  // only after expect_end(). The sink is copied, not saved and reloaded:
+  // its load keeps the larger handed-out mark of the live and loaded
+  // counts, and its save refuses mid-replay. The snapshot is unbounded, so
+  // a live state over checkpoint_max_bytes cannot fail a valid load.
   const DecisionSink sink = sink_;
   std::vector<std::uint8_t> paradigm;
   {
@@ -122,38 +69,10 @@ void SessionBase::read_state(std::span<const std::uint8_t> bytes) {
   const std::int64_t events_fed = r.i64();
   const std::int64_t events_dropped = r.i64();
   sink_.load(r);
-  const bool ckpt_activity = r.u8() != 0;
-  if (ckpt_activity != !act_touched_.empty()) {
-    throw Error(ErrorCode::CheckpointMismatch,
-                "checkpoint activity estimator state does not match this "
-                "session's configuration");
-  }
-  TimeUs act_window_start = act_window_start_;
-  double act_ewma = act_ewma_;
-  std::int64_t act_touched_count = act_touched_count_;
-  std::vector<std::uint8_t> act_touched;
-  if (ckpt_activity) {
-    act_window_start = r.i64();
-    act_ewma = r.f64();
-    act_touched_count = r.i64();
-    r.pod_vector(act_touched);
-    if (act_touched.size() != act_touched_.size()) {
-      throw Error(ErrorCode::CheckpointMismatch,
-                  "activity bitmap " + std::to_string(act_touched.size()) +
-                      " bytes vs this session's " +
-                      std::to_string(act_touched_.size()));
-    }
-  }
   on_load(r);
   r.expect_end();
   events_fed_ = events_fed;
   events_dropped_ = events_dropped;
-  if (ckpt_activity) {
-    act_window_start_ = act_window_start;
-    act_ewma_ = act_ewma;
-    act_touched_count_ = static_cast<Index>(act_touched_count);
-    act_touched_ = std::move(act_touched);
-  }
 }
 
 void SessionBase::check_geometry(const std::string& who, Index width,

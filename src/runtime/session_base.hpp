@@ -4,14 +4,13 @@
 //   * open-time geometry validation (one check_geometry, one message);
 //   * a bounded DecisionSink behind the StreamSession drain() contract,
 //     plus stats() wired to real counters;
-//   * the checkpoint frame header and the windowed activity estimator.
+//   * the checkpoint frame header.
 //
 // Subclasses implement only the paradigm: on_event() and on_advance(). Each
 // owns its steady-state scratch and sizes it once, in its constructor, so
 // the feed path never allocates.
 #pragma once
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,15 +30,6 @@ struct SessionBaseConfig {
   /// Error(CheckpointTooLarge) beyond it). 4 MiB comfortably holds the
   /// largest session state the pipelines produce (GNN at stream_max_nodes).
   std::size_t checkpoint_max_bytes = std::size_t{4} << 20;
-  /// Sensor geometry for the windowed activity estimator (see
-  /// activity_estimate()). 0 disables the estimator — the session then
-  /// reports the fully-dense default. The pipelines pass their configured
-  /// geometry; the bitmap costs ceil(w*h/8) heap bytes per session.
-  Index width = 0;
-  Index height = 0;
-  /// Stream-time window over which pixel occupancy is folded into the
-  /// estimate (EWMA, half-weight per window).
-  TimeUs activity_window_us = 20000;
 };
 
 class SessionBase : public core::StreamSession {
@@ -52,7 +42,6 @@ class SessionBase : public core::StreamSession {
 
   void feed(const events::Event& event) final {
     ++events_fed_;
-    if (!act_touched_.empty()) note_activity(event);
     on_event(event);
   }
 
@@ -73,10 +62,10 @@ class SessionBase : public core::StreamSession {
 
   /// Checkpoint/restore (core::StreamSession contract). The chassis
   /// serializes the shared state — magic/version header, paradigm label,
-  /// counters, undrained decisions, activity estimator — and delegates the
-  /// paradigm payload to on_save/on_load. Sessions that do not override
-  /// checkpoint_supported() decline (save_state returns false) rather than
-  /// silently losing their paradigm state.
+  /// counters, undrained decisions — and delegates the paradigm payload to
+  /// on_save/on_load. Sessions that do not override checkpoint_supported()
+  /// decline (save_state returns false) rather than silently losing their
+  /// paradigm state.
   bool save_state(std::vector<std::uint8_t>& out) const final;
   /// Restores into *this* session, whose buffer sizes and sink bound must
   /// match the checkpoint (same pipeline config): header mismatches throw
@@ -85,17 +74,6 @@ class SessionBase : public core::StreamSession {
   /// fresh session or the checkpoint's own continuation, whose drained
   /// decisions then stay drained through the replay.
   bool load_state(std::span<const std::uint8_t> bytes) final;
-
-  /// Windowed pixel-occupancy activity (StreamSession contract): an EWMA
-  /// over event-anchored stream-time windows of |distinct pixels touched| /
-  /// |sensor plane|, folded half-weight per completed window. Deterministic
-  /// in the fed op sequence (it is checkpointed with the chassis state, so
-  /// restore+replay re-derives the identical estimate). Reports 1.0 (dense)
-  /// until the first window completes or when the estimator is disabled.
-  double activity_estimate() const final {
-    if (act_touched_.empty()) return 1.0;
-    return act_ewma_ < 0.0 ? 0.0 : (act_ewma_ > 1.0 ? 1.0 : act_ewma_);
-  }
 
   /// Execution routing (core::StreamSession contract). The chassis stores
   /// the installed path; set_execution_path accepts Default plus any path
@@ -137,7 +115,6 @@ class SessionBase : public core::StreamSession {
   void note_events_dropped(std::int64_t n) { events_dropped_ += n; }
 
  private:
-  void note_activity(const events::Event& event);
   /// Decodes a save_state frame into this session; may throw part-way,
   /// after replacing the sink and running on_load.
   void read_state(std::span<const std::uint8_t> bytes);
@@ -148,14 +125,6 @@ class SessionBase : public core::StreamSession {
   std::size_t checkpoint_max_bytes_;
   std::int64_t events_fed_ = 0;
   std::int64_t events_dropped_ = 0;
-  // Activity estimator state (empty bitmap == disabled).
-  Index act_width_ = 0;
-  Index act_height_ = 0;
-  TimeUs act_window_us_ = 20000;
-  std::vector<std::uint8_t> act_touched_;  ///< w*h bits, current window.
-  Index act_touched_count_ = 0;
-  TimeUs act_window_start_ = std::numeric_limits<TimeUs>::min();
-  double act_ewma_ = 1.0;  ///< Dense until evidence says otherwise.
 };
 
 }  // namespace evd::runtime

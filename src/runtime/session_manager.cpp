@@ -357,68 +357,9 @@ Index SessionManager::pump_session(Index i, Index burst,
   return done;
 }
 
-void SessionManager::set_replan(ReplanHook hook, Index window) {
-  replan_hook_ = std::move(hook);
-  replan_window_ = window < 1 ? 1 : window;
-  replan_rounds_ = 0;
-  backlog_accum_.assign(slots_.size(), 0);
-  workload_fp_ = 0;
-}
-
-void SessionManager::maybe_replan(Index n) {
-  if (static_cast<Index>(backlog_accum_.size()) != n) {
-    // Population changed mid-window: restart the estimate.
-    backlog_accum_.assign(static_cast<size_t>(n), 0);
-    replan_rounds_ = 0;
-  }
-  for (Index i = 0; i < n; ++i) {
-    backlog_accum_[static_cast<size_t>(i)] +=
-        slots_[static_cast<size_t>(i)]->queue.size();
-  }
-  if (++replan_rounds_ < replan_window_) return;
-  // Windowed per-session backlog averages, bucketed to log2 before
-  // fingerprinting so round-to-round jitter inside one power of two can
-  // never thrash the plan — only a real workload-mix drift re-plans. The
-  // sessions' windowed activity estimates join the fingerprint bucketed to
-  // eighths for the same reason: a stream crossing from sparse to dense is
-  // a mix drift (the sparse-path pricing is stale) even when its backlog
-  // holds steady.
-  std::vector<Index> backlog(static_cast<size_t>(n), 0);
-  std::vector<double> activity(static_cast<size_t>(n), 1.0);
-  std::uint64_t fp = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  for (Index i = 0; i < n; ++i) {
-    const Slot& sl = *slots_[static_cast<size_t>(i)];
-    const std::int64_t avg =
-        backlog_accum_[static_cast<size_t>(i)] / replan_window_;
-    backlog[static_cast<size_t>(i)] = static_cast<Index>(avg);
-    const double act = sl.session ? sl.session->activity_estimate() : 0.0;
-    activity[static_cast<size_t>(i)] = act;
-    std::uint8_t bucket = 0;
-    for (std::int64_t v = avg; v > 0; v >>= 1) ++bucket;
-    fp ^= bucket;
-    fp *= 0x100000001B3ULL;
-    // Tag the activity byte's domain so (backlog 3, activity 5/8) can never
-    // collide with (backlog 5, activity 3/8).
-    fp ^= static_cast<std::uint8_t>(0x40u +
-                                    static_cast<unsigned>(act * 8.0 + 0.5));
-    fp *= 0x100000001B3ULL;
-  }
-  replan_rounds_ = 0;
-  std::fill(backlog_accum_.begin(), backlog_accum_.end(), 0);
-  if (fp == workload_fp_) return;
-  workload_fp_ = fp;
-  if (auto plan = replan_hook_(std::span<const Index>(backlog),
-                               std::span<const double>(activity))) {
-    // A stale hook result (population changed under it) is dropped rather
-    // than tripping set_plan's count check mid-serving.
-    if (plan->session_count == n) set_plan(std::move(*plan));
-  }
-}
-
 Index SessionManager::pump() {
   const Index n = session_count();
   if (n == 0) return 0;
-  if (replan_hook_) maybe_replan(n);
   const fault::DegradationLevel level = admission_level();
   if (admission_.enabled) {
     overload_gauge_.set(static_cast<double>(level));

@@ -59,10 +59,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -185,27 +183,6 @@ class SessionManager {
   }
   /// Deserialize + install — the restore-side counterpart of plan_bytes().
   void install_plan_bytes(std::span<const std::uint8_t> bytes);
-
-  /// Online re-planning. The hook is invoked from pump() when the manager's
-  /// windowed workload fingerprint drifts: every `window` rounds the
-  /// per-session backlog averages are bucketed (log2), combined with each
-  /// session's windowed activity estimate (StreamSession::activity_estimate,
-  /// bucketed to eighths), and fingerprinted; a changed fingerprint hands
-  /// the averaged backlog (ops per round) and the live activity (both one
-  /// entry per session) to the hook. A returned plan is installed via
-  /// set_plan (routes included); nullopt keeps the current plan. The hook
-  /// runs on the pumping thread, outside the parallel region — callers
-  /// typically close over their pipelines, fold the activity into each
-  /// session's sched::SessionProfile, and call Planner::plan_for, whose
-  /// closed-form plan costs a few cost-model evaluations per session. A
-  /// stream that turns dense mid-run therefore re-plans off the sparse /
-  /// event-driven paths the old mix priced as cheap. The hook must return a
-  /// valid plan for the current population.
-  using ReplanHook = std::function<std::optional<sched::Plan>(
-      std::span<const Index>, std::span<const double>)>;
-  void set_replan(ReplanHook hook, Index window = 16);
-  /// Last windowed workload fingerprint (0 until the first full window).
-  std::uint64_t workload_fingerprint() const noexcept { return workload_fp_; }
 
   /// pump() until every queue is empty.
   void pump_all();
@@ -399,8 +376,6 @@ class SessionManager {
   /// Push the installed plan's placements (or Default, with no plan) into
   /// every session's execution path.
   void apply_routes() noexcept;
-  /// Windowed backlog bookkeeping + drift-triggered hook invocation.
-  void maybe_replan(Index n);
 
   Index burst_;
   std::string instrument_label_;  ///< Obs label fragment, e.g. `shard="2"`.
@@ -414,12 +389,6 @@ class SessionManager {
   /// pump() reads it before the slot; the header comment says who writes.
   std::vector<std::uint8_t> ready_;
   fault::AdmissionConfig admission_;
-  // Online re-planning state (all touched only by the pumping thread).
-  ReplanHook replan_hook_;
-  Index replan_window_ = 16;
-  Index replan_rounds_ = 0;
-  std::vector<std::int64_t> backlog_accum_;  ///< Per-session window sums.
-  std::uint64_t workload_fp_ = 0;
   std::atomic<std::int64_t> queued_ops_{0};
   std::int64_t capacity_total_ = 0;
   std::int64_t coarsened_rounds_ = 0;  ///< pump() rounds run coarsened.

@@ -82,9 +82,7 @@ route::CostShape placement_shape(const ParadigmPlacement* placement) {
   }
   const route::ExecutionPath* path =
       route::PathRegistry::instance().find(placement->path);
-  // is_default variants alias the built-in behavior, so their descriptors
-  // carry AsDeclared; unknown ids (never produced by validate()d plans)
-  // price as declared too.
+  // Unknown ids (never produced by validate()d plans) price as declared.
   return path != nullptr ? path->cost : route::CostShape::AsDeclared;
 }
 

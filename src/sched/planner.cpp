@@ -28,8 +28,7 @@ double backlog_us(const SessionProfile& profile,
 
 /// Rule 1: per paradigm, in first-appearance order, the routable path that
 /// prices that paradigm's backlog lowest. Default holds unless another path
-/// is strictly cheaper — the cost model prices AsDeclared variants like
-/// Default, and Default is the path the pipeline's own heuristics tune.
+/// is strictly cheaper: it is the path the pipeline's own heuristics tune.
 std::vector<ParadigmPlacement> cheapest_paths(
     std::span<const SessionProfile> profiles, const CostModels& models) {
   std::vector<ParadigmPlacement> placements;

@@ -168,21 +168,12 @@ double SnnPipeline::computation_sparsity(const events::EventStream& probe) {
 
 namespace {
 
-runtime::SessionBaseConfig snn_session_config(const SnnPipelineConfig& c) {
-  runtime::SessionBaseConfig sc;
-  sc.decision_retain = c.decision_retain;
-  sc.paradigm = "snn";
-  // Windowed activity estimator over the configured sensor plane, so the
-  // re-plan hook can re-price snn.event_driven when a stream turns dense.
-  sc.width = c.width;
-  sc.height = c.height;
-  return sc;
-}
-
 class SnnStreamSession : public runtime::SessionBase {
  public:
   SnnStreamSession(SnnPipeline& pipeline, Index width, Index height)
-      : runtime::SessionBase(snn_session_config(pipeline.config())),
+      : runtime::SessionBase(
+            {.decision_retain = pipeline.config().decision_retain,
+             .paradigm = "snn"}),
         pipeline_(pipeline),
         width_(width),
         height_(height),
@@ -276,8 +267,7 @@ class SnnStreamSession : public runtime::SessionBase {
       // Routed stepping discipline: the event-driven path runs each layer
       // as one spike-driven kernel call instead of the chunked fork-join —
       // bitwise-identical logits (route.snn_clocked_vs_event), different
-      // scheduling cost. SnnClocked and Default both name the built-in
-      // clocked path.
+      // scheduling cost. Default runs the built-in clocked path.
       const bool event_driven =
           execution_path() == route::PathId::SnnEventDriven;
       const nn::Tensor logits = event_driven

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <utility>
 
 #include "cnn/cnn_pipeline.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/softmax.hpp"
 #include "route/route.hpp"
 #include "test_util.hpp"
@@ -79,16 +81,21 @@ TEST(CnnPipeline, EmptyFramesStillProduceDecisionSlots) {
 
 TEST(CnnPipeline, SessionScratchIsReusedAcrossFrameDensities) {
   // One session's activation buffers serve frames from full to empty, on
-  // every execution path: each decision equals a fresh forward of its
-  // frame, bit for bit.
+  // every conv kernel (the shape heuristic, Direct and GEMM forced by a
+  // thread override, and the cnn.sparse route): each decision equals a
+  // fresh forward of its frame, bit for bit.
   const CnnPipelineConfig config = tiny_pipeline();
   CnnPipeline pipeline(config);
   const TimeUs period = config.frame_period_us;
   const Index events_per_frame[] = {256, 3, 0, 40, 256, 1};
   constexpr Index kFrames = std::size(events_per_frame);
-  for (const route::PathId path :
-       {route::PathId::Default, route::PathId::CnnDirect,
-        route::PathId::CnnGemm, route::PathId::CnnSparse}) {
+  const std::pair<route::PathId, nn::ConvAlgo> kernels[] = {
+      {route::PathId::Default, nn::ConvAlgo::Auto},
+      {route::PathId::Default, nn::ConvAlgo::Direct},
+      {route::PathId::Default, nn::ConvAlgo::Gemm},
+      {route::PathId::CnnSparse, nn::ConvAlgo::Auto}};
+  for (const auto& [path, algo] : kernels) {
+    const nn::ScopedConvAlgo forced(algo);
     auto session = pipeline.open_session(16, 16);
     ASSERT_TRUE(session->set_execution_path(path));
     std::vector<std::vector<events::Event>> windows(kFrames);
@@ -114,14 +121,19 @@ TEST(CnnPipeline, SessionScratchIsReusedAcrossFrameDensities) {
         EXPECT_EQ(got.label, -1);
         continue;
       }
-      const nn::Tensor probs = nn::softmax(pipeline.model().forward(
-          build_frame(window, 16, 16, f * period, (f + 1) * period,
-                      config.frame),
-          false));
+      nn::Tensor probs;
+      {
+        const nn::ScopedConvAlgo reference(nn::ConvAlgo::Auto);
+        probs = nn::softmax(pipeline.model().forward(
+            build_frame(window, 16, 16, f * period, (f + 1) * period,
+                        config.frame),
+            false));
+      }
       const Index best = probs.argmax();
       EXPECT_EQ(got.label, static_cast<int>(best)) << "frame " << f;
       EXPECT_EQ(got.confidence, static_cast<double>(probs[best]))
-          << "frame " << f << " path " << static_cast<int>(path);
+          << "frame " << f << " path " << static_cast<int>(path) << " algo "
+          << static_cast<int>(algo);
     }
   }
 }

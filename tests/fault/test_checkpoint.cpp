@@ -219,15 +219,17 @@ TEST(CheckpointFraming, HeaderGuardsRejectForeignBytes) {
       EXPECT_EQ(e.code(), ErrorCode::CheckpointCorrupt);
     }
   }
-  {  // Future version: strict equality, no migration.
+  // Version skew: strict equality, no migration. v4 frames still carried
+  // the activity estimator.
+  for (const std::uint32_t version : {kCheckpointVersion + 1, 4u}) {
     std::vector<std::uint8_t> bad = bytes;
-    bad[4] = static_cast<std::uint8_t>(kCheckpointVersion + 1);
+    std::memcpy(bad.data() + 4, &version, sizeof(version));
     FramedSession target;
     try {
       target.load_state(bad);
-      FAIL() << "version skew must throw";
+      FAIL() << "version " << version << " must throw";
     } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::CheckpointMismatch);
+      EXPECT_EQ(e.code(), ErrorCode::CheckpointMismatch) << version;
     }
   }
   {  // Wrong paradigm.
@@ -409,7 +411,7 @@ void expect_matches_twin(core::StreamSession& session,
   EXPECT_EQ(session.stats().events_fed, twin.stats().events_fed);
   EXPECT_EQ(session.stats().decisions_emitted, twin.stats().decisions_emitted);
   EXPECT_EQ(session.stats().decisions_dropped, twin.stats().decisions_dropped);
-  EXPECT_EQ(session.activity_estimate(), twin.activity_estimate());
+  EXPECT_EQ(session.stats().events_dropped, twin.stats().events_dropped);
   const auto undrained = test::drained(twin);
   ASSERT_GT(undrained.size(), 0u);
   EXPECT_EQ(test::drained(session), undrained);
@@ -571,6 +573,44 @@ TEST(CheckpointParadigms, CnnFrameEndNotAfterStartIsCorrupt) {
       [](std::vector<std::uint8_t>& bytes, size_t clock_at, size_t) {
         std::memcpy(bytes.data() + clock_at + 8, bytes.data() + clock_at, 8);
       });
+}
+
+// The window is reserved, not sized, at open: a stored count above the
+// capacity is refused before the window grows, and the session is left as
+// it was.
+TEST(CheckpointParadigms, CnnWindowCountAboveCapacityIsCorrupt) {
+  cnn::CnnPipelineConfig config = cnn_config();
+  config.stream_window_capacity = 4;
+  cnn::CnnPipeline pipeline(config);
+  auto session = pipeline.open_session(kGeom, kGeom);
+  auto twin = pipeline.open_session(kGeom, kGeom);
+  for (auto* s : {session.get(), twin.get()}) {
+    for (TimeUs t = 1; t <= 6; ++t) s->feed(event_at(t));
+  }
+  ASSERT_EQ(session->stats().events_dropped, 2);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(session->save_state(bytes));
+
+  // The frame ends with the window's count and its 4 events. Store a 5th
+  // event, whole, so only the capacity bound can refuse the frame.
+  const size_t count_at = bytes.size() - 4 * sizeof(events::Event) - 8;
+  std::int64_t count = 0;
+  std::memcpy(&count, bytes.data() + count_at, sizeof count);
+  ASSERT_EQ(count, 4);
+  count = 5;
+  std::memcpy(bytes.data() + count_at, &count, sizeof count);
+  const std::vector<std::uint8_t> last(bytes.end() - sizeof(events::Event),
+                                       bytes.end());
+  bytes.insert(bytes.end(), last.begin(), last.end());
+  expect_load_throws(*session, bytes, ErrorCode::CheckpointCorrupt);
+
+  EXPECT_EQ(session->stats(), twin->stats());
+  for (auto* s : {session.get(), twin.get()}) {
+    s->advance_to(config.frame_period_us);
+  }
+  const auto want = test::drained(*twin);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(test::drained(*session), want);
 }
 
 // A checkpoint carries what the next op needs, not the decisions the

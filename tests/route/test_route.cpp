@@ -44,10 +44,10 @@ sched::Plan routed_plan(Index sessions) {
 
 TEST(Route, RegistryEnumeratesEveryParadigmsVariants) {
   auto& reg = PathRegistry::instance();
-  EXPECT_EQ(reg.paths().size(), 7u);
-  EXPECT_EQ(reg.paths_for("cnn").size(), 3u);
-  EXPECT_EQ(reg.paths_for("snn").size(), 2u);
-  EXPECT_EQ(reg.paths_for("gnn").size(), 2u);
+  EXPECT_EQ(reg.paths().size(), 3u);
+  EXPECT_EQ(reg.paths_for("cnn").size(), 1u);
+  EXPECT_EQ(reg.paths_for("snn").size(), 1u);
+  EXPECT_EQ(reg.paths_for("gnn").size(), 1u);
   EXPECT_TRUE(reg.paths_for("tpu").empty());
   for (const ExecutionPath& p : reg.paths()) {
     EXPECT_STREQ(p.paradigm, path_paradigm(p.id));
@@ -66,17 +66,17 @@ TEST(Route, PathNamesAreStable) {
 }
 
 TEST(Route, PathByteCodecRoundTripsAndRejectsUnknownValues) {
-  for (PathId id :
-       {PathId::Default, PathId::CnnDirect, PathId::CnnGemm, PathId::CnnSparse,
-        PathId::SnnClocked, PathId::SnnEventDriven, PathId::GnnIncremental,
-        PathId::GnnBatch}) {
+  for (PathId id : {PathId::Default, PathId::CnnSparse, PathId::SnnEventDriven,
+                    PathId::GnnBatch}) {
     const auto decoded = path_from_byte(static_cast<std::uint8_t>(id));
     ASSERT_TRUE(decoded.has_value()) << path_name(id);
     EXPECT_EQ(*decoded, id);
   }
-  for (std::uint8_t raw : {std::uint8_t{4}, std::uint8_t{5}, std::uint8_t{7},
-                           std::uint8_t{10}, std::uint8_t{18},
-                           std::uint8_t{255}}) {
+  // 1, 2, 8 and 16 named the default-aliasing paths, which are gone.
+  for (std::uint8_t raw :
+       {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{4}, std::uint8_t{5},
+        std::uint8_t{7}, std::uint8_t{8}, std::uint8_t{10}, std::uint8_t{16},
+        std::uint8_t{18}, std::uint8_t{255}}) {
     EXPECT_FALSE(path_from_byte(raw).has_value()) << static_cast<int>(raw);
   }
 }
@@ -90,16 +90,6 @@ TEST(Route, PathValidityIsParadigmScoped) {
   EXPECT_FALSE(path_valid_for(PathId::CnnSparse, ""));
   EXPECT_TRUE(path_valid_for(PathId::GnnBatch, "gnn"));
   EXPECT_FALSE(path_valid_for(PathId::GnnBatch, "cnn"));
-}
-
-TEST(Route, DefaultAliasingVariantsAreBornProved) {
-  auto& reg = PathRegistry::instance();
-  EXPECT_TRUE(reg.proved(PathId::Default));
-  EXPECT_TRUE(reg.proved(PathId::CnnDirect));
-  EXPECT_TRUE(reg.proved(PathId::CnnGemm));
-  EXPECT_TRUE(reg.proved(PathId::SnnClocked));
-  EXPECT_TRUE(reg.proved(PathId::GnnIncremental));
-  EXPECT_FALSE(reg.proved(static_cast<PathId>(5)));  // unregistered id
 }
 
 TEST(Route, RoutableIsDefaultPlusProvedOwnVariantsOnly) {
@@ -132,8 +122,11 @@ TEST(Route, MarkProvedIgnoresDefaultAndUnknownIds) {
   reg.mark_proved(PathId::Default);          // no slot to set
   reg.mark_proved(static_cast<PathId>(5));   // not a registered variant
   reg.mark_proved(static_cast<PathId>(200)); // out of slot range
+  reg.mark_proved(PathId::CnnDirect);        // named, never registered
+  EXPECT_TRUE(reg.proved(PathId::Default));
   EXPECT_FALSE(reg.proved(static_cast<PathId>(5)));
   EXPECT_FALSE(reg.proved(static_cast<PathId>(200)));
+  EXPECT_FALSE(reg.proved(PathId::CnnDirect));
 }
 
 TEST(Route, ScopedConvAlgoNestsAndRestoresThreadLocally) {

@@ -121,23 +121,25 @@ TEST(PlanFrames, UnknownPathByteRaisesCheckpointCorrupt) {
   // two frames differing only in that field differ in exactly one byte.
   const std::vector<std::uint8_t> sparse =
       full_plan_bytes(route::PathId::CnnSparse);
-  const std::vector<std::uint8_t> direct =
-      full_plan_bytes(route::PathId::CnnDirect);
-  ASSERT_EQ(sparse.size(), direct.size());
+  const std::vector<std::uint8_t> dflt =
+      full_plan_bytes(route::PathId::Default);
+  ASSERT_EQ(sparse.size(), dflt.size());
   size_t path_at = sparse.size();
   size_t differing = 0;
   for (size_t i = 0; i < sparse.size(); ++i) {
-    if (sparse[i] != direct[i]) {
+    if (sparse[i] != dflt[i]) {
       path_at = i;
       ++differing;
     }
   }
   ASSERT_EQ(differing, 1u);
   std::vector<std::uint8_t> bytes = sparse;
-  bytes[path_at] = 0x05;  // reserved gap in the PathId space
-  EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt);
-  bytes[path_at] = 0xFE;
-  EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt);
+  // 0x05 is a reserved gap in the PathId space; 1, 2, 8 and 16 named the
+  // default-aliasing paths, which are no longer registered.
+  for (const int raw : {0x01, 0x02, 0x05, 0x08, 0x10, 0xFE}) {
+    bytes[path_at] = static_cast<std::uint8_t>(raw);
+    EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt) << raw;
+  }
 }
 
 TEST(PlanFrames, DuplicatePlacementRaisesCheckpointCorrupt) {

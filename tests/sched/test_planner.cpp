@@ -288,18 +288,18 @@ TEST(Planner, DensePopulationStaysOnDefaultPaths) {
 }
 
 TEST(Planner, CostTieStaysOnDefault) {
-  // cnn.direct and cnn.gemm alias the built-in behavior, so the model
-  // prices them exactly like Default: a tie, which Default must win.
-  const auto profiles = pipeline_profiles(1.0);
+  // A profile with no declared stages is priced as one nominal dense op on
+  // every path, so cnn.sparse ties with Default, and Default must win.
+  prove_variants();
   const CostModels models = pinned_models(4);
-  const ParadigmPlacement direct{"cnn", route::PathId::CnnDirect};
-  const std::vector<route::PathId> routable =
-      route::PathRegistry::instance().routable("cnn");
-  ASSERT_NE(std::find(routable.begin(), routable.end(),
-                      route::PathId::CnnDirect),
-            routable.end());
-  ASSERT_EQ(per_op_cost_us(profiles[0], &direct, models),
-            per_op_cost_us(profiles[0], nullptr, models));
+  SessionProfile opaque;
+  opaque.paradigm = "cnn";
+  opaque.queued_ops = 8;
+  opaque.activity = 0.0625;
+  const std::vector<SessionProfile> profiles = {opaque, opaque};
+  const ParadigmPlacement sparse{"cnn", route::PathId::CnnSparse};
+  ASSERT_EQ(per_op_cost_us(opaque, &sparse, models),
+            per_op_cost_us(opaque, nullptr, models));
   const Plan plan = build_plan(profiles, models, plan_config(4, 8));
   EXPECT_EQ(placement(plan, "cnn").path, route::PathId::Default);
 }
