@@ -169,8 +169,6 @@ bool capture_trace(const char* path) {
   obs::set_enabled(true);
   obs::Tracer::instance().clear();
   gnn::GnnPipeline pipeline(pipeline_config());
-  // The manager owns the "runtime.session_burst" label its visit spans
-  // point at, so it must outlive the export below.
   runtime::SessionManager manager(kBurst);
   serve_once(pipeline, manager, 16);
   // dropped() reports spans overwritten before any collection; query it

@@ -759,7 +759,6 @@ bool gate_routing() {
   for (sched::ParadigmPlacement& p : unrouted.placements) {
     p.path = route::PathId::Default;
   }
-  unrouted.refresh_labels();
   const sched::CostModels models;
   const double unrouted_modeled_us =
       sched::plan_cost_us(unrouted, profiles, models);

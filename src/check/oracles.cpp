@@ -1015,7 +1015,6 @@ sched::Plan random_plan(Index n, const std::string& paradigm,
   plan.placements.push_back(
       {paradigm, routable[static_cast<size_t>(rng.uniform_int(
                      routable.size()))]});
-  plan.refresh_labels();
   return plan;
 }
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "runtime/ring_buffer.hpp"
+
 namespace evd::runtime {
 
 DecisionSink::DecisionSink(Index retain) : retain_(retain < 1 ? 1 : retain) {
-  buffer_.reserve(static_cast<size_t>(retain_) * 2);
+  buffer_.reserve(static_cast<size_t>(std::min(retain_ * 2, kFirstBlock)));
 }
 
 void DecisionSink::emit(const core::Decision& d) {
@@ -18,13 +20,17 @@ void DecisionSink::emit(const core::Decision& d) {
     dropped_ += evict;
     buffer_.erase(buffer_.begin(), buffer_.begin() + evict);
   }
+  // The one growth step: a full first block is replaced by the bound.
+  if (buffer_.size() == buffer_.capacity()) {
+    buffer_.reserve(static_cast<size_t>(retain_) * 2);
+  }
   buffer_.push_back(d);
 }
 
 Index DecisionSink::drain(std::vector<core::Decision>& out) {
   const auto n = static_cast<Index>(buffer_.size());
   out.insert(out.end(), buffer_.begin(), buffer_.end());
-  buffer_.clear();  // keeps the 2*retain reservation
+  buffer_.clear();  // keeps the storage
   handed_ += n;
   return n;
 }
@@ -49,14 +55,14 @@ void DecisionSink::load(fault::CheckpointReader& r) {
                 "DecisionSink retain " + std::to_string(retain_) +
                     " vs checkpointed " + std::to_string(retain));
   }
+  // The 2*retain bound is checked against the stored count, before the
+  // buffer is sized from it.
   std::vector<core::Decision> buffer;
-  r.pod_vector(buffer);
+  r.pod_vector(buffer, static_cast<size_t>(retain_) * 2);
   const std::int64_t total = r.i64();
   const std::int64_t dropped = r.i64();
   const std::int64_t handed = r.i64();
   const auto buffered = static_cast<std::int64_t>(buffer.size());
-  fault::expect_valid(buffered <= retain_ * 2,
-                      "DecisionSink buffer exceeds its 2*retain bound");
   // Subtractions only: the counts are untrusted and a sum could overflow.
   // No stream reaches 2^62 decisions; a total near 2^63 would overflow in
   // emit().
@@ -75,6 +81,9 @@ void DecisionSink::load(fault::CheckpointReader& r) {
   }
   const std::int64_t gone =
       std::min(handed_ + dropped_ - (total - buffered), buffered);
+  if (static_cast<size_t>(buffered - gone) > buffer_.capacity()) {
+    buffer_.reserve(static_cast<size_t>(retain_) * 2);
+  }
   buffer_.assign(buffer.begin() + gone, buffer.end());
 }
 

@@ -28,12 +28,14 @@ namespace evd::runtime {
 
 class DecisionSink {
  public:
-  /// `retain` <= 0 falls back to 1. Storage is reserved to 2*retain once,
-  /// here — emit() and drain() never reallocate it.
+  /// `retain` <= 0 falls back to 1. Storage starts at a first block of
+  /// kFirstBlock decisions (ring_buffer.hpp), or 2*retain when that is
+  /// smaller, and grows once, to 2*retain, when an emit finds the block
+  /// full. It never grows or shrinks again: drain() keeps it.
   explicit DecisionSink(Index retain);
 
   /// Append a decision; compacts from the front (oldest first) when the
-  /// 2*retain bound is reached. No heap allocation after construction.
+  /// 2*retain bound is reached. Allocates only in the one growth step.
   void emit(const core::Decision& d);
 
   /// Move all undrained decisions into `out` (appended), oldest first, and
@@ -52,8 +54,10 @@ class DecisionSink {
   void save(fault::CheckpointWriter& w) const;
   /// Restores a checkpoint taken from a sink with the same retain limit
   /// (Error(CheckpointMismatch) otherwise); inconsistent counts or an
-  /// oversized buffer throw Error(CheckpointCorrupt). The mark never moves
-  /// backwards, and buffered decisions at or below it are discarded.
+  /// oversized buffer throw Error(CheckpointCorrupt), the latter before
+  /// anything is allocated for it. The mark never moves backwards, and
+  /// buffered decisions at or below it are discarded. A restored buffer
+  /// larger than the first block takes the growth step to 2*retain.
   void load(fault::CheckpointReader& r);
 
  private:

@@ -16,8 +16,9 @@
 //
 // The queue carries the full session op stream — events and advance_to
 // marks — so draining it replays exactly what a direct caller would have
-// done, in order. Capacity is allocated once at construction; push/pop are
-// allocation-free.
+// done, in order. The ring starts at a 16-op first block and grows once, to
+// the full capacity, when a push finds that block full (ring_buffer.hpp);
+// every other push, and every pop, is allocation-free.
 #pragma once
 
 #include "events/event.hpp"
@@ -31,7 +32,8 @@ enum class OverflowPolicy { DropNewest, DropOldest };
 /// laid out flat: the event's address and polarity share the first 8 bytes
 /// with the kind tag (in what is padding in events::Event), then one
 /// timestamp that is the event time for a Feed and the target for an
-/// Advance, then the latency stamp. A 512-op queue is 12 KiB per session.
+/// Advance, then the latency stamp. A session's queue is 384 B until its
+/// 16-op first block fills, then its bound: 12 KiB at 512 ops.
 struct StreamOp {
   enum class Kind : std::uint8_t { Feed, Advance };
   std::int16_t x = 0;

@@ -7,8 +7,9 @@
 //   * the checkpoint frame header.
 //
 // Subclasses implement only the paradigm: on_event() and on_advance(). Each
-// owns its steady-state scratch and sizes it once, in its constructor, so
-// the feed path never allocates.
+// owns its steady-state scratch and sizes it once, in its constructor; the
+// decision sink takes its one growth step on the emit that fills its first
+// block. After that the feed path never allocates.
 #pragma once
 
 #include <string>

@@ -383,6 +383,10 @@ Index SessionManager::pump() {
   // burst by kMaxPlanBurst, so no installed plan overflows it here.
   const auto nregions = static_cast<Index>(plan.regions.size());
   const Index burst = plan.burst * coarsen;
+  // Span names are literals: the tracer keeps the pointer until a later
+  // collect(), which may come after this plan, or this manager, is gone.
+  const char* const span_name =
+      planned ? "sched.region" : "runtime.session_burst";
   const Index total = par::parallel_reduce(
       0, nregions, 1, Index{0},
       [&](Index r, Index) {
@@ -390,7 +394,7 @@ Index SessionManager::pump() {
         Index ops = 0;
         for (const Index s : region.sessions) {
           if (ready_[static_cast<size_t>(s)] == 0) continue;
-          ops += pump_session(s, burst, region.label.c_str());
+          ops += pump_session(s, burst, span_name);
         }
         return ops;
       },
@@ -415,9 +419,6 @@ const sched::Plan& SessionManager::default_plan(Index n) {
     // Session s in region s % W: the grain-1 region loop hands worker w
     // sessions w, w+W, ... at the manager's burst.
     default_plan_ = sched::Plan::round_robin(n, workers, burst_);
-    for (sched::PlanRegion& region : default_plan_.regions) {
-      region.label = "runtime.session_burst";
-    }
     default_plan_workers_ = workers;
   }
   return default_plan_;
@@ -439,7 +440,6 @@ void SessionManager::set_plan(sched::Plan plan) {
                     std::to_string(plan.session_count) + " sessions, manager " +
                     "has " + std::to_string(session_count()));
   }
-  plan.refresh_labels();  // span labels must be present and stable
   plan.serialize(plan_bytes_);
   plan_ = std::make_unique<sched::Plan>(std::move(plan));
   // Every validation has passed: routing is the last step, so a rejected

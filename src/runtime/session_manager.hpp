@@ -151,8 +151,9 @@ class SessionManager {
   /// one worker, visiting its sessions in plan order at the plan's burst.
   /// Without an installed plan — or when add() made it stale — the round
   /// runs Plan::round_robin(n, par::thread_count(), burst), cached until n
-  /// or the thread count changes; its regions run under the
-  /// "runtime.session_burst" span. Pumped from inside a parallel region
+  /// or the thread count changes. Visits run under the
+  /// "runtime.session_burst" span, or "sched.region" under an installed
+  /// plan. Pumped from inside a parallel region
   /// (a shard worker), where the round runs serially anyway, the default
   /// plan is one region in id order. Either way every session applies its
   /// own ops in FIFO order on a single worker per round, so the decision

@@ -82,27 +82,6 @@ std::uint64_t Plan::fingerprint() const {
   return h;
 }
 
-namespace {
-std::string hex8(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(8, '0');
-  for (int i = 7; i >= 0; --i) {
-    s[static_cast<size_t>(i)] = digits[v & 0xF];
-    v >>= 4;
-  }
-  return s;
-}
-}  // namespace
-
-void Plan::refresh_labels() {
-  // Fingerprint without the labels themselves (serialize skips them), so
-  // the label is a pure function of the plan's decisions.
-  const std::string fp = hex8(fingerprint());
-  for (size_t r = 0; r < regions.size(); ++r) {
-    regions[r].label = "sched.r" + std::to_string(r) + ".p" + fp;
-  }
-}
-
 std::string Plan::describe() const {
   std::string s = "plan{sessions=" + std::to_string(session_count) +
                   " regions=" + std::to_string(regions.size()) +
@@ -131,7 +110,6 @@ void Plan::serialize(std::vector<std::uint8_t>& out) const {
   w.f64(modeled_cost_us);
   w.i64(static_cast<std::int64_t>(regions.size()));
   for (const PlanRegion& region : regions) {
-    // Labels are derived (refresh_labels), not stored.
     w.pod_vector(region.sessions);
   }
   w.i64(static_cast<std::int64_t>(placements.size()));
@@ -191,7 +169,6 @@ Plan Plan::deserialize(std::span<const std::uint8_t> bytes) {
     throw Error(ErrorCode::CheckpointCorrupt,
                 "Plan::deserialize: decoded plan invalid: " + why);
   }
-  plan.refresh_labels();
   return plan;
 }
 
@@ -208,7 +185,6 @@ Plan Plan::round_robin(Index session_count, Index region_count, Index burst) {
   for (Index s = 0; s < session_count; ++s) {
     plan.regions[static_cast<size_t>(s % region_count)].sessions.push_back(s);
   }
-  plan.refresh_labels();
   return plan;
 }
 

@@ -42,12 +42,9 @@ namespace evd::sched {
 /// overflow: a decoded frame with a larger burst is refused, not installed.
 inline constexpr Index kMaxPlanBurst = Index{1} << 20;
 
-/// The sessions one worker pumps each round, in visit order. `label` is the
-/// obs span every visit in this region runs under — owned by the plan so
-/// the const char* handed to obs::Span stays valid for the plan's lifetime.
+/// The sessions one worker pumps each round, in visit order.
 struct PlanRegion {
   std::vector<Index> sessions;
-  std::string label;
 };
 
 /// Execution path one paradigm's sessions run under the plan (see
@@ -74,17 +71,11 @@ struct Plan {
   /// false and (when `why` is non-null) says what broke.
   bool validate(std::string* why = nullptr) const;
 
-  /// FNV-1a over the serialized bytes — stable across platforms, used in
-  /// span labels.
+  /// FNV-1a over the serialized bytes — stable across platforms.
   std::uint64_t fingerprint() const;
 
   /// Human-readable one-plan summary (tests, golden snapshots, logs).
   std::string describe() const;
-
-  /// Rebuild each region's obs span label ("sched.r<k>.p<fp>"). Call after
-  /// any structural mutation; deserialize() and the planner do so
-  /// themselves.
-  void refresh_labels();
 
   /// Checkpoint-framed serialization (fault/checkpoint.hpp writer/reader,
   /// own magic + version) so a plan rides inside the existing

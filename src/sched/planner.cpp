@@ -126,7 +126,6 @@ Plan build_plan(std::span<const SessionProfile> profiles,
   Plan chosen = lpt.modeled_cost_us < round_robin.modeled_cost_us
                     ? std::move(lpt)
                     : std::move(round_robin);
-  chosen.refresh_labels();
   return chosen;
 }
 

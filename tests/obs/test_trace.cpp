@@ -8,7 +8,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
+#include "gnn/gnn_pipeline.hpp"
 #include "obs/trace.hpp"
+#include "runtime/session_manager.hpp"
+#include "sched/plan.hpp"
 
 namespace evd::obs {
 namespace {
@@ -204,6 +208,58 @@ TEST_F(TraceTest, DisabledSampledSiteRecordsNothingAndKeepsCountdown) {
   const auto spans = Tracer::instance().collect();
   EXPECT_EQ(count_named(spans, "test.disabled_sampled"), 0);
   EXPECT_EQ(count_named(spans, "test.enabled_sampled"), 1);
+}
+
+TEST_F(TraceTest, PumpSpanNamesOutliveThePlanAndTheManager) {
+  // The tracer keeps a span's name pointer until collect(). Serve under a
+  // plan, replace it, clear it, destroy the manager, then export: a name
+  // owned by a plan or by the manager would be read after it was freed.
+  const Index previous_threads = par::thread_count();
+  par::set_thread_count(2);
+  gnn::GnnPipelineConfig config;
+  config.width = 16;
+  config.height = 16;
+  config.num_classes = 2;
+  config.model.hidden = 8;
+  config.model.layers = 2;
+  config.stream_stride = 1;
+  gnn::GnnPipeline pipeline(config);
+  {
+    constexpr Index kSessions = 4;
+    runtime::SessionManager manager(/*burst=*/8);
+    for (Index s = 0; s < kSessions; ++s) {
+      manager.add(pipeline.open_session(16, 16));
+    }
+    // 16 visits per session per serve: enough that the 1-in-16 sampled
+    // visit span records on at least one of the two workers.
+    TimeUs t = 0;
+    const auto serve = [&] {
+      for (Index k = 0; k < 128; ++k, t += 100) {
+        for (Index s = 0; s < kSessions; ++s) {
+          events::Event e;
+          e.x = static_cast<std::int16_t>(k % 16);
+          e.y = static_cast<std::int16_t>((k * 3 + s) % 16);
+          e.polarity = k % 2 == 0 ? Polarity::On : Polarity::Off;
+          e.t = t;
+          manager.submit(s, e);
+        }
+      }
+      manager.pump_all();
+    };
+    manager.set_plan(sched::Plan::round_robin(kSessions, 2, 8));
+    serve();
+    manager.set_plan(sched::Plan::round_robin(kSessions, 1, 8));
+    serve();
+    manager.clear_plan();
+    serve();
+  }
+  par::set_thread_count(previous_threads);
+
+  const auto spans = Tracer::instance().collect();
+  EXPECT_GT(count_named(spans, "sched.region"), 0);
+  EXPECT_GT(count_named(spans, "runtime.session_burst"), 0);
+  const std::string trace = Tracer::instance().chrome_trace_json();
+  EXPECT_NE(trace.find("\"name\":\"sched.region\""), std::string::npos);
 }
 
 TEST_F(TraceTest, ClearForgetsRecordedSpans) {

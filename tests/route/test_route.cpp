@@ -38,7 +38,6 @@ sched::Plan routed_plan(Index sessions) {
   sched::Plan plan = sched::Plan::round_robin(sessions, 1, 2);
   plan.placements = {{"cnn", PathId::CnnSparse},
                      {"snn", PathId::SnnEventDriven}};
-  plan.refresh_labels();
   return plan;
 }
 

@@ -52,6 +52,29 @@ TEST(RingBuffer, DropFrontEvictsOldest) {
   EXPECT_EQ(out, 2);
 }
 
+TEST(RingBuffer, GrowsOnceFromAWrappedFirstBlockInOrder) {
+  // Bound 40 over a 16-entry first block: wrap the head inside the block,
+  // fill the block, then push past it. The growth step keeps FIFO order.
+  RingBuffer<int> ring(40);
+  int out = 0;
+  for (int v = 0; v < 10; ++v) ASSERT_TRUE(ring.push(v));
+  for (int v = 0; v < 7; ++v) {
+    ASSERT_TRUE(ring.pop(out));
+    EXPECT_EQ(out, v);
+  }
+  for (int v = 10; v < 23; ++v) ASSERT_TRUE(ring.push(v));
+  EXPECT_EQ(ring.size(), kFirstBlock);
+  for (int v = 23; v < 47; ++v) ASSERT_TRUE(ring.push(v));
+  EXPECT_TRUE(ring.full());
+  EXPECT_EQ(ring.capacity(), 40);
+  EXPECT_FALSE(ring.push(99));
+  for (int v = 7; v < 47; ++v) {
+    ASSERT_TRUE(ring.pop(out));
+    EXPECT_EQ(out, v);
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
 TEST(EventQueue, DropNewestRejectsIncomingWhenFull) {
   EventQueue queue(2, OverflowPolicy::DropNewest);
   EXPECT_TRUE(queue.push(StreamOp::feed(event_at(10))));

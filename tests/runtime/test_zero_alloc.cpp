@@ -16,9 +16,11 @@
 //            timestep boundary may allocate (bounded by the step clock).
 // The serving plane is held to the same bar: with admission on, submit()
 // and a steady-state pump() round allocate nothing, and a managed slot
-// costs its queue plus a fixed slack, with a noise gate only under
-// admission. The over-aligned overloads are replaced too, so alignas(64)
-// storage (MpscRing cells) is counted like any other block.
+// costs its queue's first block plus a fixed slack, with a noise gate only
+// under admission. A session's queue and decision sink each grow once, to
+// their configured bound, and never again. The over-aligned overloads are
+// replaced too, so alignas(64) storage (MpscRing cells) is counted like any
+// other block.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,6 +32,7 @@
 #include "fault/admission.hpp"
 #include "gnn/gnn_pipeline.hpp"
 #include "route/route.hpp"
+#include "runtime/decision_sink.hpp"
 #include "runtime/session_manager.hpp"
 #include "snn/snn_pipeline.hpp"
 
@@ -303,10 +306,13 @@ TEST(ZeroAlloc, ManagedSlotIsItsQueueWithAGateOnlyUnderAdmission) {
   };
   const std::int64_t off = bytes_per_add(false);
   const std::int64_t on = bytes_per_add(true);
-  const auto queue_bytes =
-      static_cast<std::int64_t>(kQueue * sizeof(StreamOp));
-  EXPECT_GE(off, queue_bytes);
-  EXPECT_LE(off, queue_bytes + kSlotSlack) << "no gate with admission off";
+  // The queue's first block, not its kQueue-op bound: the ring grows only
+  // when a push finds that block full.
+  const auto first_block_bytes =
+      static_cast<std::int64_t>(kFirstBlock * sizeof(StreamOp));
+  EXPECT_GE(off, first_block_bytes);
+  EXPECT_LE(off, first_block_bytes + kSlotSlack)
+      << "no gate with admission off";
   EXPECT_EQ(on - off, static_cast<std::int64_t>(sizeof(fault::NoiseGate)))
       << "admission on adds exactly one gate per slot";
 
@@ -322,6 +328,130 @@ TEST(ZeroAlloc, ManagedSlotIsItsQueueWithAGateOnlyUnderAdmission) {
               manager.set_admission(admission_on());
             }),
             0);
+}
+
+TEST(ZeroAlloc, QueueAndSinkEachGrowOnceThenNeverAgain) {
+  // retain 32: the sink's bound is 64 decisions, and stride 1 decides on
+  // every event, so one undrained pump fills the sink's first block.
+  gnn::GnnPipeline pipeline(tenant_config());
+  constexpr Index kQueue = 512;
+  constexpr Index kSinkBound = 64;
+  ManagedSessionConfig config;
+  config.queue_capacity = kQueue;
+  TimeUs t = 0;
+  Index i = 0;
+  std::vector<core::Decision> out;
+  out.reserve(1024);
+  SessionManager manager;
+  manager.add(pipeline.open_session(16, 16), config);
+  const auto submit = [&](Index ops) {
+    for (Index k = 0; k < ops; ++k, ++i) {
+      manager.submit(0, event_at(i, t += 100));
+    }
+  };
+  const auto drain = [&] {
+    manager.drain(0, out);
+    out.clear();
+  };
+  // The manager's first pump builds its default plan, and the session's
+  // first inference sizes its scratch; neither is the queue or the sink.
+  submit(8);
+  manager.pump_all();
+  drain();
+
+  // Inside both first blocks: nothing grows.
+  EXPECT_EQ(allocations_during([&] { submit(8); }), 0);
+  EXPECT_EQ(allocations_during([&] { manager.pump_all(); }), 0);
+  EXPECT_EQ(allocations_during([&] { drain(); }), 0);
+
+  // The 17th queued op replaces the queue's first block with its bound.
+  std::int64_t bytes = 0;
+  EXPECT_EQ(allocations_during([&] {
+              bytes = bytes_during([&] { submit(100); });
+            }),
+            1);
+  EXPECT_EQ(bytes, static_cast<std::int64_t>(kQueue * sizeof(StreamOp)));
+  // The 17th undrained decision replaces the sink's first block with its
+  // bound; compaction at the bound then works inside it.
+  EXPECT_EQ(allocations_during([&] {
+              bytes = bytes_during([&] { manager.pump_all(); });
+            }),
+            1);
+  EXPECT_EQ(bytes,
+            static_cast<std::int64_t>(kSinkBound * sizeof(core::Decision)));
+  EXPECT_EQ(allocations_during([&] { drain(); }), 0);
+
+  // A long stream after that: the queue fills to its bound and overflows,
+  // the sink compacts, and nothing allocates.
+  for (int round = 0; round < 8; ++round) {
+    EXPECT_EQ(allocations_during([&] { submit(kQueue + 88); }), 0)
+        << "submit() after the growth step must not touch the heap";
+    EXPECT_EQ(allocations_during([&] { manager.pump_all(); }), 0)
+        << "pump() and emit() after the growth step must not touch the heap";
+    EXPECT_EQ(allocations_during([&] { drain(); }), 0)
+        << "drain() keeps the sink's storage";
+  }
+  const SessionManager::AggregateStats stats = manager.stats();
+  EXPECT_EQ(stats.totals.events_fed, 116 + 8 * kQueue);
+  EXPECT_EQ(stats.totals.events_dropped, 8 * 88);
+  EXPECT_GT(stats.totals.decisions_dropped, 0);
+}
+
+/// A sink frame written by hand: `buffered` decisions, all undrained.
+std::vector<std::uint8_t> sink_frame(Index retain, Index buffered) {
+  const std::vector<core::Decision> buffer(static_cast<size_t>(buffered));
+  std::vector<std::uint8_t> bytes;
+  fault::CheckpointWriter w(bytes, std::size_t{1} << 24);
+  w.i64(retain);
+  w.padded_span(std::span<const core::Decision>(buffer),
+                &core::Decision::label, &core::Decision::confidence);
+  w.i64(buffered);  // total
+  w.i64(0);         // dropped
+  w.i64(0);         // handed
+  return bytes;
+}
+
+TEST(ZeroAlloc, OversizedSinkFrameIsRefusedBeforeItsBufferIsAllocated) {
+  constexpr Index kRetain = 1024;
+  const std::vector<std::uint8_t> frame = sink_frame(kRetain, 2 * kRetain + 1);
+  DecisionSink sink(kRetain);
+  ErrorCode code = ErrorCode::InvalidArgument;
+  const std::int64_t bytes = bytes_during([&] {
+    try {
+      fault::CheckpointReader r(frame);
+      sink.load(r);
+    } catch (const Error& e) {
+      code = e.code();
+    }
+  });
+  EXPECT_EQ(code, ErrorCode::CheckpointCorrupt);
+  // The refusal's message may allocate; the 2049 decisions it names do not.
+  EXPECT_LT(bytes, static_cast<std::int64_t>(sizeof(core::Decision)) * 64);
+  EXPECT_EQ(sink.total(), 0);
+}
+
+TEST(ZeroAlloc, LoadedSinkTakesTheGrowthStepOnce) {
+  constexpr Index kRetain = 32;
+  constexpr Index kLoaded = kFirstBlock + 4;
+  const std::vector<std::uint8_t> frame = sink_frame(kRetain, kLoaded);
+  DecisionSink sink(kRetain);
+  std::int64_t bytes = 0;
+  // The decoded scratch buffer, then the 2*retain bound — not a block
+  // sized to the loaded count, which a later emit would outgrow.
+  EXPECT_EQ(allocations_during([&] {
+              bytes = bytes_during([&] {
+                fault::CheckpointReader r(frame);
+                sink.load(r);
+              });
+            }),
+            2);
+  EXPECT_EQ(bytes, static_cast<std::int64_t>(
+                       (kLoaded + 2 * kRetain) * sizeof(core::Decision)));
+  EXPECT_EQ(allocations_during([&] {
+              for (Index k = 0; k < 4 * kRetain; ++k) sink.emit({});
+            }),
+            0);
+  EXPECT_EQ(sink.total(), kLoaded + 4 * kRetain);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@ Plan sample_plan() {
   cnn.path = route::PathId::CnnSparse;
   plan.placements.push_back(cnn);
   plan.modeled_cost_us = 12.5;
-  plan.refresh_labels();
   return plan;
 }
 
@@ -38,8 +37,6 @@ TEST(Plan, RoundRobinMatchesTheLegacyDealing) {
   EXPECT_EQ(plan.regions[0].sessions, (std::vector<Index>{0, 2, 4}));
   EXPECT_EQ(plan.regions[1].sessions, (std::vector<Index>{1, 3}));
   EXPECT_EQ(plan.burst, 3);
-  EXPECT_EQ(plan.regions[0].label.rfind("sched.r0.p", 0), 0u);
-  EXPECT_EQ(plan.regions[1].label.rfind("sched.r1.p", 0), 0u);
 }
 
 TEST(Plan, RoundRobinClampsRegionCountToSessions) {
@@ -100,8 +97,6 @@ TEST(Plan, SerializeRoundTripsEveryField) {
   EXPECT_TRUE(back == plan);
   EXPECT_EQ(back.modeled_cost_us, plan.modeled_cost_us);
   EXPECT_EQ(back.fingerprint(), plan.fingerprint());
-  // Labels are derived, not stored — deserialize rebuilds them.
-  EXPECT_EQ(back.regions[0].label, plan.regions[0].label);
 }
 
 TEST(Plan, DeserializeRejectsGarbageAndTruncation) {
@@ -141,13 +136,11 @@ TEST(Plan, DeserializeRevalidatesTheDecodedPlan) {
   }
 }
 
-TEST(Plan, FingerprintTracksDecisionsNotLabels) {
-  Plan a = sample_plan();
-  Plan b = sample_plan();
-  b.regions[0].label = "something-else-entirely";
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+TEST(Plan, FingerprintTracksEveryDecision) {
+  const Plan a = sample_plan();
+  EXPECT_EQ(a.fingerprint(), sample_plan().fingerprint());
 
-  b = sample_plan();
+  Plan b = sample_plan();
   b.burst = 1;
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 

@@ -39,7 +39,6 @@ Plan full_plan(route::PathId cnn_path = route::PathId::CnnSparse) {
   Plan plan = Plan::round_robin(3, 2, 4);
   plan.regions[0].sessions = {2, 0};
   plan.placements = {{"cnn", cnn_path}, {"gnn", route::PathId::GnnBatch}};
-  plan.refresh_labels();
   return plan;
 }
 

@@ -184,7 +184,6 @@ sched::Plan reversed_plan(Index n, Index burst = 3) {
   plan.burst = burst;
   plan.regions.resize(1);
   for (Index s = n - 1; s >= 0; --s) plan.regions[0].sessions.push_back(s);
-  plan.refresh_labels();
   return plan;
 }
 
@@ -386,7 +385,6 @@ TEST(SchedRuntime, IdleSessionsLeaveThePlannedVisitOrderUnchanged) {
   plan.regions.resize(2);
   plan.regions[0].sessions = {4, 1, 5};
   plan.regions[1].sessions = {3, 0, 2};
-  plan.refresh_labels();
   manager.set_plan(plan);
   const std::vector<Index> ops = {3, 5, 0, 4, 1, 0};  // 2 and 5 stay idle
   submit_events(manager, ops);
@@ -426,7 +424,6 @@ TEST(SchedRuntime, PlanBytesRestoreIntoAFreshManager) {
   source.add(std::make_unique<RecordingSession>());
   sched::Plan plan = sched::Plan::round_robin(2, 1, 4);
   plan.regions[0].sessions = {1, 0};  // make it distinguishable
-  plan.refresh_labels();
   source.set_plan(plan);
 
   // The checkpoint-framed bytes are the transport: a restored manager
