@@ -30,99 +30,39 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
-#include "events/event.hpp"
 #include "gnn/gnn_pipeline.hpp"
 #include "obs/obs.hpp"
-#include "runtime/session_manager.hpp"
 
 using namespace evd;
 
 namespace {
 
-constexpr Index kWidth = 32;
-constexpr Index kHeight = 32;
 constexpr Index kEventsPerSession = 3000;
 constexpr Index kSessions = 8;
 constexpr TimeUs kDuration = 150000;
 constexpr int kTrials = 7;
 
-std::vector<events::Event> session_stream(std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<events::Event> stream;
-  stream.reserve(kEventsPerSession);
-  for (Index i = 0; i < kEventsPerSession; ++i) {
-    events::Event e;
-    e.x = static_cast<std::int16_t>(
-        rng.uniform_int(static_cast<std::uint64_t>(kWidth)));
-    e.y = static_cast<std::int16_t>(
-        rng.uniform_int(static_cast<std::uint64_t>(kHeight)));
-    e.polarity = rng.bernoulli(0.5) ? Polarity::On : Polarity::Off;
-    e.t = (i * kDuration) / kEventsPerSession;
-    stream.push_back(e);
-  }
-  return stream;
-}
-
-gnn::GnnPipelineConfig pipeline_config() {
-  // Every event inserts (stride 1) and runs the async message pass over a
-  // hidden-32 model: a realistic per-event serving cost, against which the
-  // instrument cost (two sampled span sites per event) is measured.
-  gnn::GnnPipelineConfig config;
-  config.width = kWidth;
-  config.height = kHeight;
-  config.num_classes = 2;
-  config.model.hidden = 32;
-  config.model.layers = 2;
-  config.stream_stride = 1;
-  config.stream_max_nodes = 2048;
-  config.decision_retain = 256;
-  return config;
-}
-
-constexpr Index kBurst = 256;
-
-/// One serving run: `sessions` GNN sessions through a fresh `manager`,
-/// ingest + pump to completion. Returns wall milliseconds.
-double serve_once(gnn::GnnPipeline& pipeline, runtime::SessionManager& manager,
-                  Index sessions) {
-  std::vector<runtime::SessionId> ids;
-  std::vector<std::vector<events::Event>> streams;
-  for (Index s = 0; s < sessions; ++s) {
-    ids.push_back(manager.add(pipeline.open_session(kWidth, kHeight)));
-    streams.push_back(session_stream(100 + static_cast<std::uint64_t>(s)));
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  Index cursor = 0;
-  while (cursor < kEventsPerSession) {
-    const Index until = std::min<Index>(cursor + 2048, kEventsPerSession);
-    for (Index s = 0; s < sessions; ++s) {
-      for (Index i = cursor; i < until; ++i) {
-        manager.submit(ids[s],
-                       streams[static_cast<size_t>(s)][static_cast<size_t>(i)]);
-      }
-    }
-    manager.pump_all();
-    cursor = until;
-  }
-  for (Index s = 0; s < sessions; ++s) manager.submit_advance(ids[s], kDuration);
-  manager.pump_all();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+/// One serving run of `sessions` fresh GNN sessions through
+/// bench::serve_bulk. Returns the wall milliseconds of the driver call.
+double serve_once(gnn::GnnPipeline& pipeline, Index sessions) {
+  return bench::serve_bulk(
+             [&](size_t) {
+               return pipeline.open_session(bench::kWidth, bench::kHeight);
+             },
+             bench::uniform_sessions(100, sessions, kEventsPerSession,
+                                     kDuration))
+      .wall_ms;
 }
 
 double min_wall_ms(bool obs_on) {
   obs::set_enabled(obs_on);
-  gnn::GnnPipeline pipeline(pipeline_config());
-  {
-    runtime::SessionManager warmup(kBurst);  // shards, rings, graph storage
-    serve_once(pipeline, warmup, kSessions);
-  }
+  gnn::GnnPipeline pipeline(bench::gnn_dense_config());
+  serve_once(pipeline, kSessions);  // warm-up: shards, rings, graph storage
   double best = 1e300;
   for (int t = 0; t < kTrials; ++t) {
-    runtime::SessionManager manager(kBurst);
-    const double ms = serve_once(pipeline, manager, kSessions);
+    const double ms = serve_once(pipeline, kSessions);
     if (ms < best) best = ms;
   }
   return best;
@@ -168,9 +108,8 @@ double disabled_sequence_cost_ns() {
 bool capture_trace(const char* path) {
   obs::set_enabled(true);
   obs::Tracer::instance().clear();
-  gnn::GnnPipeline pipeline(pipeline_config());
-  runtime::SessionManager manager(kBurst);
-  serve_once(pipeline, manager, 16);
+  gnn::GnnPipeline pipeline(bench::gnn_dense_config());
+  serve_once(pipeline, 16);
   // dropped() reports spans overwritten before any collection; query it
   // before write_chrome_trace() collects and advances the seen mark.
   const auto dropped = obs::Tracer::instance().dropped();

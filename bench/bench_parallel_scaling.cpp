@@ -279,7 +279,7 @@ RooflineRow roofline_snn() {
 RooflineRow roofline_gnn() {
   constexpr Index kIn = 16, kOut = 16, kNodes = 2048, kDegree = 8;
   Rng rng(5);
-  gnn::GraphConv conv(kIn, kOut, rng, gnn::Aggregation::Max);
+  gnn::GraphConv conv(kIn, kOut, rng);
   conv.freeze();  // time the serving path: transposed weights
   // Synthetic node features + ring-neighbor references: the exact
   // gathered-accumulate workload the incremental message pass runs per

@@ -7,6 +7,9 @@
 // aggregate throughput should scale with K until the pool saturates —
 // single-session serving leaves every worker but one idle.
 //
+// Every leg serves through check::serve (src/check/serve.hpp), the driver
+// the serving oracles use; a leg differs only in the tape it hands it.
+//
 // Output: one human table per paradigm plus one machine-readable JSON line
 // per (paradigm, session count) config on stdout, e.g.
 //   {"bench":"stream_throughput","paradigm":"gnn","sessions":16,...}
@@ -22,110 +25,39 @@
 
 #include "bench_host.hpp"
 #include "check/oracles.hpp"
-#include "cnn/cnn_pipeline.hpp"
+#include "check/serve.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "events/event.hpp"
 #include "fault/admission.hpp"
 #include "fault/injector.hpp"
-#include "gnn/gnn_pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "route/route.hpp"
-#include "runtime/session_manager.hpp"
 #include "sched/cost.hpp"
 #include "sched/planner.hpp"
-#include "shard/shard_manager.hpp"
-#include "snn/snn_pipeline.hpp"
 
 using namespace evd;
 
 namespace {
 
-constexpr Index kWidth = 32;
-constexpr Index kHeight = 32;
+using bench::kHeight;
+using bench::kWidth;
+
 constexpr Index kEventsPerSession = 4000;
 constexpr TimeUs kDuration = 200000;  // 200 ms of stream per session
 
-/// Deterministic synthetic stream: uniform spatial noise, sorted times.
-std::vector<events::Event> make_stream(std::uint64_t seed, Index count,
-                                       TimeUs duration) {
-  Rng rng(seed);
-  std::vector<events::Event> stream;
-  stream.reserve(static_cast<size_t>(count));
-  for (Index i = 0; i < count; ++i) {
-    events::Event e;
-    e.x = static_cast<std::int16_t>(
-        rng.uniform_int(static_cast<std::uint64_t>(kWidth)));
-    e.y = static_cast<std::int16_t>(
-        rng.uniform_int(static_cast<std::uint64_t>(kHeight)));
-    e.polarity = rng.bernoulli(0.5) ? Polarity::On : Polarity::Off;
-    e.t = (i * duration) / count;
-    stream.push_back(e);
-  }
-  return stream;
-}
-
-std::vector<events::Event> session_stream(std::uint64_t seed) {
-  return make_stream(seed, kEventsPerSession, kDuration);
-}
-
-struct ThroughputRow {
-  Index sessions = 1;
-  double wall_ms = 0.0;
-  std::int64_t events = 0;
-  std::int64_t decisions = 0;
-
-  double events_per_s() const { return 1e3 * static_cast<double>(events) / wall_ms; }
-  double decisions_per_s() const {
-    return 1e3 * static_cast<double>(decisions) / wall_ms;
-  }
-};
-
+/// `session_count` sessions of `pipeline` on uniform streams, served in
+/// bursts small enough to never overflow the 4096-deep ingress queues.
 template <typename Pipeline>
-ThroughputRow serve(Pipeline& pipeline, Index session_count) {
-  runtime::SessionManager manager(/*burst=*/256);
-  std::vector<runtime::SessionId> ids;
-  std::vector<std::vector<events::Event>> streams;
-  for (Index s = 0; s < session_count; ++s) {
-    ids.push_back(manager.add(pipeline.open_session(kWidth, kHeight)));
-    streams.push_back(session_stream(100 + static_cast<std::uint64_t>(s)));
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  // Submit in bursts small enough to never overflow the 4096-deep ingress
-  // queues, pumping between bursts — the serving loop a real deployment runs.
-  Index cursor = 0;
-  while (cursor < kEventsPerSession) {
-    const Index until = std::min<Index>(cursor + 2048, kEventsPerSession);
-    for (Index s = 0; s < session_count; ++s) {
-      for (Index i = cursor; i < until; ++i) {
-        manager.submit(ids[s], streams[static_cast<size_t>(s)]
-                                      [static_cast<size_t>(i)]);
-      }
-    }
-    manager.pump_all();
-    cursor = until;
-  }
-  for (Index s = 0; s < session_count; ++s) {
-    manager.submit_advance(ids[s], kDuration);
-  }
-  manager.pump_all();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  ThroughputRow row;
-  row.sessions = session_count;
-  row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  for (const auto id : ids) {
-    const auto stats = manager.stats(id);
-    row.events += stats.events_fed;
-    row.decisions += stats.decisions_emitted;
-  }
-  return row;
+bench::ServeRow serve_uniform(Pipeline& pipeline, Index session_count) {
+  return bench::serve_bulk(
+      [&](size_t) { return pipeline.open_session(kWidth, kHeight); },
+      bench::uniform_sessions(100, session_count, kEventsPerSession,
+                              kDuration));
 }
 
 void print_json(const char* paradigm, Index threads,
-                const ThroughputRow& row) {
+                const bench::ServeRow& row) {
   std::printf(
       "{%s,\"bench\":\"stream_throughput\",\"paradigm\":\"%s\","
       "\"threads\":%lld,\"sessions\":%lld,\"events\":%lld,\"decisions\":%lld,"
@@ -139,9 +71,9 @@ void print_json(const char* paradigm, Index threads,
 
 template <typename Pipeline>
 bool sweep(const char* paradigm, Pipeline& pipeline, Index threads) {
-  std::vector<ThroughputRow> rows;
+  std::vector<bench::ServeRow> rows;
   for (const Index k : {1, 4, 16, 64}) {
-    rows.push_back(serve(pipeline, k));
+    rows.push_back(serve_uniform(pipeline, k));
   }
 
   Table table({"sessions", "wall [ms]", "events/s", "decisions/s",
@@ -170,22 +102,6 @@ bool sweep(const char* paradigm, Pipeline& pipeline, Index threads) {
     return false;
   }
   return true;
-}
-
-/// Every event inserts (stride 1) and runs the async message pass over a
-/// hidden-32 model — the realistic per-event serving cost against which the
-/// overhead gates below are held (the same shape bench_obs_overhead uses).
-gnn::GnnPipelineConfig gnn_dense_config() {
-  gnn::GnnPipelineConfig config;
-  config.width = kWidth;
-  config.height = kHeight;
-  config.num_classes = 2;
-  config.model.hidden = 32;
-  config.model.layers = 2;
-  config.stream_stride = 1;
-  config.stream_max_nodes = 2048;
-  config.decision_retain = 256;
-  return config;
 }
 
 // ---- fault-injection overhead gate (< 1% when disabled) -------------------
@@ -263,7 +179,7 @@ OverloadRow serve_overload(double factor) {
       static_cast<Index>(static_cast<double>(kQueueCapacity) * factor);
   const Index total = offered_per_round * kRounds;
 
-  gnn::GnnPipeline pipeline(gnn_dense_config());
+  gnn::GnnPipeline pipeline(bench::gnn_dense_config());
   runtime::SessionManager manager(/*burst=*/256);
   fault::AdmissionConfig admission;
   admission.enabled = true;
@@ -271,7 +187,7 @@ OverloadRow serve_overload(double factor) {
   runtime::ManagedSessionConfig config;
   config.queue_capacity = kQueueCapacity;
   std::vector<runtime::SessionId> ids;
-  std::vector<std::vector<events::Event>> streams;
+  std::vector<std::vector<check::SessionOp>> streams;
   for (Index s = 0; s < kSessions; ++s) {
     ids.push_back(manager.add(pipeline.open_session(kWidth, kHeight), config));
     // The overloading sensor produces `factor` x the events; stretching the
@@ -279,24 +195,17 @@ OverloadRow serve_overload(double factor) {
     // the per-event graph-neighbourhood cost — identical across factors, so
     // the served/s ratio below isolates the serving stack (admission ladder,
     // queueing, rejection) instead of re-measuring model cost vs density.
-    streams.push_back(
-        make_stream(500 + static_cast<std::uint64_t>(s), total,
-                    static_cast<TimeUs>(static_cast<double>(kDuration) *
-                                        static_cast<double>(kRounds) * factor)));
+    streams.push_back(bench::uniform_stream(
+        500 + static_cast<std::uint64_t>(s), total,
+        static_cast<TimeUs>(static_cast<double>(kDuration) *
+                            static_cast<double>(kRounds) * factor)));
   }
+  // One round per turn: offered_per_round ops per session, then pump_all.
+  const check::Tape tape = check::round_robin(
+      streams, static_cast<size_t>(offered_per_round), 1, check::Pump::All);
 
   const auto t0 = std::chrono::steady_clock::now();
-  Index cursor = 0;
-  for (Index round = 0; round < kRounds; ++round) {
-    for (Index s = 0; s < kSessions; ++s) {
-      for (Index i = cursor; i < cursor + offered_per_round; ++i) {
-        manager.submit(ids[s],
-                       streams[static_cast<size_t>(s)][static_cast<size_t>(i)]);
-      }
-    }
-    manager.pump_all();
-    cursor += offered_per_round;
-  }
+  check::serve(manager, ids, tape);
   const auto t1 = std::chrono::steady_clock::now();
 
   OverloadRow row;
@@ -350,17 +259,16 @@ bool gate_overload() {
 // round while the SNN workers idle. The planner re-partitions the regions
 // longest-first by modeled cost.
 //
-// Three gates, in decreasing order of portability:
-//   1. Equivalence (every host): the planned pump's per-session decision
-//      streams are bitwise identical to the round-robin pump's — the plan
-//      equivalence contract, re-checked on real runs, not just in the
-//      oracle suite.
-//   2. Modeled serving makespan (every host): the chosen plan must beat the
+// That a plan never changes a decision is held by the
+// sched.plan_vs_sequential.* oracles, and at population scale by
+// servebench's mixed_dense workload, which compares every served session
+// with a direct feed. Two gates, in decreasing order of portability:
+//   1. Modeled serving makespan (every host): the chosen plan must beat the
 //      modeled cost of the exact unplanned schedule — Plan::round_robin(8,
 //      4, 256) is the s % 4 deal, burst 256, no placements, i.e. what the
 //      blind pump actually executes — by >= 10% under the same evd::hw cost
 //      models the paper's Table I comparisons rest on.
-//   3. Wall clock: the plan only redistributes *visits* across workers
+//   2. Wall clock: the plan only redistributes *visits* across workers
 //      (the equivalence contract forbids it changing any executed op), so
 //      its wall-time effect is purely a parallel-makespan effect. That is
 //      only physically expressible when the host can actually run the 4
@@ -370,15 +278,6 @@ bool gate_overload() {
 //      hardware_concurrency >= 4; below that the wall leg is reported and
 //      only sanity-checked (planned must not be materially slower).
 
-struct PlannerRow {
-  double wall_ms = 0.0;
-  std::int64_t events = 0;
-  std::vector<std::vector<core::Decision>> streams;
-  double events_per_s() const {
-    return 1e3 * static_cast<double>(events) / wall_ms;
-  }
-};
-
 /// The mixed population, in session-id order. Paradigm pattern
 /// gnn,cnn,snn,snn — repeating at ids 4..7, so each paradigm's sessions
 /// collide on a worker under the legacy deal at W = 4.
@@ -387,28 +286,15 @@ struct MixedPopulation {
   cnn::CnnPipeline cnn;
   snn::SnnPipeline snn;
   std::vector<const char*> paradigms;
+  std::vector<std::vector<check::SessionOp>> sessions;
 
   MixedPopulation()
-      : gnn(gnn_dense_config()),
-        cnn([] {
-          cnn::CnnPipelineConfig config;
-          config.width = kWidth;
-          config.height = kHeight;
-          config.num_classes = 2;
-          config.base_filters = 4;
-          config.frame_period_us = 20000;
-          return config;
-        }()),
-        snn([] {
-          snn::SnnPipelineConfig config;
-          config.width = kWidth;
-          config.height = kHeight;
-          config.num_classes = 2;
-          config.hidden = 64;
-          config.timestep_us = 5000;
-          return config;
-        }()),
-        paradigms{"gnn", "cnn", "snn", "snn", "gnn", "cnn", "snn", "snn"} {}
+      : gnn(bench::gnn_dense_config()),
+        cnn(bench::cnn_config()),
+        snn(bench::snn_config()),
+        paradigms{"gnn", "cnn", "snn", "snn", "gnn", "cnn", "snn", "snn"},
+        sessions(bench::uniform_sessions(900, 8, kEventsPerSession,
+                                         kDuration)) {}
 
   std::unique_ptr<core::StreamSession> open(size_t i) {
     if (std::strcmp(paradigms[i], "gnn") == 0) {
@@ -429,75 +315,15 @@ struct MixedPopulation {
     }
     return sched::profile_for(snn, "snn", queued_ops);
   }
-
-  std::vector<events::Event> stream(size_t i) const {
-    return session_stream(900 + static_cast<std::uint64_t>(i));
-  }
 };
 
+/// The population's sessions served under `plan` (the round-robin default
+/// when null).
 template <typename Population>
-PlannerRow serve_mixed(Population& population, const sched::Plan* plan) {
-  const auto session_count = static_cast<Index>(population.paradigms.size());
-  runtime::SessionManager manager(/*burst=*/256);
-  std::vector<runtime::SessionId> ids;
-  std::vector<std::vector<events::Event>> streams;
-  for (Index s = 0; s < session_count; ++s) {
-    ids.push_back(manager.add(population.open(static_cast<size_t>(s))));
-    streams.push_back(population.stream(static_cast<size_t>(s)));
-  }
-  if (plan != nullptr) manager.set_plan(*plan);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  Index cursor = 0;
-  while (cursor < kEventsPerSession) {
-    const Index until = std::min<Index>(cursor + 2048, kEventsPerSession);
-    for (Index s = 0; s < session_count; ++s) {
-      for (Index i = cursor; i < until; ++i) {
-        manager.submit(ids[s], streams[static_cast<size_t>(s)]
-                                      [static_cast<size_t>(i)]);
-      }
-    }
-    manager.pump_all();
-    cursor = until;
-  }
-  for (Index s = 0; s < session_count; ++s) {
-    manager.submit_advance(ids[s], kDuration);
-  }
-  manager.pump_all();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  PlannerRow row;
-  row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  for (const auto id : ids) {
-    row.events += manager.stats(id).events_fed;
-    std::vector<core::Decision> out;
-    manager.drain(id, out);
-    row.streams.push_back(std::move(out));
-  }
-  return row;
-}
-
-bool streams_bitwise_identical(
-    const std::vector<std::vector<core::Decision>>& a,
-    const std::vector<std::vector<core::Decision>>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t s = 0; s < a.size(); ++s) {
-    const auto& da = a[s];
-    const auto& db = b[s];
-    if (da.size() != db.size()) return false;
-    for (size_t i = 0; i < da.size(); ++i) {
-      if (da[i].label != db[i].label || da[i].t != db[i].t ||
-          std::memcmp(&da[i].confidence, &db[i].confidence,
-                      sizeof(da[i].confidence)) != 0) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool decision_streams_identical(const PlannerRow& a, const PlannerRow& b) {
-  return streams_bitwise_identical(a.streams, b.streams);
+bench::ServeRow serve_population(Population& population,
+                                 const sched::Plan* plan) {
+  return bench::serve_bulk([&](size_t i) { return population.open(i); },
+                           population.sessions, plan);
 }
 
 bool gate_planner() {
@@ -530,17 +356,16 @@ bool gate_planner() {
 
   // Interleave modes and keep the best of two runs each, so a one-off
   // scheduler hiccup cannot decide the gate either way.
-  PlannerRow round_robin = serve_mixed(population, nullptr);
-  PlannerRow planned = serve_mixed(population, &plan);
+  bench::ServeRow round_robin = serve_population(population, nullptr);
+  bench::ServeRow planned = serve_population(population, &plan);
   {
-    PlannerRow rr2 = serve_mixed(population, nullptr);
-    if (rr2.wall_ms < round_robin.wall_ms) round_robin = std::move(rr2);
-    PlannerRow planned2 = serve_mixed(population, &plan);
-    if (planned2.wall_ms < planned.wall_ms) planned = std::move(planned2);
+    const bench::ServeRow rr2 = serve_population(population, nullptr);
+    if (rr2.wall_ms < round_robin.wall_ms) round_robin = rr2;
+    const bench::ServeRow planned2 = serve_population(population, &plan);
+    if (planned2.wall_ms < planned.wall_ms) planned = planned2;
   }
   par::set_thread_count(previous_threads);
 
-  const bool identical = decision_streams_identical(round_robin, planned);
   const double speedup = planned.events_per_s() / round_robin.events_per_s();
   const unsigned cores = std::thread::hardware_concurrency();
   const bool wall_gated = cores >= 4;
@@ -553,8 +378,6 @@ bool gate_planner() {
   std::printf(
       "\n-- execution planner: mixed 8-session population, 4 workers --\n");
   table.print();
-  std::printf("   decision streams bitwise identical: %s\n",
-              identical ? "yes" : "NO");
   if (!wall_gated) {
     std::printf(
         "   host has %u hardware thread(s): all partitions serialise, so "
@@ -567,17 +390,11 @@ bool gate_planner() {
       "\"round_robin_wall_ms\":%.3f,\"planned_wall_ms\":%.3f,"
       "\"speedup\":%.3f,\"modeled_round_robin_us\":%.1f,"
       "\"modeled_plan_us\":%.1f,\"modeled_speedup\":%.3f,"
-      "\"wall_gated\":%s,\"streams_identical\":%s}\n",
+      "\"wall_gated\":%s}\n",
       bench::host_fields().c_str(), round_robin.wall_ms, planned.wall_ms,
       speedup, legacy_modeled_us, plan.modeled_cost_us, modeled_speedup,
-      wall_gated ? "true" : "false", identical ? "true" : "false");
+      wall_gated ? "true" : "false");
 
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FATAL: planned pump changed a decision stream (the plan "
-                 "equivalence contract is bitwise)\n");
-    return false;
-  }
   if (modeled_speedup < 1.10) {
     std::fprintf(stderr,
                  "FATAL: planner modeled improvement %.2fx on the "
@@ -613,44 +430,25 @@ bool gate_planner() {
 // *proved* execution paths — must route the CNN placement onto cnn.sparse
 // and the SNN placement onto snn.event_driven.
 //
-// Four legs:
+// That a routed path never changes a decision is held by the route.*
+// oracles, and at population scale by servebench's sparse_corner workload,
+// which compares every served session with a direct feed. Three legs:
 //   1. Path choice (every host): the chosen plan routes cnn -> cnn.sparse
 //      and snn -> snn.event_driven.
-//   2. Equivalence (every host): serving through the routed plan produces
-//      decision streams bitwise identical to serving the same schedule
-//      with every path forced back to Default — the routing equivalence
-//      contract re-checked on a real run, not just in the oracle suite.
-//   3. Modeled serving makespan (every host): the routed plan must beat
+//   2. Modeled serving makespan (every host): the routed plan must beat
 //      the same plan with default paths by >= 1.10x under the same cost
 //      models — isolating the routing win from the partitioning win
 //      gate_planner already holds.
-//   4. Wall clock: routing changes per-op cost, not parallelism, so the
+//   3. Wall clock: routing changes per-op cost, not parallelism, so the
 //      wall win is expressible on any core count — but its size depends on
 //      how much of the serving loop the routed hot stage is, and on small
 //      hosts queue/pump overhead compresses it. The >= 1.10x wall gate
 //      arms on >= 4 hardware threads (where CI measures it reliably);
 //      below that the leg is reported and sanity-bounded (>= 0.85x).
 
-/// Sparse-corner stream: session_stream's temporal density, all activity
-/// confined to an 8x8 patch of the sensor.
-std::vector<events::Event> sparse_corner_stream(std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<events::Event> stream;
-  stream.reserve(static_cast<size_t>(kEventsPerSession));
-  for (Index i = 0; i < kEventsPerSession; ++i) {
-    events::Event e;
-    e.x = static_cast<std::int16_t>(rng.uniform_int(8));
-    e.y = static_cast<std::int16_t>(rng.uniform_int(8));
-    e.polarity = rng.bernoulli(0.5) ? Polarity::On : Polarity::Off;
-    e.t = (i * kDuration) / kEventsPerSession;
-    stream.push_back(e);
-  }
-  return stream;
-}
-
 /// Measured live fraction: mean distinct-pixel occupancy per frame period
 /// — what the activity-scaled execution paths are priced against.
-double stream_activity(const std::vector<events::Event>& stream,
+double stream_activity(const std::vector<check::SessionOp>& stream,
                        TimeUs period) {
   std::vector<char> touched(static_cast<size_t>(kWidth * kHeight), 0);
   double occupancy_sum = 0.0;
@@ -664,7 +462,9 @@ double stream_activity(const std::vector<events::Event>& stream,
     live = 0;
     std::fill(touched.begin(), touched.end(), 0);
   };
-  for (const events::Event& e : stream) {
+  for (const check::SessionOp& op : stream) {
+    if (op.kind != check::SessionOp::Kind::Feed) continue;
+    const events::Event& e = op.event;
     while (e.t >= window_end) {
       flush();
       window_end += period;
@@ -678,34 +478,23 @@ double stream_activity(const std::vector<events::Event>& stream,
   return windows > 0 ? occupancy_sum / static_cast<double>(windows) : 1.0;
 }
 
-/// The sparse population, paradigm pattern cnn,snn repeating over 8 ids.
+/// The sparse population, paradigm pattern cnn,snn repeating over 8 ids,
+/// every session's stream confined to an 8x8 patch of the sensor at the
+/// uniform legs' temporal density.
 struct SparsePopulation {
   cnn::CnnPipeline cnn;
   snn::SnnPipeline snn;
   std::vector<const char*> paradigms;
+  std::vector<std::vector<check::SessionOp>> sessions;
   double activity = 1.0;
 
   SparsePopulation()
-      : cnn([] {
-          cnn::CnnPipelineConfig config;
-          config.width = kWidth;
-          config.height = kHeight;
-          config.num_classes = 2;
-          config.base_filters = 4;
-          config.frame_period_us = 20000;
-          return config;
-        }()),
-        snn([] {
-          snn::SnnPipelineConfig config;
-          config.width = kWidth;
-          config.height = kHeight;
-          config.num_classes = 2;
-          config.hidden = 64;
-          config.timestep_us = 5000;
-          return config;
-        }()),
+      : cnn(bench::cnn_config()),
+        snn(bench::snn_config()),
         paradigms{"cnn", "snn", "cnn", "snn", "cnn", "snn", "cnn", "snn"},
-        activity(stream_activity(stream(0), 20000)) {}
+        sessions(bench::uniform_sessions(1300, 8, kEventsPerSession,
+                                         kDuration, 8, 8)),
+        activity(stream_activity(sessions[0], 20000)) {}
 
   std::unique_ptr<core::StreamSession> open(size_t i) {
     if (std::strcmp(paradigms[i], "cnn") == 0) {
@@ -719,10 +508,6 @@ struct SparsePopulation {
       return sched::profile_for(cnn, "cnn", queued_ops, activity);
     }
     return sched::profile_for(snn, "snn", queued_ops, activity);
-  }
-
-  std::vector<events::Event> stream(size_t i) const {
-    return sparse_corner_stream(1300 + static_cast<std::uint64_t>(i));
   }
 };
 
@@ -772,19 +557,16 @@ bool gate_routing() {
       unrouted_modeled_us, routed_modeled_us, modeled_speedup);
 
   // Best of two runs each, interleaved, as in gate_planner.
-  PlannerRow default_paths = serve_mixed(population, &unrouted);
-  PlannerRow routed = serve_mixed(population, &plan);
+  bench::ServeRow default_paths = serve_population(population, &unrouted);
+  bench::ServeRow routed = serve_population(population, &plan);
   {
-    PlannerRow default2 = serve_mixed(population, &unrouted);
-    if (default2.wall_ms < default_paths.wall_ms) {
-      default_paths = std::move(default2);
-    }
-    PlannerRow routed2 = serve_mixed(population, &plan);
-    if (routed2.wall_ms < routed.wall_ms) routed = std::move(routed2);
+    const bench::ServeRow default2 = serve_population(population, &unrouted);
+    if (default2.wall_ms < default_paths.wall_ms) default_paths = default2;
+    const bench::ServeRow routed2 = serve_population(population, &plan);
+    if (routed2.wall_ms < routed.wall_ms) routed = routed2;
   }
   par::set_thread_count(previous_threads);
 
-  const bool identical = decision_streams_identical(default_paths, routed);
   const double speedup = routed.events_per_s() / default_paths.events_per_s();
   const unsigned cores = std::thread::hardware_concurrency();
   const bool wall_gated = cores >= 4;
@@ -797,20 +579,17 @@ bool gate_routing() {
   std::printf(
       "\n-- execution routing: sparse 8-session population, 4 workers --\n");
   table.print();
-  std::printf("   decision streams bitwise identical: %s\n",
-              identical ? "yes" : "NO");
   std::printf(
       "{%s,\"bench\":\"stream_routing\",\"sessions\":8,\"threads\":4,"
       "\"activity\":%.4f,\"cnn_path\":\"%s\","
       "\"snn_path\":\"%s\",\"default_wall_ms\":%.3f,\"routed_wall_ms\":%.3f,"
       "\"speedup\":%.3f,\"modeled_default_us\":%.1f,"
       "\"modeled_routed_us\":%.1f,\"modeled_speedup\":%.3f,"
-      "\"wall_gated\":%s,\"streams_identical\":%s}\n",
+      "\"wall_gated\":%s}\n",
       bench::host_fields().c_str(), population.activity,
       route::path_name(cnn_path), route::path_name(snn_path),
       default_paths.wall_ms, routed.wall_ms, speedup, unrouted_modeled_us,
-      routed_modeled_us, modeled_speedup,
-      wall_gated ? "true" : "false", identical ? "true" : "false");
+      routed_modeled_us, modeled_speedup, wall_gated ? "true" : "false");
 
   if (cnn_path != route::PathId::CnnSparse ||
       snn_path != route::PathId::SnnEventDriven) {
@@ -818,12 +597,6 @@ bool gate_routing() {
                  "FATAL: planner did not route the sparse population onto "
                  "the event-driven paths (cnn -> %s, snn -> %s)\n",
                  route::path_name(cnn_path), route::path_name(snn_path));
-    return false;
-  }
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FATAL: routed pump changed a decision stream (the routing "
-                 "equivalence contract is bitwise)\n");
     return false;
   }
   if (modeled_speedup < 1.10) {
@@ -857,13 +630,13 @@ bool gate_routing() {
 // with Zipf(1.1) hot-key tenant weights and two-state MMPP (Markov-
 // modulated Poisson) bursty arrivals — the skewed, bursty workload shape
 // consistent-hash sharding exists for. One deterministic arrival tape is
-// served twice through a ShardManager — at shards = 1 (the legacy
-// single-manager collapse: no ring, no placement) and at 4 shards — and
-// three legs are held:
-//   1. Equivalence (every host, always gated): per-session decision
-//      streams bitwise identical between the two runs, and neither run
-//      sheds an event — sharding is replay-transparent at population
-//      scale, not just on oracle-sized schedules.
+// served through a ShardManager at shards = 1 (the legacy single-manager
+// collapse: no ring, no placement) and at 4 shards. That sharding never
+// changes a decision is held by the shard.sharded_vs_sequential.* and
+// *AcrossThreads* tests, and at population scale by servebench's
+// tenant_zipf workload, which compares every served tenant with a direct
+// feed. Three legs:
+//   1. No shedding (every host, always gated): neither run drops an event.
 //   2. Throughput: shard pumps fan out over evd::par, so the win is a
 //      parallel-makespan effect exactly like the planner wall leg — the
 //      >= 1.5x gate arms on >= 4 hardware threads; below that the ratio
@@ -879,18 +652,15 @@ constexpr Index kShardArrivals = 150000;
 constexpr Index kShardGeometry = 16;
 constexpr Index kShardCount = 4;
 
-struct Arrival {
-  Index session = 0;
-  events::Event event;
-};
-
 /// The shared arrival tape. Tenant of each event ~ Zipf(1.1) over the 10^4
 /// sessions (rank-1 tenant takes ~10% of all traffic); inter-arrival gaps
 /// are exponential with the rate modulated by a two-state Markov chain
 /// (quiet ~40 us mean gap, burst ~4 us), switching with a small per-arrival
 /// hazard — sustained bursts hammering one hot shard, exactly the adversary
-/// of the placement design.
-std::vector<Arrival> shard_arrival_tape() {
+/// of the placement design. Every 2048 arrivals the tape pumps all: even if
+/// a burst lands entirely on one tenant, no ingress ring (8192) or inner
+/// queue (4096) can overflow, so no run sheds.
+check::Tape shard_arrival_tape() {
   Rng rng(4242);
   std::vector<double> cdf(static_cast<size_t>(kShardSessions));
   double total = 0.0;
@@ -898,25 +668,27 @@ std::vector<Arrival> shard_arrival_tape() {
     total += 1.0 / std::pow(static_cast<double>(s) + 1.0, 1.1);
     cdf[static_cast<size_t>(s)] = total;
   }
-  std::vector<Arrival> tape;
-  tape.reserve(static_cast<size_t>(kShardArrivals));
+  check::Tape tape;
   double now_us = 0.0;
   bool burst = false;
   for (Index i = 0; i < kShardArrivals; ++i) {
     if (rng.bernoulli(burst ? 0.05 : 0.02)) burst = !burst;
     const double mean_gap = burst ? 4.0 : 40.0;
     now_us += -mean_gap * std::log(1.0 - rng.uniform());
-    Arrival a;
+    if (i % 2048 == 0) tape.emplace_back();
+    check::Arrival& a = tape.back().arrivals.emplace_back();
     const auto it = std::lower_bound(cdf.begin(), cdf.end(),
                                      rng.uniform() * total);
     a.session = static_cast<Index>(it - cdf.begin());
-    a.event.x = static_cast<std::int16_t>(
+    a.op.event.x = static_cast<std::int16_t>(
         rng.uniform_int(static_cast<std::uint64_t>(kShardGeometry)));
-    a.event.y = static_cast<std::int16_t>(
+    a.op.event.y = static_cast<std::int16_t>(
         rng.uniform_int(static_cast<std::uint64_t>(kShardGeometry)));
-    a.event.polarity = rng.bernoulli(0.5) ? Polarity::On : Polarity::Off;
-    a.event.t = static_cast<TimeUs>(now_us);
-    tape.push_back(a);
+    a.op.event.polarity = rng.bernoulli(0.5) ? Polarity::On : Polarity::Off;
+    a.op.event.t = static_cast<TimeUs>(now_us);
+    if (tape.back().arrivals.size() == 2048) {
+      tape.back().pump = check::Pump::All;
+    }
   }
   return tape;
 }
@@ -942,20 +714,19 @@ struct ShardRow {
   std::int64_t events = 0;
   std::int64_t decisions = 0;
   std::int64_t dropped = 0;
-  std::vector<std::vector<core::Decision>> streams;
   double events_per_s() const {
     return 1e3 * static_cast<double>(events) / wall_ms;
   }
 };
 
-ShardRow serve_tape_sharded(gnn::GnnPipeline& pipeline,
-                            const std::vector<Arrival>& tape, Index shards) {
+ShardRow serve_sharded(gnn::GnnPipeline& pipeline, const check::Tape& tape,
+                       Index shards) {
   shard::ShardManagerConfig cfg;
   cfg.shards = shards;
   cfg.burst = 256;
   cfg.ingress_capacity = 8192;
   shard::ShardManager manager(cfg);
-  std::vector<shard::ShardManager::SessionId> ids;
+  std::vector<runtime::SessionId> ids;
   ids.reserve(static_cast<size_t>(kShardSessions));
   for (Index s = 0; s < kShardSessions; ++s) {
     ids.push_back(manager.add([&] {
@@ -964,20 +735,7 @@ ShardRow serve_tape_sharded(gnn::GnnPipeline& pipeline,
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  // Drain every 2048 arrivals: even if a burst lands entirely on one
-  // tenant, no ingress ring (8192) or inner queue (4096) can overflow, so
-  // the two runs shed nothing and stay comparable event for event.
-  Index since_pump = 0;
-  for (const Arrival& a : tape) {
-    while (!manager.submit(ids[static_cast<size_t>(a.session)], a.event)) {
-      manager.pump();
-    }
-    if (++since_pump == 2048) {
-      manager.pump_all();
-      since_pump = 0;
-    }
-  }
-  manager.pump_all();
+  check::serve(manager, ids, tape);
   const auto t1 = std::chrono::steady_clock::now();
 
   ShardRow row;
@@ -987,12 +745,6 @@ ShardRow serve_tape_sharded(gnn::GnnPipeline& pipeline,
   row.events = stats.totals.events_fed;
   row.decisions = stats.totals.decisions_emitted;
   row.dropped = stats.totals.events_dropped;
-  row.streams.reserve(ids.size());
-  for (const auto id : ids) {
-    std::vector<core::Decision> out;
-    manager.drain(id, out);
-    row.streams.push_back(std::move(out));
-  }
   return row;
 }
 
@@ -1008,29 +760,19 @@ void print_sharded_json(const ShardRow& row) {
 }
 
 bool gate_sharding() {
-  const std::vector<Arrival> tape = shard_arrival_tape();
+  const check::Tape tape = shard_arrival_tape();
   gnn::GnnPipeline pipeline(shard_tenant_config());
 
   // Interleave modes, best of two each, as in gate_planner.
-  ShardRow unsharded = serve_tape_sharded(pipeline, tape, 1);
-  ShardRow sharded = serve_tape_sharded(pipeline, tape, kShardCount);
+  ShardRow unsharded = serve_sharded(pipeline, tape, 1);
+  ShardRow sharded = serve_sharded(pipeline, tape, kShardCount);
   {
-    ShardRow un2 = serve_tape_sharded(pipeline, tape, 1);
-    const bool identical_un = streams_bitwise_identical(unsharded.streams,
-                                                        un2.streams);
-    if (!identical_un) {
-      std::fprintf(stderr,
-                   "FATAL: two shards=1 runs of the same tape disagree — "
-                   "serving is not deterministic\n");
-      return false;
-    }
-    if (un2.wall_ms < unsharded.wall_ms) unsharded = std::move(un2);
-    ShardRow sh2 = serve_tape_sharded(pipeline, tape, kShardCount);
-    if (sh2.wall_ms < sharded.wall_ms) sharded = std::move(sh2);
+    const ShardRow un2 = serve_sharded(pipeline, tape, 1);
+    if (un2.wall_ms < unsharded.wall_ms) unsharded = un2;
+    const ShardRow sh2 = serve_sharded(pipeline, tape, kShardCount);
+    if (sh2.wall_ms < sharded.wall_ms) sharded = sh2;
   }
 
-  const bool identical =
-      streams_bitwise_identical(unsharded.streams, sharded.streams);
   const double speedup = sharded.events_per_s() / unsharded.events_per_s();
   const unsigned cores = std::thread::hardware_concurrency();
   const bool wall_gated = cores >= 4;
@@ -1039,7 +781,7 @@ bool gate_sharding() {
   // the throughput numbers above stay unperturbed.
   obs::MetricsRegistry::instance().reset();
   obs::set_enabled(true);
-  serve_tape_sharded(pipeline, tape, kShardCount);
+  serve_sharded(pipeline, tape, kShardCount);
   obs::set_enabled(false);
   const obs::MetricsSnapshot snap = obs::snapshot();
   // Each shard's inner manager records one labeled histogram
@@ -1076,8 +818,6 @@ bool gate_sharding() {
       static_cast<long long>(kShardSessions),
       static_cast<long long>(kShardArrivals));
   table.print();
-  std::printf("   decision streams bitwise identical: %s\n",
-              identical ? "yes" : "NO");
   std::printf(
       "   sharded feed->decision latency: p50 %.0f us, p99 %.0f us over "
       "%lld samples\n",
@@ -1093,10 +833,10 @@ bool gate_sharding() {
   std::printf(
       "{%s,\"bench\":\"stream_sharded_gate\",\"sessions\":%lld,"
       "\"shards\":%lld,\"speedup\":%.3f,\"wall_gated\":%s,"
-      "\"streams_identical\":%s,\"p50_us\":%.1f,\"p99_us\":%.1f}\n",
+      "\"p50_us\":%.1f,\"p99_us\":%.1f}\n",
       bench::host_fields().c_str(), static_cast<long long>(kShardSessions),
       static_cast<long long>(kShardCount), speedup,
-      wall_gated ? "true" : "false", identical ? "true" : "false", p50, p99);
+      wall_gated ? "true" : "false", p50, p99);
 
   if (unsharded.dropped != 0 || sharded.dropped != 0) {
     std::fprintf(stderr,
@@ -1105,12 +845,6 @@ bool gate_sharding() {
                  static_cast<long long>(unsharded.dropped),
                  static_cast<long long>(sharded.dropped),
                  static_cast<long long>(kShardCount));
-    return false;
-  }
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FATAL: sharding changed a decision stream (the "
-                 "replay-transparency contract is bitwise)\n");
     return false;
   }
   if (wall_gated && speedup < 1.5) {
@@ -1141,7 +875,7 @@ template <typename Pipeline>
 bool report_latency(const char* paradigm, Pipeline& pipeline) {
   obs::MetricsRegistry::instance().reset();
   obs::set_enabled(true);
-  serve(pipeline, 8);
+  serve_uniform(pipeline, 8);
   obs::set_enabled(false);
   const obs::MetricsSnapshot snap = obs::snapshot();
   const obs::HistogramSnapshot* latency =
@@ -1170,27 +904,15 @@ bool report_latency(const char* paradigm, Pipeline& pipeline) {
 bool report_all_latencies() {
   bool ok = true;
   {
-    cnn::CnnPipelineConfig config;
-    config.width = kWidth;
-    config.height = kHeight;
-    config.num_classes = 2;
-    config.base_filters = 4;
-    config.frame_period_us = 20000;
-    cnn::CnnPipeline pipeline(config);
+    cnn::CnnPipeline pipeline(bench::cnn_config());
     ok = report_latency("cnn", pipeline) && ok;
   }
   {
-    snn::SnnPipelineConfig config;
-    config.width = kWidth;
-    config.height = kHeight;
-    config.num_classes = 2;
-    config.hidden = 64;
-    config.timestep_us = 5000;
-    snn::SnnPipeline pipeline(config);
+    snn::SnnPipeline pipeline(bench::snn_config());
     ok = report_latency("snn", pipeline) && ok;
   }
   {
-    gnn::GnnPipeline pipeline(gnn_dense_config());
+    gnn::GnnPipeline pipeline(bench::gnn_dense_config());
     ok = report_latency("gnn", pipeline) && ok;
   }
   return ok;
@@ -1209,23 +931,11 @@ int main() {
 
   bool ok = true;
   {
-    cnn::CnnPipelineConfig config;
-    config.width = kWidth;
-    config.height = kHeight;
-    config.num_classes = 2;
-    config.base_filters = 4;
-    config.frame_period_us = 20000;  // 10 frame decisions per session
-    cnn::CnnPipeline pipeline(config);
+    cnn::CnnPipeline pipeline(bench::cnn_config());  // 10 frames/session
     ok = sweep("cnn", pipeline, threads) && ok;
   }
   {
-    snn::SnnPipelineConfig config;
-    config.width = kWidth;
-    config.height = kHeight;
-    config.num_classes = 2;
-    config.hidden = 64;
-    config.timestep_us = 5000;  // 40 step decisions per session
-    snn::SnnPipeline pipeline(config);
+    snn::SnnPipeline pipeline(bench::snn_config());  // 40 steps/session
     ok = sweep("snn", pipeline, threads) && ok;
   }
   {
@@ -1244,8 +954,8 @@ int main() {
   {
     // Per-event serving cost for the fault-overhead gate, from a fresh
     // 8-session GNN run (the densest per-event paradigm).
-    gnn::GnnPipeline pipeline(gnn_dense_config());
-    const ThroughputRow row = serve(pipeline, 8);
+    gnn::GnnPipeline pipeline(bench::gnn_dense_config());
+    const bench::ServeRow row = serve_uniform(pipeline, 8);
     const double ns_per_event =
         row.wall_ms * 1e6 / static_cast<double>(row.events);
     ok = gate_fault_overhead(ns_per_event) && ok;

@@ -4,8 +4,8 @@
 #include <functional>
 #include <numeric>
 #include <sstream>
-#include <type_traits>
 
+#include "check/serve.hpp"
 #include "check/ulp.hpp"
 #include "cnn/cnn_pipeline.hpp"
 #include "fault/injector.hpp"
@@ -458,7 +458,6 @@ Gen<GnnNodeCase> gnn_node_case_gen() {
     // Spans one-or-more full vector widths plus every tail length.
     c.out = 1 + static_cast<Index>(rng.uniform_int(20));
     c.weight_seed = rng.next_u64();
-    c.max_aggregation = rng.bernoulli(0.5);
     c.h_self.resize(static_cast<size_t>(c.in));
     for (auto& x : c.h_self) {
       x = rng.bernoulli(0.2) ? 0.0f
@@ -495,7 +494,6 @@ Gen<GnnNodeCase> gnn_node_case_gen() {
   gen.show = [](const GnnNodeCase& c) {
     std::ostringstream os;
     os << "gnn node in=" << c.in << " out=" << c.out
-       << " agg=" << (c.max_aggregation ? "max" : "mean")
        << " degree=" << c.neighbor_features.size()
        << " weight_seed=" << c.weight_seed;
     return os.str();
@@ -506,9 +504,7 @@ Gen<GnnNodeCase> gnn_node_case_gen() {
 std::optional<std::string> diff_simd_gnn_accumulate_vs_scalar(
     const GnnNodeCase& c) {
   Rng rng(c.weight_seed);
-  gnn::GraphConv conv(c.in, c.out, rng,
-                      c.max_aggregation ? gnn::Aggregation::Max
-                                        : gnn::Aggregation::Mean);
+  gnn::GraphConv conv(c.in, c.out, rng);
   conv.freeze();  // the serving path: transposed weights
   std::vector<gnn::GraphConv::NeighborRef> refs(c.neighbor_features.size());
   for (size_t j = 0; j < refs.size(); ++j) {
@@ -700,11 +696,9 @@ std::optional<std::string> diff_zero_skip_vs_naive(const HwCase& c) {
 
 namespace {
 
-using Streams = std::vector<std::vector<core::Decision>>;
-
 constexpr Index kMuxGeometry = 16;
 constexpr Index kBurst = 3;  ///< Tiny: sessions interleave across rounds.
-constexpr size_t kPumpEvery = 5;  ///< Cursors between mid-stream pumps.
+constexpr size_t kPumpEvery = 5;  ///< Turns between mid-stream pumps.
 constexpr Index kShards = 3;
 
 // Tiny untrained pipelines on a 16x16 sensor: determinism, not accuracy, is
@@ -757,25 +751,6 @@ Gen<MultiSessionSchedule> schedule_gen() {
   return multi_schedule_gen(config);
 }
 
-/// The reference every serving oracle compares against: each session's ops
-/// fed directly, one session at a time.
-template <typename Pipeline>
-Streams serve_sequential(Pipeline& pipeline, const MultiSessionSchedule& c) {
-  Streams streams(c.sessions.size());
-  for (size_t s = 0; s < c.sessions.size(); ++s) {
-    const auto session = pipeline.open_session(c.width, c.height);
-    for (const SessionOp& op : c.sessions[s]) {
-      if (op.kind == SessionOp::Kind::Feed) {
-        session->feed(op.event);
-      } else {
-        session->advance_to(op.t);
-      }
-    }
-    session->drain(streams[s]);
-  }
-  return streams;
-}
-
 /// One session per schedule entry, opened from `pipeline` on `manager`.
 template <typename Pipeline>
 std::vector<runtime::SessionId> add_sessions(
@@ -790,84 +765,23 @@ std::vector<runtime::SessionId> add_sessions(
   return ids;
 }
 
-/// The serving driver (runtime::SessionManager or shard::ShardManager) at
-/// kThreadedCount workers: submit `tape[s]` to `ids[s]` round-robin, one
-/// cursor at a time, so ops arrive while other sessions are being served;
-/// pump every kPumpEvery-th cursor, then pump_all. Every session is drained
-/// after every pump, as a serving consumer does, so restores, migrations and
-/// re-plans land between drains. `on_cursor(cursor)` runs after each cursor
-/// (the last one past every tape, just before pump_all).
+/// Serves the schedule's ops to `ids` (a runtime::SessionManager or a
+/// shard::ShardManager) at kThreadedCount workers: one op per session per
+/// turn, so ops arrive while other sessions are being served, a pump()
+/// round every kPumpEvery-th turn, every session drained after every pump.
+/// `after_turn(k)` runs after turn k; the last turn is the one past every
+/// list, just before the final pump_all.
 template <typename Manager>
-Streams serve(Manager& manager, const std::vector<runtime::SessionId>& ids,
-              const std::vector<std::vector<SessionOp>>& tape,
-              const std::function<void(size_t)>& on_cursor = nullptr) {
+Streams serve_schedule(
+    Manager& manager, const std::vector<runtime::SessionId>& ids,
+    const std::vector<std::vector<SessionOp>>& sessions,
+    const std::function<void(size_t)>& after_turn = nullptr) {
+  const Tape tape = round_robin(sessions, 1, kPumpEvery, Pump::Round);
   return with_thread_count(kThreadedCount, [&] {
-    Streams streams(ids.size());
-    const auto drain_all = [&] {
-      for (size_t s = 0; s < ids.size(); ++s) manager.drain(ids[s], streams[s]);
-    };
-    size_t cursor = 0;
-    for (bool more = true; more;) {
-      more = false;
-      for (size_t s = 0; s < tape.size(); ++s) {
-        if (cursor >= tape[s].size()) continue;
-        more = true;
-        const SessionOp& op = tape[s][cursor];
-        const auto submit = [&] {
-          return op.kind == SessionOp::Kind::Feed
-                     ? manager.submit(ids[s], op.event)
-                     : manager.submit_advance(ids[s], op.t);
-        };
-        if constexpr (std::is_same_v<Manager, shard::ShardManager>) {
-          // Only a full ingress ring refuses here: pump and retry, since
-          // shedding would be noise in a comparison of complete streams.
-          while (!submit()) {
-            manager.pump();
-            drain_all();
-          }
-        } else {
-          submit();  // a quarantined session refuses every op, for good
-        }
-      }
-      ++cursor;
-      if (cursor % kPumpEvery == 0) {
-        manager.pump();
-        drain_all();
-      }
-      if (on_cursor) on_cursor(cursor);
-    }
-    manager.pump_all();
-    drain_all();
+    Streams streams;
+    serve(manager, ids, tape, &streams, after_turn);
     return streams;
   });
-}
-
-/// Compares the first want.size() streams of `got` with `want`:
-/// operator== on core::Decision compares label, timestamp and confidence
-/// bit-for-bit (ULP 0).
-std::optional<std::string> diff_decision_streams(const Streams& got,
-                                                 const Streams& want,
-                                                 const char* got_name,
-                                                 const char* want_name) {
-  for (size_t s = 0; s < want.size(); ++s) {
-    if (got[s].size() != want[s].size()) {
-      return "session " + std::to_string(s) + ": " +
-             std::to_string(got[s].size()) + " decisions " + got_name +
-             " vs " + std::to_string(want[s].size()) + " " + want_name;
-    }
-    for (size_t i = 0; i < got[s].size(); ++i) {
-      if (!(got[s][i] == want[s][i])) {
-        std::ostringstream os;
-        os << "session " << s << " decision " << i << ": " << got_name
-           << " {t=" << got[s][i].t << ", label=" << got[s][i].label
-           << ", conf=" << got[s][i].confidence << "} vs " << want_name
-           << " {t=" << want[s][i].t << ", label=" << want[s][i].label
-           << ", conf=" << want[s][i].confidence << "}";
-        return os.str();
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 /// runtime.multiplex_vs_sequential.*: multiplexing sessions on a shared
@@ -878,8 +792,8 @@ std::optional<std::string> diff_multiplexed(Pipeline&& pipeline,
   const Streams want = serve_sequential(pipeline, c);
   runtime::SessionManager manager(kBurst);
   const auto ids = add_sessions(manager, pipeline, c);
-  return diff_decision_streams(serve(manager, ids, c.sessions), want,
-                               "multiplexed", "sequential");
+  return diff_decision_streams(serve_schedule(manager, ids, c.sessions),
+                               want, "multiplexed", "sequential");
 }
 
 /// runtime.obs_on_vs_off: the same schedule served with observability on
@@ -894,7 +808,8 @@ std::optional<std::string> diff_obs_on_vs_off(const MultiSessionSchedule& c) {
     } restore{obs::enabled()};
     obs::set_enabled(obs_on);
     runtime::SessionManager manager(kBurst);
-    return serve(manager, add_sessions(manager, pipeline, c), c.sessions);
+    return serve_schedule(manager, add_sessions(manager, pipeline, c),
+                          c.sessions);
   };
   const Streams on = served(true);
   const Streams off = served(false);
@@ -908,7 +823,7 @@ std::optional<std::string> diff_obs_on_vs_off(const MultiSessionSchedule& c) {
 std::optional<std::string> diff_fault_isolation(const MultiSessionSchedule& c) {
   gnn::GnnPipeline pipeline(gnn_config());
   runtime::SessionManager clean_manager(kBurst);
-  const Streams clean = serve(
+  const Streams clean = serve_schedule(
       clean_manager, add_sessions(clean_manager, pipeline, c), c.sessions);
 
   MultiSessionSchedule sabotaged = c;
@@ -925,7 +840,7 @@ std::optional<std::string> diff_fault_isolation(const MultiSessionSchedule& c) {
   std::int64_t fires = 0;
   {
     fault::ScopedInjection injection("runtime.pump.op_fault", plan);
-    faulted = serve(manager, ids, sabotaged.sessions);
+    faulted = serve_schedule(manager, ids, sabotaged.sessions);
     fires = fault::Injector::instance().fires("runtime.pump.op_fault");
   }
   if (fires > 0) {
@@ -968,7 +883,7 @@ std::optional<std::string> diff_checkpoint_replay(
   std::int64_t fires = 0;
   {
     fault::ScopedInjection injection("runtime.pump.op_fault", plan);
-    served = serve(manager, ids, c.sessions);
+    served = serve_schedule(manager, ids, c.sessions);
     fires = fault::Injector::instance().fires("runtime.pump.op_fault");
   }
   if (fires > 0) {
@@ -1037,8 +952,8 @@ std::optional<std::string> diff_planned(Pipeline&& pipeline,
   const auto ids = add_sessions(manager, pipeline, c);
   manager.set_plan(random_plan(static_cast<Index>(ids.size()), paradigm,
                                schedule_seed));
-  if (auto d = diff_decision_streams(serve(manager, ids, c.sessions), want,
-                                     "planned", "sequential reference")) {
+  if (auto d = diff_decision_streams(serve_schedule(manager, ids, c.sessions),
+                                     want, "planned", "sequential reference")) {
     return "under plan " + manager.plan().describe() + "\n" + *d;
   }
   return std::nullopt;
@@ -1061,7 +976,7 @@ std::optional<std::string> diff_route(Pipeline&& pipeline,
              route::path_name(forced);
     }
   }
-  return diff_decision_streams(serve(manager, ids, c.sessions), want,
+  return diff_decision_streams(serve_schedule(manager, ids, c.sessions), want,
                                route::path_name(forced), "default path");
 }
 
@@ -1091,14 +1006,16 @@ std::optional<std::string> diff_sharded(Pipeline&& pipeline,
         manager.add([&] { return pipeline.open_session(c.width, c.height); }));
     longest = std::max(longest, ops.size());
   }
-  const auto rotate_all = [&](size_t cursor) {
-    if (cursor != (longest + 1) / 2 && cursor != longest + 1) return;
+  const auto rotate_all = [&](size_t turn) {
+    if (turn != (longest + 1) / 2 && turn != longest + 1) return;
     for (const auto id : ids) {
       manager.migrate(id, (manager.shard_of(id) + 1) % manager.shard_count());
     }
   };
-  const Streams got = migrate ? serve(manager, ids, c.sessions, rotate_all)
-                              : serve(manager, ids, c.sessions);
+  const Streams got =
+      serve_schedule(manager, ids, c.sessions,
+                     migrate ? std::function<void(size_t)>(rotate_all)
+                             : nullptr);
   return diff_decision_streams(got, want, migrate ? "migrated" : "sharded",
                                "sequential");
 }

@@ -101,13 +101,12 @@ std::optional<std::string> diff_gnn_build_serial_vs_threads(const GraphCase& c);
 
 /// Generated single-node graph-conv evaluation for the gathered
 /// neighbor-accumulate kernel (simd::gnn_apply_node): own feature vector,
-/// 0..N neighbors with feature vectors and spatiotemporal offsets, both
-/// aggregations, dims spanning full vector widths and scalar tails.
+/// 0..N neighbors with feature vectors and spatiotemporal offsets, dims
+/// spanning full vector widths and scalar tails.
 struct GnnNodeCase {
   Index in = 1;
   Index out = 1;
   std::uint64_t weight_seed = 1;
-  bool max_aggregation = true;
   std::vector<float> h_self;                          ///< [in]
   std::vector<std::vector<float>> neighbor_features;  ///< each [in]
   std::vector<std::array<float, 3>> offsets;          ///< (dx, dy, dz)

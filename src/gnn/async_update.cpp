@@ -21,6 +21,12 @@ AsyncEventGnn::AsyncEventGnn(const EventGnn& model, bool bidirectional)
   pooled_sum_.assign(static_cast<size_t>(model_.config().hidden), 0.0);
   pooled_max_.assign(static_cast<size_t>(model_.config().hidden), 0.0f);
   pooled_scratch_ = nn::Tensor({2 * model_.config().hidden});
+  // recompute() writes one layer's output here: sized once, for the widest.
+  Index widest = 0;
+  for (Index l = 0; l < model_.conv_count(); ++l) {
+    widest = std::max(widest, model_.conv(l).out_features());
+  }
+  fresh_.resize(static_cast<size_t>(widest));
 }
 
 void AsyncEventGnn::reset() {
@@ -167,24 +173,26 @@ bool AsyncEventGnn::recompute(Index layer, Index v, AsyncGnnStats& stats) {
   }
 
   const Index out = conv.out_features();
-  fresh_.resize(static_cast<size_t>(out));
-  conv.apply_node(layer_in(layer, v), refs_, fresh_.data());
+  float* const fresh = fresh_.data();
+  conv.apply_node(layer_in(layer, v), refs_, fresh);
   stats.macs += conv.node_macs(degree);
   ++stats.node_layer_recomputes;
 
   float* stored = features_[static_cast<size_t>(layer)].data() + v * out;
   bool changed = false;
   const bool last_layer = (layer + 1 == model_.conv_count());
-  for (size_t f = 0; f < fresh_.size(); ++f) {
-    if (std::fabs(fresh_[f] - stored[f]) > kEps) changed = true;
+  for (Index f = 0; f < out; ++f) {
+    if (std::fabs(fresh[f] - stored[f]) > kEps) changed = true;
   }
   if (changed && last_layer) {
-    for (size_t f = 0; f < fresh_.size(); ++f) {
-      pooled_sum_[f] += static_cast<double>(fresh_[f]) - stored[f];
-      pooled_max_[f] = std::max(pooled_max_[f], fresh_[f]);
+    for (Index f = 0; f < out; ++f) {
+      pooled_sum_[static_cast<size_t>(f)] +=
+          static_cast<double>(fresh[f]) - stored[f];
+      pooled_max_[static_cast<size_t>(f)] =
+          std::max(pooled_max_[static_cast<size_t>(f)], fresh[f]);
     }
   }
-  if (changed) std::copy(fresh_.begin(), fresh_.end(), stored);
+  if (changed) std::copy_n(fresh, out, stored);
   return changed;
 }
 

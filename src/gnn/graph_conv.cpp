@@ -9,11 +9,9 @@
 
 namespace evd::gnn {
 
-GraphConv::GraphConv(Index in_features, Index out_features, Rng& rng,
-                     Aggregation aggregation)
+GraphConv::GraphConv(Index in_features, Index out_features, Rng& rng)
     : in_(in_features),
       out_(out_features),
-      aggregation_(aggregation),
       w_self_("w_self", nn::he_normal({out_features, in_features},
                                       in_features, rng)),
       w_nbr_("w_nbr", nn::he_normal({out_features, in_features + 3},
@@ -27,15 +25,11 @@ nn::Tensor GraphConv::forward(const EventGraph& graph, const nn::Tensor& h,
     throw std::invalid_argument("GraphConv::forward: feature shape mismatch");
   }
   nn::Tensor pre({n, out_});
-  if (train && aggregation_ == Aggregation::Max) {
-    cached_argmax_.assign(static_cast<size_t>(n * out_), -1);
-  }
+  if (train) cached_argmax_.assign(static_cast<size_t>(n * out_), -1);
   std::int64_t macs = 0;
 
   for (Index i = 0; i < n; ++i) {
     const auto neighbors = graph.neighbors(i);
-    const float inv_deg =
-        neighbors.empty() ? 0.0f : 1.0f / static_cast<float>(neighbors.size());
     const auto& pi = graph.node(i).position;
 
     for (Index o = 0; o < out_; ++o) {
@@ -43,7 +37,7 @@ nn::Tensor GraphConv::forward(const EventGraph& graph, const nn::Tensor& h,
       const float* ws = w_self_.value.data() + o * in_;
       for (Index f = 0; f < in_; ++f) acc += ws[f] * h.at2(i, f);
 
-      float msg = aggregation_ == Aggregation::Max ? 0.0f : 0.0f;
+      float msg = 0.0f;
       bool has_msg = false;
       Index best_j = -1;
       const float* wn = w_nbr_.value.data() + o * (in_ + 3);
@@ -54,24 +48,14 @@ nn::Tensor GraphConv::forward(const EventGraph& graph, const nn::Tensor& h,
         contrib += wn[in_ + 0] * (pj.x - pi.x);
         contrib += wn[in_ + 1] * (pj.y - pi.y);
         contrib += wn[in_ + 2] * (pj.z - pi.z);
-        if (aggregation_ == Aggregation::Max) {
-          if (!has_msg || contrib > msg) {
-            msg = contrib;
-            best_j = j;
-            has_msg = true;
-          }
-        } else {
-          msg += contrib;
+        if (!has_msg || contrib > msg) {
+          msg = contrib;
+          best_j = j;
+          has_msg = true;
         }
       }
-      if (aggregation_ == Aggregation::Max) {
-        pre.at2(i, o) = acc + (has_msg ? msg : 0.0f);
-        if (train) {
-          cached_argmax_[static_cast<size_t>(i * out_ + o)] = best_j;
-        }
-      } else {
-        pre.at2(i, o) = acc + inv_deg * msg;
-      }
+      pre.at2(i, o) = acc + (has_msg ? msg : 0.0f);
+      if (train) cached_argmax_[static_cast<size_t>(i * out_ + o)] = best_j;
     }
     macs += node_macs(static_cast<Index>(neighbors.size()));
   }
@@ -111,9 +95,6 @@ nn::Tensor GraphConv::backward(const nn::Tensor& grad_output) {
 
   nn::Tensor grad_h({n, in_});
   for (Index i = 0; i < n; ++i) {
-    const auto neighbors = graph.neighbors(i);
-    const float inv_deg =
-        neighbors.empty() ? 0.0f : 1.0f / static_cast<float>(neighbors.size());
     const auto& pi = graph.node(i).position;
 
     for (Index o = 0; o < out_; ++o) {
@@ -129,30 +110,16 @@ nn::Tensor GraphConv::backward(const nn::Tensor& grad_output) {
       }
       float* dwn = w_nbr_.grad.data() + o * (in_ + 3);
       const float* wn = w_nbr_.value.data() + o * (in_ + 3);
-      if (aggregation_ == Aggregation::Max) {
-        const Index j = cached_argmax_[static_cast<size_t>(i * out_ + o)];
-        if (j < 0) continue;
-        const auto& pj = graph.node(j).position;
-        for (Index f = 0; f < in_; ++f) {
-          dwn[f] += g * cached_input_.at2(j, f);
-          grad_h.at2(j, f) += g * wn[f];
-        }
-        dwn[in_ + 0] += g * (pj.x - pi.x);
-        dwn[in_ + 1] += g * (pj.y - pi.y);
-        dwn[in_ + 2] += g * (pj.z - pi.z);
-      } else {
-        const float gm = g * inv_deg;
-        for (const Index j : neighbors) {
-          const auto& pj = graph.node(j).position;
-          for (Index f = 0; f < in_; ++f) {
-            dwn[f] += gm * cached_input_.at2(j, f);
-            grad_h.at2(j, f) += gm * wn[f];
-          }
-          dwn[in_ + 0] += gm * (pj.x - pi.x);
-          dwn[in_ + 1] += gm * (pj.y - pi.y);
-          dwn[in_ + 2] += gm * (pj.z - pi.z);
-        }
+      const Index j = cached_argmax_[static_cast<size_t>(i * out_ + o)];
+      if (j < 0) continue;
+      const auto& pj = graph.node(j).position;
+      for (Index f = 0; f < in_; ++f) {
+        dwn[f] += g * cached_input_.at2(j, f);
+        grad_h.at2(j, f) += g * wn[f];
       }
+      dwn[in_ + 0] += g * (pj.x - pi.x);
+      dwn[in_ + 1] += g * (pj.y - pi.y);
+      dwn[in_ + 2] += g * (pj.z - pi.z);
     }
   }
   return grad_h;
@@ -186,8 +153,6 @@ void GraphConv::apply_node(const float* h_self,
   static_assert(offsetof(simd::GnnNeighbor, dx) == offsetof(NeighborRef, dx));
   static_assert(offsetof(simd::GnnNeighbor, dy) == offsetof(NeighborRef, dy));
   static_assert(offsetof(simd::GnnNeighbor, dz) == offsetof(NeighborRef, dz));
-  const float inv_deg =
-      neighbors.empty() ? 0.0f : 1.0f / static_cast<float>(neighbors.size());
   // Unfrozen, nullptr selects the kernel's gather fallback.
   const bool use_t = frozen();
   simd::gnn_apply_node(w_self_.value.data(),
@@ -197,8 +162,7 @@ void GraphConv::apply_node(const float* h_self,
                        bias_.value.data(), in_, out_, h_self,
                        reinterpret_cast<const simd::GnnNeighbor*>(
                            neighbors.data()),
-                       static_cast<Index>(neighbors.size()),
-                       aggregation_ == Aggregation::Max, inv_deg, out);
+                       static_cast<Index>(neighbors.size()), out);
 }
 
 }  // namespace evd::gnn

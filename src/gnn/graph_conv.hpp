@@ -4,8 +4,10 @@
 // ([68],[69]), simplified to a linear kernel on the concatenation of the
 // neighbour feature and the spatiotemporal offset:
 //
-//   h'_i = ReLU( W_s h_i + (1/|N(i)|) sum_{j in N(i)} W_n [h_j ; p_j - p_i]
-//                + b )
+//   h'_i = ReLU( W_s h_i + max_{j in N(i)} W_n [h_j ; p_j - p_i] + b )
+//
+// with the max taken per output feature, and 0 for a node with no
+// neighbours.
 //
 // Because the offset (dx, dy, dt) enters the kernel, relative event timing
 // is available to every layer — the property the paper credits for
@@ -22,12 +24,9 @@
 
 namespace evd::gnn {
 
-enum class Aggregation { Mean, Max };
-
 class GraphConv {
  public:
-  GraphConv(Index in_features, Index out_features, Rng& rng,
-            Aggregation aggregation = Aggregation::Max);
+  GraphConv(Index in_features, Index out_features, Rng& rng);
 
   /// Batch forward over all nodes. `h` is [N, in_features]; returns
   /// [N, out_features]. Caches for backward when train=true. The graph must
@@ -67,11 +66,8 @@ class GraphConv {
     return out_ * (in_ + degree * (in_ + 3));
   }
 
-  Aggregation aggregation() const noexcept { return aggregation_; }
-
  private:
   Index in_, out_;
-  Aggregation aggregation_;
   nn::Param w_self_;  ///< [out, in]
   nn::Param w_nbr_;   ///< [out, in + 3]
   nn::Param bias_;    ///< [out]
@@ -92,7 +88,7 @@ class GraphConv {
   const EventGraph* cached_graph_ = nullptr;
   nn::Tensor cached_input_;
   nn::Tensor cached_pre_;  ///< Pre-ReLU activations [N, out].
-  std::vector<Index> cached_argmax_;  ///< Winning neighbour per (i, o) (Max).
+  std::vector<Index> cached_argmax_;  ///< Winning neighbour per (i, o).
 };
 
 }  // namespace evd::gnn

@@ -74,8 +74,7 @@ void gnn_apply_node(const float* w_self, const float* w_self_t,
                     const float* w_nbr, const float* w_nbr_t,
                     const float* bias, Index in_dim, Index out_dim,
                     const float* h_self, const GnnNeighbor* neighbors,
-                    Index neighbor_count, bool max_aggregation,
-                    float inv_degree, float* out) {
+                    Index neighbor_count, float* out) {
   const bool transposed = w_self_t != nullptr && w_nbr_t != nullptr;
   if (transposed || in_dim + 3 <= kMaxGatherStride) {
     switch (active_tier()) {
@@ -84,8 +83,7 @@ void gnn_apply_node(const float* w_self, const float* w_self_t,
         detail::gnn_apply_node_avx2(w_self, transposed ? w_self_t : nullptr,
                                     w_nbr, transposed ? w_nbr_t : nullptr,
                                     bias, in_dim, out_dim, h_self, neighbors,
-                                    neighbor_count, max_aggregation,
-                                    inv_degree, out);
+                                    neighbor_count, out);
         return;
 #endif
 #if defined(EVD_SIMD_HAVE_NEON)
@@ -93,16 +91,14 @@ void gnn_apply_node(const float* w_self, const float* w_self_t,
         detail::gnn_apply_node_neon(w_self, transposed ? w_self_t : nullptr,
                                     w_nbr, transposed ? w_nbr_t : nullptr,
                                     bias, in_dim, out_dim, h_self, neighbors,
-                                    neighbor_count, max_aggregation,
-                                    inv_degree, out);
+                                    neighbor_count, out);
         return;
 #endif
       default: break;
     }
   }
   detail::gnn_apply_node_scalar(w_self, w_nbr, bias, in_dim, out_dim, h_self,
-                                neighbors, neighbor_count, max_aggregation,
-                                inv_degree, out);
+                                neighbors, neighbor_count, out);
 }
 
 }  // namespace evd::simd

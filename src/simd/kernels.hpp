@@ -76,8 +76,8 @@ struct GnnNeighbor {
 //   acc_o  = bias[o] + sum_f w_self[o*in + f] * h_self[f]
 //   c_j,o  = sum_f w_nbr[o*(in+3) + f] * feat_j[f]
 //            + w_nbr[.. in+0]*dx_j + [.. in+1]*dy_j + [.. in+2]*dz_j
-//   Max :    msg_o = c_0,o then replaced when c_j,o > msg_o (ties keep first)
-//   Mean:    msg_o = sum_j c_j,o, scaled by inv_degree
+//   msg_o  = c_0,o, then replaced when c_j,o > msg_o (ties keep the first);
+//            0 with no neighbours
 //   out[o] = ReLU(acc_o + msg_o)   for o in [0, out_dim)
 // `w_self_t` ([in_dim, out_dim]) and `w_nbr_t` ([in_dim+3, out_dim]) are the
 // transposed copies; pass both or neither (nullptr selects gathers).
@@ -85,8 +85,7 @@ void gnn_apply_node(const float* w_self, const float* w_self_t,
                     const float* w_nbr, const float* w_nbr_t,
                     const float* bias, Index in_dim, Index out_dim,
                     const float* h_self, const GnnNeighbor* neighbors,
-                    Index neighbor_count, bool max_aggregation,
-                    float inv_degree, float* out);
+                    Index neighbor_count, float* out);
 
 namespace detail {
 
@@ -106,8 +105,7 @@ void lif_step_block_scalar(float* v, const float* b, const float* w,
 void gnn_apply_node_scalar(const float* w_self, const float* w_nbr,
                            const float* bias, Index in_dim, Index out_dim,
                            const float* h_self, const GnnNeighbor* neighbors,
-                           Index neighbor_count, bool max_aggregation,
-                           float inv_degree, float* out);
+                           Index neighbor_count, float* out);
 
 #if defined(EVD_SIMD_HAVE_AVX2)
 void conv_gemm_block_avx2(const float* w, const float* bias, const float* col,
@@ -123,8 +121,7 @@ void gnn_apply_node_avx2(const float* w_self, const float* w_self_t,
                          const float* w_nbr, const float* w_nbr_t,
                          const float* bias, Index in_dim, Index out_dim,
                          const float* h_self, const GnnNeighbor* neighbors,
-                         Index neighbor_count, bool max_aggregation,
-                         float inv_degree, float* out);
+                         Index neighbor_count, float* out);
 #endif
 
 #if defined(EVD_SIMD_HAVE_NEON)
@@ -141,8 +138,7 @@ void gnn_apply_node_neon(const float* w_self, const float* w_self_t,
                          const float* w_nbr, const float* w_nbr_t,
                          const float* bias, Index in_dim, Index out_dim,
                          const float* h_self, const GnnNeighbor* neighbors,
-                         Index neighbor_count, bool max_aggregation,
-                         float inv_degree, float* out);
+                         Index neighbor_count, float* out);
 #endif
 
 }  // namespace detail

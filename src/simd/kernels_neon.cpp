@@ -31,11 +31,9 @@ void gnn_apply_node_neon(const float* w_self, const float* w_self_t,
                          const float* w_nbr, const float* w_nbr_t,
                          const float* bias, Index in_dim, Index out_dim,
                          const float* h_self, const GnnNeighbor* neighbors,
-                         Index neighbor_count, bool max_aggregation,
-                         float inv_degree, float* out) {
+                         Index neighbor_count, float* out) {
   vecimpl::gnn_apply_node(w_self, w_self_t, w_nbr, w_nbr_t, bias, in_dim,
-                          out_dim, h_self, neighbors, neighbor_count,
-                          max_aggregation, inv_degree, out);
+                          out_dim, h_self, neighbors, neighbor_count, out);
 }
 
 }  // namespace evd::simd::detail

@@ -62,8 +62,7 @@ void lif_step_block_scalar(float* v, const float* b, const float* w,
 void gnn_apply_node_scalar(const float* w_self, const float* w_nbr,
                            const float* bias, Index in_dim, Index out_dim,
                            const float* h_self, const GnnNeighbor* neighbors,
-                           Index neighbor_count, bool max_aggregation,
-                           float inv_degree, float* out) {
+                           Index neighbor_count, float* out) {
   for (Index o = 0; o < out_dim; ++o) {
     float acc = bias[o];
     const float* ws = w_self + o * in_dim;
@@ -77,17 +76,12 @@ void gnn_apply_node_scalar(const float* w_self, const float* w_nbr,
       for (Index f = 0; f < in_dim; ++f) contrib += wn[f] * nb.features[f];
       contrib += wn[in_dim + 0] * nb.dx + wn[in_dim + 1] * nb.dy +
                  wn[in_dim + 2] * nb.dz;
-      if (max_aggregation) {
-        if (!has_msg || contrib > msg) {
-          msg = contrib;
-          has_msg = true;
-        }
-      } else {
-        msg += contrib;
+      if (!has_msg || contrib > msg) {
+        msg = contrib;
+        has_msg = true;
       }
     }
-    const float pre = max_aggregation ? acc + (has_msg ? msg : 0.0f)
-                                      : acc + inv_degree * msg;
+    const float pre = acc + (has_msg ? msg : 0.0f);
     out[o] = pre > 0.0f ? pre : 0.0f;
   }
 }

@@ -212,12 +212,10 @@ inline void gnn_apply_node_body(SelfCol self_col, NbrCol nbr_col,
                                 const float* bias, Index in_dim,
                                 Index out_dim, const float* h_self,
                                 const GnnNeighbor* neighbors,
-                                Index neighbor_count, bool max_aggregation,
-                                float inv_degree, float* out,
+                                Index neighbor_count, float* out,
                                 Index vec_end) {
   constexpr Index W = VecF::kWidth;
   const VecF vzero = VecF::zero();
-  const VecF vinv = VecF::broadcast(inv_degree);
   for (Index o = 0; o < vec_end; o += W) {
     // acc = bias + W_self · h_self for W outputs: per feature, one weight
     // column across output rows times the broadcast activation.
@@ -226,9 +224,7 @@ inline void gnn_apply_node_body(SelfCol self_col, NbrCol nbr_col,
       acc = VecF::add(acc,
                       VecF::mul(self_col(f, o), VecF::broadcast(h_self[f])));
     }
-    VecF msg = vzero;
-    for (Index j = 0; j < neighbor_count; ++j) {
-      const GnnNeighbor& nb = neighbors[j];
+    const auto contrib_of = [&](const GnnNeighbor& nb) {
       VecF contrib = vzero;
       for (Index f = 0; f < in_dim; ++f) {
         contrib = VecF::add(
@@ -240,21 +236,20 @@ inline void gnn_apply_node_body(SelfCol self_col, NbrCol nbr_col,
           VecF::add(VecF::mul(nbr_col(in_dim, o), VecF::broadcast(nb.dx)),
                     VecF::mul(nbr_col(in_dim + 1, o), VecF::broadcast(nb.dy))),
           VecF::mul(nbr_col(in_dim + 2, o), VecF::broadcast(nb.dz)));
-      contrib = VecF::add(contrib, off);
-      if (max_aggregation) {
-        // First neighbor seeds msg; later ones replace it only when
-        // strictly greater (compare/blend), so ties keep the first —
-        // exactly the scalar `!has_msg || contrib > msg` rule.
-        msg = (j == 0) ? contrib
-                       : VecF::blend(VecF::cmp_gt(contrib, msg), contrib, msg);
-      } else {
-        msg = VecF::add(msg, contrib);
-      }
+      return VecF::add(contrib, off);
+    };
+    // The first neighbor seeds msg; later ones replace it only when
+    // strictly greater (compare/blend), so ties keep the first — exactly the
+    // scalar `!has_msg || contrib > msg` rule.
+    VecF msg = vzero;
+    if (neighbor_count > 0) msg = contrib_of(neighbors[0]);
+    for (Index j = 1; j < neighbor_count; ++j) {
+      const VecF contrib = contrib_of(neighbors[j]);
+      msg = VecF::blend(VecF::cmp_gt(contrib, msg), contrib, msg);
     }
-    // Max: acc + (has_msg ? msg : 0.0f) — msg is already 0 when there are
-    // no neighbors, so the unconditional add reproduces the +0.0f case.
-    const VecF pre = max_aggregation ? VecF::add(acc, msg)
-                                     : VecF::add(acc, VecF::mul(vinv, msg));
+    // acc + (has_msg ? msg : 0.0f): msg is already 0 when there are no
+    // neighbors, so the unconditional add reproduces the +0.0f case.
+    const VecF pre = VecF::add(acc, msg);
     const VecF relu = VecF::blend(VecF::cmp_gt(pre, vzero), pre, vzero);
     relu.store(out + o);
   }
@@ -264,8 +259,7 @@ inline void gnn_apply_node(const float* w_self, const float* w_self_t,
                            const float* w_nbr, const float* w_nbr_t,
                            const float* bias, Index in_dim, Index out_dim,
                            const float* h_self, const GnnNeighbor* neighbors,
-                           Index neighbor_count, bool max_aggregation,
-                           float inv_degree, float* out) {
+                           Index neighbor_count, float* out) {
   constexpr Index W = VecF::kWidth;
   const Index vec_end = (out_dim / W) * W;
   if (w_self_t != nullptr && w_nbr_t != nullptr) {
@@ -276,8 +270,8 @@ inline void gnn_apply_node(const float* w_self, const float* w_self_t,
         [w_nbr_t, out_dim](Index f, Index o) {
           return VecF::load(w_nbr_t + f * out_dim + o);
         },
-        bias, in_dim, out_dim, h_self, neighbors, neighbor_count,
-        max_aggregation, inv_degree, out, vec_end);
+        bias, in_dim, out_dim, h_self, neighbors, neighbor_count, out,
+        vec_end);
   } else {
     const VecI self_stride = VecI::lane_stride(in_dim);
     const VecI nbr_stride = VecI::lane_stride(in_dim + 3);
@@ -288,15 +282,14 @@ inline void gnn_apply_node(const float* w_self, const float* w_self_t,
         [w_nbr, in_dim, &nbr_stride](Index f, Index o) {
           return VecF::gather(w_nbr + o * (in_dim + 3) + f, nbr_stride);
         },
-        bias, in_dim, out_dim, h_self, neighbors, neighbor_count,
-        max_aggregation, inv_degree, out, vec_end);
+        bias, in_dim, out_dim, h_self, neighbors, neighbor_count, out,
+        vec_end);
   }
   if (vec_end < out_dim) {
     gnn_apply_node_scalar(w_self + vec_end * in_dim,
                           w_nbr + vec_end * (in_dim + 3), bias + vec_end,
                           in_dim, out_dim - vec_end, h_self, neighbors,
-                          neighbor_count, max_aggregation, inv_degree,
-                          out + vec_end);
+                          neighbor_count, out + vec_end);
   }
 }
 

@@ -232,6 +232,12 @@ class SnnStreamSession : public runtime::SessionBase {
                       std::to_string(seen_.size()));
     }
     step_end_ = r.i64();
+    // The clock starts at one timestep and only ever moves by one, so a
+    // frame's clock sits on that grid; one far below it would make the
+    // next op step from there.
+    const TimeUs timestep = pipeline_.config().timestep_us;
+    fault::expect_valid(step_end_ > 0 && step_end_ % timestep == 0,
+                        "SnnStreamSession: step clock off the timestep grid");
     state_.steps_seen = r.i64();
     state_.step_hidden_spikes = r.i64();
     if (const Index layers = r.i64();
@@ -241,20 +247,19 @@ class SnnStreamSession : public runtime::SessionBase {
                       " membrane layers, net has " +
                       std::to_string(state_.membrane.size()));
     }
+    // The net sizes every membrane and the readout; a frame must fill them
+    // exactly, since the next step indexes them by the net's widths.
     for (auto& layer : state_.membrane) {
-      const size_t expected = layer.size();
-      r.pod_vector(layer);
-      if (layer.size() != expected) {
-        throw Error(ErrorCode::CheckpointMismatch,
-                    "SnnStreamSession: membrane layer size changed");
-      }
+      r.pod_span_exact(std::span<float>(layer));
     }
-    r.pod_vector(state_.readout_sum);
+    r.pod_span_exact(std::span<float>(state_.readout_sum));
     std::fill(seen_.begin(), seen_.end(), 0);
-    r.pod_vector(pending_);
+    r.pod_vector(pending_, seen_.size());
     for (const Index i : pending_) {
       fault::expect_valid(i >= 0 && i < static_cast<Index>(seen_.size()),
                           "SnnStreamSession: pending spike index out of range");
+      fault::expect_valid(seen_[static_cast<size_t>(i)] == 0,
+                          "SnnStreamSession: repeated pending spike index");
       seen_[static_cast<size_t>(i)] = 1;
     }
   }

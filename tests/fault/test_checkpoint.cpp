@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -506,6 +507,88 @@ TEST(CheckpointParadigms, SnnFrameFromOtherEncoderIsRefused) {
   config.encoder.spatial_factor = 4;
   snn::SnnPipeline target(config);
   expect_frame_refused(source, target);
+}
+
+/// Appends `values` to `bytes` as a frame stores an i64.
+void append_i64s(std::vector<std::uint8_t>& bytes,
+                 std::initializer_list<std::int64_t> values) {
+  for (const std::int64_t v : values) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof v);
+  }
+}
+
+/// An SNN session saves its own frame at a step boundary, so no input spike
+/// is pending. The frame then ends with three length-prefixed spans: the
+/// readout layer's membrane and readout_sum, num_classes floats each, and
+/// the empty pending set. `patch(bytes, membrane_at, readout_at)` rewrites
+/// that tail. Loading the patched frame must throw CheckpointCorrupt and
+/// leave the session equal to a twin that never saw it.
+template <typename Patch>
+void expect_patched_snn_tail_is_corrupt(Patch patch) {
+  const snn::SnnPipelineConfig config = snn_config();
+  snn::SnnPipeline pipeline(config);
+  const events::EventStream stream = degraded_stream();
+  const size_t split = stream.events.size() / 2;
+  const TimeUs boundary =
+      (stream.events[split - 1].t / config.timestep_us + 1) *
+      config.timestep_us;
+  auto session = pipeline.open_session(kGeom, kGeom);
+  auto twin = pipeline.open_session(kGeom, kGeom);
+  for (auto* s : {session.get(), twin.get()}) {
+    feed_range(*s, stream, 0, split);
+    s->advance_to(boundary);
+  }
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(session->save_state(bytes));
+
+  const auto classes = static_cast<std::int64_t>(config.num_classes);
+  const size_t span = 8 + 4 * static_cast<size_t>(classes);
+  const size_t readout_at = bytes.size() - 8 - span;
+  const size_t membrane_at = readout_at - span;
+  std::int64_t stored[3] = {};
+  std::memcpy(&stored[0], bytes.data() + membrane_at, 8);
+  std::memcpy(&stored[1], bytes.data() + readout_at, 8);
+  std::memcpy(&stored[2], bytes.data() + bytes.size() - 8, 8);
+  ASSERT_EQ(stored[0], classes);
+  ASSERT_EQ(stored[1], classes);
+  ASSERT_EQ(stored[2], 0);
+
+  patch(bytes, membrane_at, readout_at);
+  expect_load_throws(*session, bytes, ErrorCode::CheckpointCorrupt);
+  expect_matches_twin(*session, *twin, stream, split);
+}
+
+// Loaded as it stands, an empty readout_sum made the next step write
+// num_classes floats past its end.
+TEST(CheckpointParadigms, SnnShortReadoutSpanIsCorrupt) {
+  expect_patched_snn_tail_is_corrupt(
+      [](std::vector<std::uint8_t>& bytes, size_t, size_t readout_at) {
+        bytes.resize(readout_at);
+        append_i64s(bytes, {0, 0});  // readout_sum, pending: both empty
+      });
+}
+
+TEST(CheckpointParadigms, SnnMembraneOfTheWrongLengthIsCorrupt) {
+  expect_patched_snn_tail_is_corrupt(
+      [](std::vector<std::uint8_t>& bytes, size_t membrane_at,
+         size_t readout_at) {
+        std::int64_t length = 0;
+        std::memcpy(&length, bytes.data() + membrane_at, 8);
+        ++length;
+        std::memcpy(bytes.data() + membrane_at, &length, 8);
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(readout_at),
+                     4, 0);
+      });
+}
+
+// A repeat would bin one input spike twice into the next step.
+TEST(CheckpointParadigms, SnnRepeatedPendingIndexIsCorrupt) {
+  expect_patched_snn_tail_is_corrupt(
+      [](std::vector<std::uint8_t>& bytes, size_t, size_t) {
+        bytes.resize(bytes.size() - 8);
+        append_i64s(bytes, {2, 3, 3});  // pending = {3, 3}
+      });
 }
 
 TEST(CheckpointParadigms, CnnFrameFromOtherWindowCapacityIsRefused) {

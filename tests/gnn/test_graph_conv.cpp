@@ -25,11 +25,9 @@ nn::Tensor features_for(const EventGraph& graph) {
   return h;
 }
 
-class GraphConvModes : public ::testing::TestWithParam<Aggregation> {};
-
-TEST_P(GraphConvModes, OutputShapeAndFiniteness) {
+TEST(GraphConv, OutputShapeAndFiniteness) {
   Rng rng(1);
-  GraphConv conv(2, 5, rng, GetParam());
+  GraphConv conv(2, 5, rng);
   const auto graph = chain_graph();
   const nn::Tensor out = conv.forward(graph, features_for(graph), false);
   EXPECT_EQ(out.dim(0), 4);
@@ -40,9 +38,9 @@ TEST_P(GraphConvModes, OutputShapeAndFiniteness) {
   }
 }
 
-TEST_P(GraphConvModes, GradCheckParamsAndInput) {
+TEST(GraphConv, GradCheckParamsAndInput) {
   Rng rng(2);
-  GraphConv conv(2, 3, rng, GetParam());
+  GraphConv conv(2, 3, rng);
   const auto graph = chain_graph();
   nn::Tensor h = features_for(graph);
   // Perturb features away from {0,1} so ReLU/max boundaries aren't razor
@@ -83,13 +81,9 @@ TEST_P(GraphConvModes, GradCheckParamsAndInput) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Aggregations, GraphConvModes,
-                         ::testing::Values(Aggregation::Mean,
-                                           Aggregation::Max));
-
 TEST(GraphConv, ApplyNodeMatchesBatchForward) {
   Rng rng(4);
-  GraphConv conv(2, 4, rng, Aggregation::Max);
+  GraphConv conv(2, 4, rng);
   const auto graph = chain_graph();
   const nn::Tensor h = features_for(graph);
   const nn::Tensor batch = conv.forward(graph, h, false);
@@ -130,7 +124,7 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
 
 TEST(GraphConv, ParamsThawsSoEditedWeightsAreServed) {
   Rng rng(9);
-  GraphConv conv(2, 4, rng, Aggregation::Max);
+  GraphConv conv(2, 4, rng);
   EXPECT_FALSE(conv.frozen());
   conv.freeze();
   ASSERT_TRUE(conv.frozen());
@@ -143,7 +137,7 @@ TEST(GraphConv, ParamsThawsSoEditedWeightsAreServed) {
   }
 
   Rng fresh_rng(9);
-  GraphConv fresh(2, 4, fresh_rng, Aggregation::Max);
+  GraphConv fresh(2, 4, fresh_rng);
   const std::vector<nn::Param*> fresh_params = fresh.params();
   for (size_t i = 0; i < params.size(); ++i) {
     fresh_params[i]->value = params[i]->value;
@@ -160,7 +154,7 @@ TEST(GraphConv, ParamsThawsSoEditedWeightsAreServed) {
 
 TEST(GraphConv, IsolatedNodeUsesSelfPathOnly) {
   Rng rng(5);
-  GraphConv conv(2, 3, rng, Aggregation::Mean);
+  GraphConv conv(2, 3, rng);
   EventGraph graph;
   graph.add_node({{0, 0, 0}, 1, 0}, {});
   nn::Tensor h({1, 2});
@@ -173,7 +167,7 @@ TEST(GraphConv, OffsetsInfluenceOutput) {
   // Two graphs identical except one neighbour's position: outputs differ,
   // proving relative spatiotemporal offsets enter the kernel.
   Rng rng(6);
-  GraphConv conv(2, 3, rng, Aggregation::Mean);
+  GraphConv conv(2, 3, rng);
   EventGraph near_graph;
   near_graph.add_node({{0, 0, 0}, 1, 0}, {});
   near_graph.add_node({{1, 0, 0}, 1, 10}, {0});

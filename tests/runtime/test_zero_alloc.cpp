@@ -172,6 +172,23 @@ TEST(ZeroAlloc, GnnSessionOpenCostIsIndependentOfTheNodeCap) {
   EXPECT_EQ(allocations_per_open(64), allocations_per_open(4096));
 }
 
+TEST(ZeroAlloc, FreshGnnSessionsFirstFeedIsAllocationFree) {
+  // A first session warms what the thread and the pipeline keep (span
+  // sites, the frozen model). A session's inference scratch is sized at
+  // open, so a fresh session's first feed, its first inference, allocates
+  // nothing.
+  gnn::GnnPipeline pipeline(tenant_config());
+  TimeUs t = 0;
+  {
+    auto warm = pipeline.open_session(16, 16);
+    for (Index i = 0; i < 8; ++i) warm->feed(event_at(i, t += 100));
+  }
+  auto session = pipeline.open_session(16, 16);
+  EXPECT_EQ(allocations_during([&] { session->feed(event_at(0, t += 100)); }),
+            0);
+  EXPECT_EQ(session->stats().decisions_emitted, 1);
+}
+
 TEST(ZeroAlloc, CnnIntraFrameFeedIsAllocationFree) {
   cnn::CnnPipelineConfig config;
   config.width = 16;
@@ -353,8 +370,8 @@ TEST(ZeroAlloc, QueueAndSinkEachGrowOnceThenNeverAgain) {
     manager.drain(0, out);
     out.clear();
   };
-  // The manager's first pump builds its default plan, and the session's
-  // first inference sizes its scratch; neither is the queue or the sink.
+  // The manager's first pump builds its default plan, which is neither the
+  // queue nor the sink.
   submit(8);
   manager.pump_all();
   drain();

@@ -220,18 +220,14 @@ struct GnnCase {
     }
   }
 
-  std::vector<float> run(Tier tier, bool transposed, bool max_agg) const {
+  std::vector<float> run(Tier tier, bool transposed) const {
     const auto h_self = filled(static_cast<std::size_t>(in), 24);
-    const float inv_degree =
-        neighbors.empty() ? 0.0f
-                          : 1.0f / static_cast<float>(neighbors.size());
     std::vector<float> result(static_cast<std::size_t>(out), -9.0f);
     ScopedTier guard(tier);
     gnn_apply_node(w_self.data(), transposed ? w_self_t.data() : nullptr,
                    w_nbr.data(), transposed ? w_nbr_t.data() : nullptr,
                    bias.data(), in, out, h_self.data(), neighbors.data(),
-                   static_cast<Index>(neighbors.size()), max_agg, inv_degree,
-                   result.data());
+                   static_cast<Index>(neighbors.size()), result.data());
     return result;
   }
 };
@@ -240,13 +236,10 @@ TEST(SimdGnnKernel, AllTiersAndPathsMatchScalarBitwise) {
   const Tier best = detect_best();
   for (const Index degree : {0, 1, 2, 6}) {
     const GnnCase c(degree);
-    for (const bool max_agg : {false, true}) {
-      const auto ref = c.run(Tier::Scalar, false, max_agg);
-      for (const bool transposed : {false, true}) {
-        EXPECT_TRUE(same_bits(ref, c.run(best, transposed, max_agg)))
-            << "degree=" << degree << " max=" << max_agg
-            << " transposed=" << transposed;
-      }
+    const auto ref = c.run(Tier::Scalar, false);
+    for (const bool transposed : {false, true}) {
+      EXPECT_TRUE(same_bits(ref, c.run(best, transposed)))
+          << "degree=" << degree << " transposed=" << transposed;
     }
   }
 }
@@ -256,9 +249,9 @@ TEST(SimdGnnKernel, DuplicateNeighborsTieWithoutDivergence) {
   // (strictly-greater replaces) must agree with the scalar first-wins rule.
   GnnCase c(3);
   c.neighbors[2] = c.neighbors[0];
-  const auto ref = c.run(Tier::Scalar, false, true);
+  const auto ref = c.run(Tier::Scalar, false);
   for (const bool transposed : {false, true}) {
-    EXPECT_TRUE(same_bits(ref, c.run(detect_best(), transposed, true)));
+    EXPECT_TRUE(same_bits(ref, c.run(detect_best(), transposed)));
   }
 }
 
@@ -274,7 +267,7 @@ TEST(SimdGnnKernel, ReluClampsToPositiveZeroEverywhere) {
   const float positive_zero = 0.0f;
   for (const Tier tier_choice : {Tier::Scalar, detect_best()}) {
     for (const bool transposed : {false, true}) {
-      for (const float r : c.run(tier_choice, transposed, false)) {
+      for (const float r : c.run(tier_choice, transposed)) {
         EXPECT_EQ(std::memcmp(&r, &positive_zero, sizeof(float)), 0)
             << tier_name(tier_choice);
       }
